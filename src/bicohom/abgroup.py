@@ -3,9 +3,11 @@
 A group is Z^r modulo the column lattice of its relation matrix (plus the
 implicit m*e_i when the modulus m is positive).  Morphisms, Hom and tensor
 groups, intersections and subquotients all reduce to the lattice arithmetic
-in the snf module, so elements stay exact integer vectors throughout.  For
-Z/m-modules this is lossless: module maps and module tensor products agree
-with the underlying abelian-group ones once both sides are killed by m.
+in the snf module, which receives the relations and the modulus separately
+and so works on residues mod m when m is positive; elements stay exact
+integer vectors throughout.  For Z/m-modules this is lossless: module maps
+and module tensor products agree with the underlying abelian-group ones
+once both sides are killed by m.
 """
 
 from collections import namedtuple
@@ -14,9 +16,10 @@ from math import gcd
 from operator import index as _as_int
 
 from . import backend
-from .errors import IllDefined, NotContained, ParentMismatch
-from .snf import (IntMatrix, _normalize_columns, kernel_basis,
-                  lattice_intersect, smith_normal_form, solve_mod)
+from .errors import (IllDefined, InternalChaseFailure, NotContained,
+                     ParentMismatch)
+from .snf import (IntMatrix, kernel_basis, lattice_intersect,
+                  smith_normal_form, solve_mod)
 
 # orders: one entry per cyclic summand, 0 meaning a Z summand, each other
 # entry >= 2 and dividing the next nonzero one; to_cyclic/from_cyclic are the
@@ -129,14 +132,15 @@ class FpGroup:
     def _reduction(self):
         if self._echelon is None:
             h, _, pivots = backend.col_echelon(
-                self.full_relations.to_lists(), False)
+                self.relations.to_lists(), False, self.modulus)
             self._echelon = (h, pivots)
         return self._echelon
 
     def reduce(self, coords):
         """Canonical representative of coords modulo the relation lattice."""
         h, pivots = self._reduction()
-        residue, _ = backend.reduce_columns(h, pivots, list(coords))
+        residue, _ = backend.reduce_columns(h, pivots, list(coords),
+                                            self.modulus)
         return tuple(residue)
 
     def element(self, coords):
@@ -346,8 +350,9 @@ class Subgroup:
     def _reduction(self):
         # echelon of generators + parent relations: the lifted lattice in Z^r
         if self._lattice is None:
-            mat = self.as_matrix().hstack(self.parent.full_relations)
-            h, _, pivots = backend.col_echelon(mat.to_lists(), False)
+            mat = self.as_matrix().hstack(self.parent.relations)
+            h, _, pivots = backend.col_echelon(mat.to_lists(), False,
+                                               self.parent.modulus)
             self._lattice = (h, pivots)
         return self._lattice
 
@@ -355,7 +360,8 @@ class Subgroup:
         if elt.parent != self.parent:
             raise ParentMismatch("element is not in the parent group")
         h, pivots = self._reduction()
-        residue, _ = backend.reduce_columns(h, pivots, list(elt.coords))
+        residue, _ = backend.reduce_columns(h, pivots, list(elt.coords),
+                                            self.parent.modulus)
         return not any(residue)
 
     def __contains__(self, elt):
@@ -391,8 +397,7 @@ def kernel_image(f):
     themselves (which are then zero as elements).
     """
     src, tgt = f.source, f.target
-    stacked = f.matrix.hstack(tgt.full_relations)
-    ker = kernel_basis(stacked, 0)
+    ker = kernel_basis(f.matrix, tgt.modulus, tgt.relations)
     gens = []
     for j in range(ker.cols):
         x = tuple(ker[(i, j)] for i in range(src.ambient_rank))
@@ -420,11 +425,11 @@ class Subquotient:
         """Class of a parent element lying in the numerator subgroup."""
         if elt.parent != self.parent:
             raise ParentMismatch("element is not in the ambient group")
-        stacked = self._num_matrix.hstack(self.parent.full_relations)
-        sol = solve_mod(stacked, elt.coords, 0)
+        sol = solve_mod(self._num_matrix, elt.coords, self.parent.modulus,
+                        self.parent.relations)
         if sol is None:
             raise NotContained("element is outside the numerator subgroup")
-        return Element(self.group, sol[:self.group.ambient_rank])
+        return Element(self.group, sol)
 
     def lift(self, elt):
         """A parent-group representative of a class."""
@@ -447,13 +452,12 @@ def subquotient(parent, num, den):
         raise NotContained("denominator is not inside the numerator")
     num_mat = num.as_matrix()
     t = num_mat.cols
-    stacked = num_mat.hstack(den.as_matrix()).hstack(parent.full_relations)
-    ker = kernel_basis(stacked, 0)
-    rel_cols = [col for col in
-                ((tuple(ker[(i, j)] for i in range(t)))
-                 for j in range(ker.cols)) if any(col)]
-    rels = _normalize_columns(rel_cols, t)
-    group = FpGroup(parent.modulus, t, rels)
+    m = parent.modulus
+    rels = kernel_basis(num_mat, m, den.as_matrix().hstack(parent.relations))
+    # a Howell pivot m marks the column m*e_j, which the modulus imposes
+    kept = [rels.column(j) for j in range(rels.cols)
+            if not (m and rels[(j, j)] == m)]
+    group = FpGroup(m, t, IntMatrix.from_columns(kept, rows=t))
     return Subquotient(group, parent, num_mat)
 
 
@@ -611,10 +615,9 @@ def intersect(s1, s2):
     if s1.parent != s2.parent:
         raise ParentMismatch("subgroups of different groups")
     parent = s1.parent
-    full = parent.full_relations
-    lat1 = s1.as_matrix().hstack(full)
-    lat2 = s2.as_matrix().hstack(full)
-    meet = lattice_intersect(lat1, lat2)
+    rel = parent.relations
+    meet = lattice_intersect(s1.as_matrix().hstack(rel),
+                             s2.as_matrix().hstack(rel), parent.modulus)
     gens = [Element(parent, meet.column(j)) for j in range(meet.cols)]
     return Subgroup(parent, [g for g in gens if not g.is_zero()])
 
@@ -623,12 +626,14 @@ def preimage_element(f, target_elt):
     """Some x with f(x) == target_elt, or None when none exists."""
     if target_elt.parent != f.target:
         raise ParentMismatch("element is not in the morphism's target")
-    stacked = f.matrix.hstack(f.target.full_relations)
-    sol = solve_mod(stacked, target_elt.coords, 0)
+    sol = solve_mod(f.matrix, target_elt.coords, f.target.modulus,
+                    f.target.relations)
     if sol is None:
         return None
-    x = Element(f.source, sol[:f.source.ambient_rank])
-    assert f(x) == target_elt
+    x = Element(f.source, sol)
+    # the only check on the solver's witness that does not share its code
+    if f(x) != target_elt:
+        raise InternalChaseFailure("solve_mod returned a wrong preimage")
     return x
 
 

@@ -2,9 +2,17 @@
 
 All arithmetic is arbitrary-precision integer arithmetic; floats never enter.
 The modulus convention used across the package appears here in its rawest
-form: m = 0 means "over Z", m >= 2 means "over Z/m", and mod-m problems are
-solved by adjoining m times the standard basis as extra lattice generators,
-so every operation reduces to an honest computation over Z.
+form: m = 0 means "over Z", m >= 2 means "over Z/m".  Over Z the lattice
+functions eliminate with unimodular integer column operations.  Over Z/m
+every lattice involved contains m*Z^n, so they work on residues instead:
+the Howell form of backend.col_echelon keeps every entry in [0, m].
+
+kernel_basis and solve_mod also take `relations`, extra columns R that are
+quotiented out on the target side: kernel_basis(a, m, R) is the preimage
+{x : a@x in span(R) + m*Z^rows} and solve_mod(a, b, m, R) finds an x with
+a@x - b in that lattice.  Over Z/m both read their answer off the Howell
+form of the stacked matrix [[a, R], [I, 0]], whose lattice vectors are the
+pairs (a@x + R@y + m*z; x + m*w).
 """
 
 from operator import index as _as_int
@@ -222,53 +230,75 @@ def _normalize_columns(cols, nrows):
                      cols=len(kept))
 
 
-def _augmented(a, m):
-    """Columns of a plus m*e_i generators, as row-major lists."""
-    rows = a.to_lists()
-    if m:
-        for i, row in enumerate(rows):
-            extra = [0] * a.rows
-            extra[i] = m
-            row.extend(extra)
-    return rows
+def _relations(a, relations):
+    """a's rows extended by the columns of relations, as row-major lists."""
+    if relations is None:
+        return a.to_lists()
+    if relations.rows != a.rows:
+        raise ValueError("relations need one row per row of the matrix")
+    return [list(ra) + list(rr) for ra, rr in
+            zip(a.to_lists(), relations.to_lists())]
 
 
-def kernel_basis(a, m=0):
-    """Generators of {x : a @ x == 0 (mod m)} as matrix columns.
+def _identity_below(top, n):
+    """Rows of [I, 0] to stack under top: I under the first n columns."""
+    width = len(top[0]) if top else n
+    return [[1 if i == j else 0 for j in range(width)] for i in range(n)]
 
-    For m > 0 the relators m*e_i are adjoined before reduction, so the result
-    generates the full preimage lattice in Z^cols (including m*Z^cols).  The
-    m = 0 case is the plain integer kernel.
+
+def kernel_basis(a, m=0, relations=None):
+    """Generators of {x : a @ x in span(relations) + m*Z^rows} as columns.
+
+    Without relations this is {x : a @ x == 0 (mod m)}.  For m > 0 the
+    result is the Howell basis of that lattice (it contains m*Z^cols):
+    square, lower triangular, pivots dividing m, entries in [0, m].  It is
+    the lower-right block of the Howell form of [[a, R], [I, 0]]: the basis
+    columns whose pivot lies below a's rows have top part zero, so their
+    bottom parts span exactly the solutions x.  For m = 0 it is the integer
+    kernel of [a | R] cut down to x, in column echelon form.
     """
     m = _check_modulus(m)
     if a.rows == 0:
         # vacuous constraint: the kernel is all of Z^cols
         return IntMatrix.identity(a.cols)
-    rows = _augmented(a, m)
-    _, w, pivots = backend.col_echelon(rows, True)
-    nfree_from = len(pivots)
-    ncols_aug = a.cols + (a.rows if m else 0)
+    top = _relations(a, relations)
+    if m:
+        h, _, _ = backend.col_echelon(
+            top + _identity_below(top, a.cols), False, m)
+        return IntMatrix([row[a.rows:] for row in h[a.rows:]], cols=a.cols)
+    _, w, pivots = backend.col_echelon(top, True)
     gens = []
-    for j in range(nfree_from, ncols_aug):
+    for j in range(len(pivots), len(w)):
         col = tuple(w[i][j] for i in range(a.cols))
         if any(col):
             gens.append(col)
     return _normalize_columns(gens, a.cols)
 
 
-def solve_mod(a, b, m=0):
-    """One solution x of a @ x == b (mod m), or None.
+def solve_mod(a, b, m=0, relations=None):
+    """One x with a @ x - b in span(relations) + m*Z^rows, or None.
 
-    Solving mod m is solving over Z after adjoining the m*e_i columns; the
-    witness returned is the plain-x part.  Any returned x satisfies the
+    For m > 0, (b; 0) is reduced by the pivots of the Howell form of
+    [[a, R], [I, 0]] on a's rows; b is reachable iff the top part of the
+    residue vanishes, and then minus its bottom part, mod m, is a witness
+    with entries in [0, m).  For m = 0 the same reduction runs on the
+    column echelon form of [a | R] over Z.  Any returned x satisfies the
     system exactly (substitution is the oracle of record).
     """
     m = _check_modulus(m)
     b = [_as_int(e) for e in b]
     if len(b) != a.rows:
         raise ValueError("right-hand side has wrong length")
-    rows = _augmented(a, m)
-    h, w, pivots = backend.col_echelon(rows, True)
+    top = _relations(a, relations)
+    if m:
+        h, _, pivots = backend.col_echelon(
+            top + _identity_below(top, a.cols), False, m)
+        residue, _ = backend.reduce_columns(
+            h, pivots[:a.rows], b + [0] * a.cols, m)
+        if any(residue[:a.rows]):
+            return None
+        return tuple(-e % m for e in residue[a.rows:])
+    h, w, pivots = backend.col_echelon(top, True)
     residue, coeffs = backend.reduce_columns(h, pivots, b)
     if any(residue):
         return None
@@ -282,14 +312,26 @@ def solve_mod(a, b, m=0):
     return tuple(x)
 
 
-def lattice_intersect(b1, b2):
-    """Generators of the intersection of two column lattices in Z^rows.
+def lattice_intersect(b1, b2, m=0):
+    """Generators of (span b1 + m*Z^rows) ∩ (span b2 + m*Z^rows).
 
-    Built from the integer kernel of [b1 | -b2]: every kernel vector (x; y)
-    has b1 @ x == b2 @ y, which is exactly a point of the intersection.
+    For m > 0 the result is the Howell basis of the intersection: the
+    lower-right block of the Howell form of [[b1, b2], [b1, 0]], whose
+    lattice vectors with top part zero are exactly (0; b1@x + m*w) with
+    b1@x in span(b2) + m*Z^rows.  For m = 0 it is built from the integer
+    kernel of [b1 | -b2]: every kernel vector (x; y) has b1 @ x == b2 @ y,
+    which is exactly a point of the intersection.
     """
     if b1.rows != b2.rows:
         raise ValueError("lattices live in different ambient ranks")
+    m = _check_modulus(m)
+    if m:
+        rows1 = b1.to_lists()
+        top = [r1 + list(r2) for r1, r2 in zip(rows1, b2.to_lists())]
+        bottom = [r1 + [0] * b2.cols for r1 in rows1]
+        h, _, _ = backend.col_echelon(top + bottom, False, m)
+        return IntMatrix([row[b1.rows:] for row in h[b1.rows:]],
+                         cols=b1.rows)
     stacked = b1.hstack(-b2)
     ker = kernel_basis(stacked, 0)
     gens = []

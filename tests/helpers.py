@@ -3,6 +3,7 @@
 import random
 from collections import defaultdict
 
+from bicohom import backend
 from bicohom.abgroup import FpGroup, Morphism, make_morphism
 from bicohom.complexes import Complex
 from bicohom.snf import IntMatrix
@@ -104,3 +105,67 @@ def scrambled_group(rng, modulus, factors):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# -- the Z-lattice construction that the modular kernel replaced ------------
+# A problem mod m is solved over Z after adjoining m*e_i as extra lattice
+# generators.  Kept only as an oracle for the differential tests.
+
+def adjoin_modulus(rows, m):
+    """Row-major lists of a matrix with the columns m*e_i appended (m > 0)."""
+    n = len(rows)
+    if not m:
+        return [list(row) for row in rows]
+    return [list(row) + [m if i == j else 0 for j in range(n)]
+            for i, row in enumerate(rows)]
+
+
+def oracle_reduce(rows, m, vec):
+    """Canonical residue of vec modulo span(columns of rows) + m*Z^n."""
+    h, _, pivots = backend.col_echelon(adjoin_modulus(rows, m), False)
+    return tuple(backend.reduce_columns(h, pivots, list(vec))[0])
+
+
+def oracle_contains(basis, vec):
+    """Whether vec lies in the integer span of the columns of basis."""
+    return not any(oracle_reduce(basis.to_lists(), 0, vec))
+
+
+def _oracle_kernel_columns(rows, ncols, keep):
+    """First `keep` coordinates of an integer kernel basis of rows."""
+    if not rows:
+        return [tuple(1 if i == j else 0 for i in range(keep))
+                for j in range(keep)]
+    _, w, pivots = backend.col_echelon(rows, True)
+    return [tuple(w[i][j] for i in range(keep))
+            for j in range(len(pivots), ncols)]
+
+
+def oracle_kernel_basis(a, m, relations=None):
+    """Columns spanning {x : a@x in span(relations) + m*Z^rows}, over Z."""
+    rows = a.to_lists() if relations is None else \
+        a.hstack(relations).to_lists()
+    rows = adjoin_modulus(rows, m)
+    ncols = len(rows[0]) if rows else a.cols
+    return IntMatrix.from_columns(_oracle_kernel_columns(rows, ncols, a.cols),
+                                  rows=a.cols)
+
+
+def oracle_solve_mod(a, b, m, relations=None):
+    """Whether a@x - b in span(relations) + m*Z^rows has a solution x."""
+    rows = a.to_lists() if relations is None else \
+        a.hstack(relations).to_lists()
+    return not any(oracle_reduce(rows, m, b))
+
+
+def oracle_lattice_intersect(b1, b2, m):
+    """Columns spanning (span b1 + m*Z^n) ∩ (span b2 + m*Z^n), over Z."""
+    n = b1.rows
+    l1 = adjoin_modulus(b1.to_lists(), m)
+    l2 = adjoin_modulus(b2.to_lists(), m)
+    k1 = len(l1[0]) if l1 else 0
+    stacked = [r1 + [-e for e in r2] for r1, r2 in zip(l1, l2)]
+    xs = _oracle_kernel_columns(stacked, k1 + (len(l2[0]) if l2 else 0), k1)
+    return IntMatrix.from_columns(
+        [tuple(sum(l1[i][j] * x[j] for j in range(k1)) for i in range(n))
+         for x in xs], rows=n)

@@ -1,0 +1,124 @@
+"""Differential tests: the modular (Howell-form) lattice kernel against the
+Z-lattice construction it replaced.
+
+The oracle, kept in helpers, adjoins m*e_i and eliminates over Z; the
+kernel under test never leaves [0, m].  Lattices are compared by mutual
+membership over Z, solvers by agreement on solvability plus substitution,
+and group reductions by identical canonical residues.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from bicohom import backend
+from bicohom.abgroup import FpGroup, Subgroup
+from bicohom.snf import IntMatrix, kernel_basis, lattice_intersect, solve_mod
+from helpers import (oracle_contains, oracle_kernel_basis,
+                     oracle_lattice_intersect, oracle_reduce,
+                     oracle_solve_mod)
+
+MODULI = (2, 4, 7, 8, 9, 12, 36)
+
+
+@st.composite
+def matrices(draw, rows=None, max_dim=5):
+    """Matrices with entries of either sign and beyond m, some rows and
+    columns forced to zero; `rows` fixes the row count."""
+    nr = draw(st.integers(0, max_dim)) if rows is None else rows
+    nc = draw(st.integers(0, max_dim))
+    data = [[draw(st.integers(-40, 40)) for _ in range(nc)]
+            for _ in range(nr)]
+    for i in draw(st.sets(st.integers(0, max(nr - 1, 0)), max_size=2)):
+        if i < nr:
+            data[i] = [0] * nc
+    for j in draw(st.sets(st.integers(0, max(nc - 1, 0)), max_size=2)):
+        for row in data:
+            if j < nc:
+                row[j] = 0
+    return IntMatrix(data, cols=nc)
+
+
+def same_lattice(b1, b2):
+    return (all(oracle_contains(b2, b1.column(j)) for j in range(b1.cols))
+            and all(oracle_contains(b1, b2.column(j))
+                    for j in range(b2.cols)))
+
+
+def assert_howell_shape(h, m):
+    n = h.rows
+    assert h.cols == n
+    for i in range(n):
+        assert m % h[(i, i)] == 0
+        for j in range(n):
+            assert 0 <= h[(i, j)] <= m
+            if j > i:
+                assert h[(i, j)] == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODULI), st.data())
+def test_kernel_basis_matches_oracle(m, data):
+    a = data.draw(matrices())
+    relations = data.draw(st.none() | matrices(rows=a.rows))
+    got = kernel_basis(a, m, relations)
+    if a.rows:
+        assert_howell_shape(got, m)
+    assert same_lattice(got, oracle_kernel_basis(a, m, relations))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODULI), st.data())
+def test_lattice_intersect_matches_oracle(m, data):
+    b1 = data.draw(matrices())
+    b2 = data.draw(matrices(rows=b1.rows))
+    got = lattice_intersect(b1, b2, m)
+    assert_howell_shape(got, m)
+    assert same_lattice(got, oracle_lattice_intersect(b1, b2, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MODULI), st.data())
+def test_solve_mod_matches_oracle(m, data):
+    a = data.draw(matrices())
+    relations = data.draw(st.none() | matrices(rows=a.rows))
+    if data.draw(st.booleans()):
+        # a right-hand side that is reachable by construction
+        x0 = [data.draw(st.integers(-20, 20)) for _ in range(a.cols)]
+        b = [e + m * data.draw(st.integers(-3, 3)) for e in a.mul_vector(x0)]
+    else:
+        b = [data.draw(st.integers(-40, 40)) for _ in range(a.rows)]
+    x = solve_mod(a, b, m, relations)
+    assert (x is not None) == oracle_solve_mod(a, b, m, relations)
+    if x is not None:
+        rest = [ax - e for ax, e in zip(a.mul_vector(x), b)]
+        rows = [[] for _ in b] if relations is None \
+            else relations.to_lists()
+        assert not any(oracle_reduce(rows, m, rest))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODULI), st.data())
+def test_group_reductions_match_oracle(m, data):
+    rel = data.draw(matrices())
+    g = FpGroup(m, rel.rows, rel)
+    gens = data.draw(matrices(rows=rel.rows))
+    sub = Subgroup(g, gens.columns())
+    sub_rows = gens.hstack(rel).to_lists()
+    h, pivots = sub._reduction()
+    for _ in range(4):
+        v = [data.draw(st.integers(-50, 50)) for _ in range(rel.rows)]
+        assert g.reduce(v) == oracle_reduce(rel.to_lists(), m, v)
+        residue = oracle_reduce(sub_rows, m, v)
+        assert tuple(backend.reduce_columns(h, pivots, v, m)[0]) == residue
+        assert sub.contains(g.element(v)) == (not any(residue))
+
+
+def test_entries_never_exceed_the_modulus():
+    # the 74x49 shape that stalled the Z-lattice route, entries far beyond m
+    rows = [[(7 * i * i + 13 * j + 5) % 1000 - 500 for j in range(49)]
+            for i in range(74)]
+    h, w, pivots = backend.col_echelon(rows, False, 12)
+    assert w is None and pivots == [(i, i) for i in range(74)]
+    assert max(e for row in h for e in row) <= 12
+    for k in range(0, 49, 7):
+        col = [row[k] for row in rows]
+        assert not any(backend.reduce_columns(h, pivots, col, 12)[0])
