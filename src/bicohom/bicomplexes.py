@@ -51,23 +51,9 @@ class _Grid(object):
         self._dir_subs = {}
         self._cores = {}
 
-    # -- index handling ----------------------------------------------------
-
-    @staticmethod
-    def _canon(support, n):
-        """(canonical index, inside?) for one axis; loud when truncated."""
-        if isinstance(support, Periodic):
-            return n % support.period, True
-        if support.lo <= n <= support.hi:
-            return n, True
-        if support.zero_outside:
-            return n, False
-        raise OutOfWindow("index %d is outside the window %d..%d"
-                          % (n, support.lo, support.hi))
-
     def _site(self, i, j):
-        ci, ini = self._canon(self.support_i, i)
-        cj, inj = self._canon(self.support_j, j)
+        ci, ini = self.support_i.canonical(i)
+        cj, inj = self.support_j.canonical(j)
         return (ci, cj), (ini and inj)
 
     def cell(self, i, j):
@@ -85,12 +71,10 @@ class _Grid(object):
         return got
 
     def _diff(self, i, j, axis):
-        src = self.cell(i, j)
-        tgt = self.cell(i + 1, j) if axis == PRIME else self.cell(i, j + 1)
+        ti, tj = (i + 1, j) if axis == PRIME else (i, j + 1)
+        src, tgt = self.cell(i, j), self.cell(ti, tj)
         key, inside = self._site(i, j)
-        _, tgt_inside = (self._site(i + 1, j) if axis == PRIME
-                         else self._site(i, j + 1))
-        if not (inside and tgt_inside):
+        if not (inside and self._site(ti, tj)[1]):
             return Morphism.zero(src, tgt)
         memo = self._dprimes if axis == PRIME else self._dseconds
         got = memo.get(key)
@@ -98,14 +82,13 @@ class _Grid(object):
             fn = self._dprime_fn if axis == PRIME else self._dsecond_fn
             raw = fn(*key)
             got = raw if raw is not None else Morphism.zero(src, tgt)
+            name = "d'" if axis == PRIME else "d''"
             if got.source != src or got.target != tgt:
-                raise ConventionViolation(
-                    "d%s at %r has wrong endpoints"
-                    % ("'" if axis == PRIME else "''", key))
+                raise ConventionViolation("%s at %r has wrong endpoints"
+                                          % (name, key))
             if not got.is_well_defined():
-                raise ConventionViolation(
-                    "d%s at %r ignores relations"
-                    % ("'" if axis == PRIME else "''", key))
+                raise ConventionViolation("%s at %r ignores relations"
+                                          % (name, key))
             memo[key] = got
         return got
 
@@ -382,9 +365,32 @@ class BiClass:
                                         self.representative)
 
 
-def _core_requirements(i, j):
+def _require_core_exact(x, i, j, op_name):
     # the two vanishing statements that make d'(Z'') = d''(Z') at (i, j)
-    return [(SECOND, i - 1, j), (PRIME, i, j - 1)]
+    _require_exact(x, [(SECOND, i - 1, j), (PRIME, i, j - 1)], op_name)
+
+
+def _dprime_of_zsecond(x, i, j):
+    """d'(Z'') landing at (i, j): d' of the d''-cycles one column left."""
+    zs_left, _ = kernel_image(x.dsecond(i - 1, j))
+    return _push(zs_left, x.dprime(i - 1, j))
+
+
+def _dsecond_of_zprime(x, i, j):
+    """d''(Z') landing at (i, j): d'' of the d'-cycles one row down."""
+    zp_below, _ = kernel_image(x.dprime(i, j - 1))
+    return _push(zp_below, x.dsecond(i, j - 1))
+
+
+def _core(x, i, j, label, denominator_fn, op_name):
+    """(Z' ∩ Z'') / denominator_fn(x, i, j) at (i, j), reported at label."""
+    _require_core_exact(x, i, j, op_name)
+    zp, _ = kernel_image(x.dprime(i, j))
+    zs, _ = kernel_image(x.dsecond(i, j))
+    numerator = intersect(zp, zs)
+    denominator = denominator_fn(x, i, j)
+    sub = subquotient(x.cell(i, j), numerator, denominator)
+    return CoreHomology(x, label, numerator, denominator, sub)
 
 
 def core_homology(x, bidegree):
@@ -401,15 +407,8 @@ def core_homology(x, bidegree):
         got = x._cores.get(key)
         if got is not None:
             return got
-    _require_exact(x, _core_requirements(i, j), "core_homology")
-    zp, _ = kernel_image(x.dprime(i, j))
-    zs, _ = kernel_image(x.dsecond(i, j))
-    numerator = intersect(zp, zs)
-    zs_left, _ = kernel_image(x.dsecond(i - 1, j))
-    denominator = _push(zs_left, x.dprime(i - 1, j))
-    sub = subquotient(x.cell(i, j), numerator, denominator)
-    got = CoreHomology(x, key if inside else (i, j), numerator,
-                       denominator, sub)
+    got = _core(x, i, j, key if inside else (i, j), _dprime_of_zsecond,
+                "core_homology")
     if inside:
         x._cores[key] = got
     return got
@@ -418,12 +417,8 @@ def core_homology(x, bidegree):
 def core_equality_check(x, bidegree):
     """Whether d'(Z'') equals d''(Z') at the bidegree (mutual inclusion)."""
     i, j = bidegree
-    _require_exact(x, _core_requirements(i, j), "core_equality_check")
-    zs_left, _ = kernel_image(x.dsecond(i - 1, j))
-    via_prime = _push(zs_left, x.dprime(i - 1, j))
-    zp_below, _ = kernel_image(x.dprime(i, j - 1))
-    via_second = _push(zp_below, x.dsecond(i, j - 1))
-    return via_prime == via_second
+    _require_core_exact(x, i, j, "core_equality_check")
+    return _dprime_of_zsecond(x, i, j) == _dsecond_of_zprime(x, i, j)
 
 
 def core_homology_alt(x, bidegree):
@@ -432,14 +427,7 @@ def core_homology_alt(x, bidegree):
     A second route to the same group; tests compare the two.
     """
     i, j = bidegree
-    _require_exact(x, _core_requirements(i, j), "core_homology_alt")
-    zp, _ = kernel_image(x.dprime(i, j))
-    zs, _ = kernel_image(x.dsecond(i, j))
-    numerator = intersect(zp, zs)
-    zp_below, _ = kernel_image(x.dprime(i, j - 1))
-    denominator = _push(zp_below, x.dsecond(i, j - 1))
-    sub = subquotient(x.cell(i, j), numerator, denominator)
-    return CoreHomology(x, (i, j), numerator, denominator, sub)
+    return _core(x, i, j, (i, j), _dsecond_of_zprime, "core_homology_alt")
 
 
 def diagonal_shift(cls, direction):

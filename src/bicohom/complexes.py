@@ -5,13 +5,17 @@ cohomological one (degree +1).  Support is a finite window -- optionally
 declared genuinely zero outside -- or exactly periodic, which represents
 the 2-periodic complete resolutions downstream with no truncation error.
 Queries that would need an unknown cell outside a window fail loudly.
+Every degree lookup, here, in the grids and in the file format, goes
+through the support's `canonical(n)`.  One builder, `_functor_complex`,
+applies Hom or tensor with a group degreewise for all four functors
+below; `constructions._functor_grid` is its twin for both grids.
 """
 
 from math import gcd
 
-from .abgroup import (FpGroup, Morphism, hom_group, induced_hom_map,
-                      induced_tensor_map, kernel_image, subquotient,
-                      tensor_group)
+from .abgroup import (FpGroup, Morphism, _shared_modulus, hom_group,
+                      induced_hom_map, induced_tensor_map, kernel_image,
+                      subquotient, tensor_group)
 from .abgroup import direct_sum as group_direct_sum
 from .errors import (ConventionViolation, NotContained, OutOfWindow,
                      ParentMismatch)
@@ -36,6 +40,23 @@ class Window:
     def __contains__(self, n):
         return self.lo <= n <= self.hi
 
+    def canonical(self, n):
+        """(canonical index, inside?); OutOfWindow when truncated there."""
+        if self.lo <= n <= self.hi:
+            return n, True
+        if self.zero_outside:
+            return n, False
+        raise OutOfWindow("degree %d is outside the window %d..%d"
+                          % (n, self.lo, self.hi))
+
+    def degrees(self):
+        """The canonical indices, each once."""
+        return range(self.lo, self.hi + 1)
+
+    def reflected(self):
+        """The support of n -> -n."""
+        return Window(-self.hi, -self.lo, self.zero_outside)
+
     def __eq__(self, other):
         return (isinstance(other, Window) and self.lo == other.lo
                 and self.hi == other.hi
@@ -58,6 +79,15 @@ class Periodic:
 
     def __contains__(self, n):
         return True
+
+    def canonical(self, n):
+        return n % self.period, True
+
+    def degrees(self):
+        return range(self.period)
+
+    def reflected(self):
+        return self
 
     def __eq__(self, other):
         return isinstance(other, Periodic) and self.period == other.period
@@ -104,29 +134,26 @@ class Complex:
     def zero(cls, convention, modulus):
         return cls.window(convention, modulus, 0, 0, [FpGroup(modulus, 0)])
 
-    def _diff_degrees(self):
+    def diff_degrees(self):
         """Degrees whose differential stays inside the stored cells."""
-        s = self.support
-        if isinstance(s, Periodic):
-            return range(s.period)
-        if self.step == -1:
-            return range(s.lo + 1, s.hi + 1)
-        return range(s.lo, s.hi)
+        return [n for n in self.degrees() if n + self.step in self.support]
 
     def _validate(self):
         s = self.support
-        if isinstance(s, Periodic):
-            wanted = set(range(s.period))
-        else:
-            wanted = set(range(s.lo, s.hi + 1))
-        if set(self._cells) != wanted:
+        if set(self._cells) != set(s.degrees()):
             raise ConventionViolation("cells must cover the support exactly")
         for g in self._cells.values():
             if g.modulus != self.modulus:
                 raise ConventionViolation("cell modulus differs from complex")
-        allowed = set(self._diff_degrees())
-        if isinstance(s, Periodic):
-            self._diffs = {n % s.period: f for n, f in self._diffs.items()}
+        allowed = set(self.diff_degrees())
+        diffs = {}
+        for n, f in self._diffs.items():
+            key = s.canonical(n)[0] if n in s else n
+            if key in diffs:
+                raise ConventionViolation(
+                    "differential at degree %d is given twice" % key)
+            diffs[key] = f
+        self._diffs = diffs
         if not set(self._diffs) <= allowed:
             raise ConventionViolation("differential at an unrepresentable "
                                       "degree")
@@ -140,7 +167,7 @@ class Complex:
                     "differential at degree %d ignores relations" % n)
         for n in allowed:
             m = n + self.step
-            if isinstance(s, Periodic) or m in allowed:
+            if m + self.step in s:
                 if not self.diff(m).compose(self.diff(n)).is_zero():
                     raise ConventionViolation(
                         "d o d is nonzero at degree %d" % n)
@@ -148,30 +175,17 @@ class Complex:
     # -- access -----------------------------------------------------------
 
     def cell(self, n):
-        s = self.support
-        if isinstance(s, Periodic):
-            return self._cells[n % s.period]
-        if s.lo <= n <= s.hi:
-            return self._cells[n]
-        if s.zero_outside:
-            return self._zero_cell
-        raise OutOfWindow("degree %d is outside the window %d..%d"
-                          % (n, s.lo, s.hi))
+        key, inside = self.support.canonical(n)
+        return self._cells[key] if inside else self._zero_cell
 
     def diff(self, n):
-        s = self.support
-        if isinstance(s, Periodic):
-            n %= s.period
-        f = self._diffs.get(n)
+        f = self._diffs.get(self.support.canonical(n)[0])
         if f is not None:
             return f
         return Morphism.zero(self.cell(n), self.cell(n + self.step))
 
     def degrees(self):
-        s = self.support
-        if isinstance(s, Periodic):
-            return range(s.period)
-        return range(s.lo, s.hi + 1)
+        return self.support.degrees()
 
     def __repr__(self):
         return "Complex(%s, m=%d, %r)" % (self.convention, self.modulus,
@@ -198,9 +212,16 @@ class Homology:
     def __init__(self, c, n):
         self.complex = c
         self.degree = n
-        self.cycles = cycles(c, n)
-        self.boundaries = boundaries(c, n)
-        self._sub = subquotient(c.cell(n), self.cycles, self.boundaries)
+        canon = c._homology.get(c.support.canonical(n)[0])
+        if canon is None:
+            self.cycles = cycles(c, n)
+            self.boundaries = boundaries(c, n)
+            self._sub = subquotient(c.cell(n), self.cycles, self.boundaries)
+        else:
+            # the memoized groups of the canonical degree
+            self.cycles = canon.cycles
+            self.boundaries = canon.boundaries
+            self._sub = canon._sub
         self.group = self._sub.group
 
     def class_of(self, representative):
@@ -222,21 +243,16 @@ class Homology:
 
 
 def homology(c, n):
-    """Homology of c at degree n, memoized per complex."""
-    key = n
-    if isinstance(c.support, Periodic):
-        key = n % c.support.period
+    """Homology of c at degree n, memoized per complex.
+
+    Only canonical degrees are stored; any other degree of a periodic
+    complex gets its own object that reports n and shares the groups.
+    """
+    key, _ = c.support.canonical(n)
     got = c._homology.get(key)
     if got is None:
         got = c._homology[key] = Homology(c, key)
-    if key != n:
-        # same groups, but report the queried degree
-        alias = Homology.__new__(Homology)
-        for slot in Homology.__slots__:
-            object.__setattr__(alias, slot, getattr(got, slot))
-        object.__setattr__(alias, "degree", n)
-        return alias
-    return got
+    return got if key == n else Homology(c, n)
 
 
 class HClass:
@@ -318,123 +334,79 @@ def is_exact(c, lo=None, hi=None):
 # -- Hom and tensor functors ---------------------------------------------
 
 
-def _functor_support(c):
+def _joining_diff(c, a, b):
+    """c's differential between the adjacent degrees a and b, whichever
+    way it runs."""
+    return c.diff(a if a + c.step == b else b)
+
+
+def _functor_complex(cell_fn, map_fn, convention, first, second):
+    """F(first, second) degreewise, where one argument is a complex and the
+    other a group, for the bifunctor F given by its group-level
+    constructor `cell_fn` and its induced map `map_fn(src, dst, f, g)`.
+
+    The result keeps the complex's support and takes `convention`.  Hom
+    is contravariant in its first slot, so there the convention flips and
+    each differential is used backwards: the map into degree n + 1 comes
+    from the complex's differential out of n + 1.
+    """
+    modulus = _shared_modulus(first, second)
+    c_first = isinstance(first, Complex)
+    c, group = (first, second) if c_first else (second, first)
     s = c.support
-    if isinstance(s, Periodic):
-        return list(range(s.period))
-    return list(range(s.lo, s.hi + 1))
+    ident = Morphism.identity(group)
+    objs = {n: cell_fn(c.cell(n), group) if c_first
+            else cell_fn(group, c.cell(n)) for n in s.degrees()}
+    step = -1 if convention == HOMOLOGICAL else 1
+    diffs = {}
+    for n in s.degrees():
+        if n + step in s:
+            f = _joining_diff(c, n, n + step)
+            maps = (f, ident) if c_first else (ident, f)
+            diffs[n] = map_fn(objs[n], objs[s.canonical(n + step)[0]], *maps)
+    return Complex(convention, modulus, s,
+                   {n: o.group for n, o in objs.items()}, diffs)
 
 
 def hom_into_module(c, group):
     """Hom(C, N): cohomological, cell i = Hom(C_i, N), d = precomposition."""
     if c.convention != HOMOLOGICAL:
         raise ValueError("hom_into_module expects a homological complex")
-    homs = {n: hom_group(c.cell(n), group) for n in _functor_support(c)}
-    cells = {n: h.group for n, h in homs.items()}
-    diffs = {}
-    s = c.support
-    if isinstance(s, Periodic):
-        p = s.period
-        for j in range(p):
-            diffs[j] = induced_hom_map(homs[j], homs[(j + 1) % p],
-                                       precompose=c.diff(j + 1))
-        return Complex(COHOMOLOGICAL, _result_modulus(c, group),
-                       Periodic(p), cells, diffs)
-    for j in range(s.lo, s.hi):
-        diffs[j] = induced_hom_map(homs[j], homs[j + 1],
-                                   precompose=c.diff(j + 1))
-    return Complex(COHOMOLOGICAL, _result_modulus(c, group),
-                   Window(s.lo, s.hi, s.zero_outside), cells, diffs)
+    return _functor_complex(hom_group, induced_hom_map, COHOMOLOGICAL,
+                            c, group)
 
 
 def hom_from_module(group, d):
     """Hom(M, D): cohomological, cell j = Hom(M, D^j), d = postcomposition."""
     if d.convention != COHOMOLOGICAL:
         raise ValueError("hom_from_module expects a cohomological complex")
-    homs = {n: hom_group(group, d.cell(n)) for n in _functor_support(d)}
-    cells = {n: h.group for n, h in homs.items()}
-    diffs = {}
-    s = d.support
-    if isinstance(s, Periodic):
-        p = s.period
-        for j in range(p):
-            diffs[j] = induced_hom_map(homs[j], homs[(j + 1) % p],
-                                       postcompose=d.diff(j))
-        return Complex(COHOMOLOGICAL, _result_modulus(d, group),
-                       Periodic(p), cells, diffs)
-    for j in range(s.lo, s.hi):
-        diffs[j] = induced_hom_map(homs[j], homs[j + 1],
-                                   postcompose=d.diff(j))
-    return Complex(COHOMOLOGICAL, _result_modulus(d, group),
-                   Window(s.lo, s.hi, s.zero_outside), cells, diffs)
+    return _functor_complex(hom_group, induced_hom_map, COHOMOLOGICAL,
+                            group, d)
 
 
 def tensor_with_module(c, group):
     """C (x) N degreewise, homological like C."""
     if c.convention != HOMOLOGICAL:
         raise ValueError("tensor_with_module expects a homological complex")
-    tens = {n: tensor_group(c.cell(n), group) for n in _functor_support(c)}
-    ident = Morphism.identity(group)
-    cells = {n: t.group for n, t in tens.items()}
-    diffs = {}
-    s = c.support
-    if isinstance(s, Periodic):
-        p = s.period
-        for j in range(p):
-            diffs[j] = induced_tensor_map(tens[j], tens[(j - 1) % p],
-                                          c.diff(j), ident)
-        return Complex(HOMOLOGICAL, _result_modulus(c, group),
-                       Periodic(p), cells, diffs)
-    for j in range(s.lo + 1, s.hi + 1):
-        diffs[j] = induced_tensor_map(tens[j], tens[j - 1], c.diff(j), ident)
-    return Complex(HOMOLOGICAL, _result_modulus(c, group),
-                   Window(s.lo, s.hi, s.zero_outside), cells, diffs)
+    return _functor_complex(tensor_group, induced_tensor_map, HOMOLOGICAL,
+                            c, group)
 
 
 def module_tensor_with(group, c):
     """M (x) C degreewise; the mirror of tensor_with_module."""
     if c.convention != HOMOLOGICAL:
         raise ValueError("module_tensor_with expects a homological complex")
-    tens = {n: tensor_group(group, c.cell(n)) for n in _functor_support(c)}
-    ident = Morphism.identity(group)
-    cells = {n: t.group for n, t in tens.items()}
-    diffs = {}
-    s = c.support
-    if isinstance(s, Periodic):
-        p = s.period
-        for j in range(p):
-            diffs[j] = induced_tensor_map(tens[j], tens[(j - 1) % p],
-                                          ident, c.diff(j))
-        return Complex(HOMOLOGICAL, _result_modulus(c, group),
-                       Periodic(p), cells, diffs)
-    for j in range(s.lo + 1, s.hi + 1):
-        diffs[j] = induced_tensor_map(tens[j], tens[j - 1], ident, c.diff(j))
-    return Complex(HOMOLOGICAL, _result_modulus(c, group),
-                   Window(s.lo, s.hi, s.zero_outside), cells, diffs)
-
-
-def _result_modulus(c, group):
-    if c.modulus and group.modulus and c.modulus != group.modulus:
-        raise ValueError("incompatible moduli %d and %d"
-                         % (c.modulus, group.modulus))
-    return max(c.modulus, group.modulus)
+    return _functor_complex(tensor_group, induced_tensor_map, HOMOLOGICAL,
+                            group, c)
 
 
 def reindex(c):
     """Swap gradings via C_n = C^(-n); cells keep their identities."""
     flipped = HOMOLOGICAL if c.convention == COHOMOLOGICAL else COHOMOLOGICAL
-    s = c.support
-    if isinstance(s, Periodic):
-        p = s.period
-        cells = {j: c.cell(-j) for j in range(p)}
-        diffs = {j: c.diff(-j) for j in range(p)}
-        return Complex(flipped, c.modulus, Periodic(p), cells, diffs)
-    cells = {n: c.cell(-n) for n in range(-s.hi, -s.lo + 1)}
-    diffs = {}
-    for k in c._diff_degrees():
-        diffs[-k] = c.diff(k)
-    return Complex(flipped, c.modulus, Window(-s.hi, -s.lo, s.zero_outside),
-                   cells, diffs)
+    support = c.support.reflected()
+    cells = {n: c.cell(-n) for n in support.degrees()}
+    diffs = {-k: c.diff(k) for k in c.diff_degrees()}
+    return Complex(flipped, c.modulus, support, cells, diffs)
 
 
 def direct_sum(c1, c2):
@@ -448,27 +420,20 @@ def direct_sum(c1, c2):
         raise ValueError("cannot sum periodic with windowed support")
     if isinstance(s1, Periodic):
         p1, p2 = s1.period, s2.period
-        p = p1 * p2 // gcd(p1, p2)
-        degrees = list(range(p))
-        support = Periodic(p)
+        support = Periodic(p1 * p2 // gcd(p1, p2))
     else:
         if not (s1.zero_outside and s2.zero_outside) and s1 != s2:
             raise ValueError("truncated windows must match exactly")
-        lo, hi = min(s1.lo, s2.lo), max(s1.hi, s2.hi)
-        degrees = list(range(lo, hi + 1))
-        support = Window(lo, hi, s1.zero_outside and s2.zero_outside)
-    sums = {}
-    for n in degrees:
-        total, injs, projs = group_direct_sum(c1.cell(n), c2.cell(n))
-        sums[n] = (total, injs, projs)
-    cells = {n: sums[n][0] for n in degrees}
+        support = Window(min(s1.lo, s2.lo), max(s1.hi, s2.hi),
+                         s1.zero_outside and s2.zero_outside)
+    sums = {n: group_direct_sum(c1.cell(n), c2.cell(n))
+            for n in support.degrees()}
+    cells = {n: total for n, (total, _, _) in sums.items()}
     diffs = {}
-    for n in degrees:
-        m = n + c1.step
-        if isinstance(support, Periodic):
-            m %= support.period
-        elif not (support.lo <= m <= support.hi):
+    for n in support.degrees():
+        if n + c1.step not in support:
             continue
+        m, _ = support.canonical(n + c1.step)
         _, (into1, into2), _ = sums[m]
         _, _, (onto1, onto2) = sums[n]
         diffs[n] = (into1.compose(c1.diff(n)).compose(onto1)

@@ -1,7 +1,9 @@
 """Builders on top of the grid machinery.
 
-Hom and tensor bicomplexes assemble a lazy grid from two complexes; the
-Hom squares commute on the nose (both composites send f to d_D . f . d_C),
+Hom and tensor bicomplexes assemble a lazy grid from two complexes with
+one builder, `_functor_grid`, the two-complex twin of the builder behind
+the four module functors in `complexes`; it serves both grids.  The Hom
+squares commute on the nose (both composites send f to d_D . f . d_C),
 which is the reason the grid convention carries no signs.  Complete
 resolutions over Z/m are 2-periodic strand sums read off the canonical
 cyclic decomposition, together with an explicit isomorphism witness from
@@ -12,32 +14,52 @@ and re-checked for exactness before being returned.
 
 from random import Random
 
-from .abgroup import (FpGroup, Morphism, Subgroup, hom_group,
-                      induced_hom_map, induced_tensor_map, kernel_image,
-                      make_morphism, preimage_element, subquotient,
-                      tensor_group)
+from .abgroup import (FpGroup, Morphism, Subgroup, _shared_modulus,
+                      hom_group, induced_hom_map, induced_tensor_map,
+                      kernel_image, make_morphism, preimage_element,
+                      subquotient, tensor_group)
 from .bicomplexes import Bicomplex
-from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex, Periodic,
-                        Window, cycles, homology, is_exact)
+from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex, _joining_diff,
+                        cycles, homology, is_exact)
 from .errors import (ConventionViolation, HypothesisViolated,
                      InternalChaseFailure, NotAModule)
 from .snf import IntMatrix
 
 
-def _merged_modulus(c, d):
-    if c.modulus and d.modulus and c.modulus != d.modulus:
-        raise ValueError("incompatible moduli %d and %d"
-                         % (c.modulus, d.modulus))
-    return max(c.modulus, d.modulus)
-
-
-def _canon_index(support, n):
-    if isinstance(support, Periodic):
-        return n % support.period
-    return n
-
-
 # -- bicomplexes from pairs of complexes ------------------------------------
+
+
+def _functor_grid(cell_fn, map_fn, c, d, sign):
+    """The lazy grid with cell (i, j) = F(C_{sign i}, D_{sign j}) for the
+    bifunctor F given by `cell_fn` and its induced map `map_fn(src, dst,
+    f, g)`; d' applies F to (c's differential, identity) and d'' to
+    (identity, d's differential), each run the way that raises the index.
+    """
+    modulus = _shared_modulus(c, d)
+    objs = {}
+
+    def at(i, j):
+        a, b = sign * i, sign * j
+        key = (c.support.canonical(a)[0], d.support.canonical(b)[0])
+        if key not in objs:
+            objs[key] = cell_fn(c.cell(a), d.cell(b))
+        return objs[key]
+
+    def dprime(i, j):
+        f = _joining_diff(c, sign * i, sign * (i + 1))
+        return map_fn(at(i, j), at(i + 1, j), f,
+                      Morphism.identity(d.cell(sign * j)))
+
+    def dsecond(i, j):
+        g = _joining_diff(d, sign * j, sign * (j + 1))
+        return map_fn(at(i, j), at(i, j + 1),
+                      Morphism.identity(c.cell(sign * i)), g)
+
+    support_i, support_j = c.support, d.support
+    if sign < 0:
+        support_i, support_j = support_i.reflected(), support_j.reflected()
+    return Bicomplex(modulus, support_i, support_j,
+                     lambda i, j: at(i, j).group, dprime, dsecond)
 
 
 def hom_bicomplex(c, d):
@@ -51,28 +73,7 @@ def hom_bicomplex(c, d):
     if d.convention != COHOMOLOGICAL:
         raise ValueError("hom_bicomplex expects a cohomological second "
                          "factor")
-    modulus = _merged_modulus(c, d)
-    homs = {}
-
-    def hom_at(i, j):
-        key = (_canon_index(c.support, i), _canon_index(d.support, j))
-        if key not in homs:
-            homs[key] = hom_group(c.cell(i), d.cell(j))
-        return homs[key]
-
-    return Bicomplex(
-        modulus, c.support, d.support,
-        lambda i, j: hom_at(i, j).group,
-        lambda i, j: induced_hom_map(hom_at(i, j), hom_at(i + 1, j),
-                                     precompose=c.diff(i + 1)),
-        lambda i, j: induced_hom_map(hom_at(i, j), hom_at(i, j + 1),
-                                     postcompose=d.diff(j)))
-
-
-def _reflected(support):
-    if isinstance(support, Periodic):
-        return support
-    return Window(-support.hi, -support.lo, support.zero_outside)
+    return _functor_grid(hom_group, induced_hom_map, c, d, 1)
 
 
 def tensor_bicomplex(c, d):
@@ -84,24 +85,7 @@ def tensor_bicomplex(c, d):
     """
     if c.convention != HOMOLOGICAL or d.convention != HOMOLOGICAL:
         raise ValueError("tensor_bicomplex expects homological factors")
-    modulus = _merged_modulus(c, d)
-    tens = {}
-
-    def ten_at(i, j):
-        key = (_canon_index(c.support, -i), _canon_index(d.support, -j))
-        if key not in tens:
-            tens[key] = tensor_group(c.cell(-i), d.cell(-j))
-        return tens[key]
-
-    return Bicomplex(
-        modulus, _reflected(c.support), _reflected(d.support),
-        lambda i, j: ten_at(i, j).group,
-        lambda i, j: induced_tensor_map(ten_at(i, j), ten_at(i + 1, j),
-                                        c.diff(-i),
-                                        Morphism.identity(d.cell(-j))),
-        lambda i, j: induced_tensor_map(ten_at(i, j), ten_at(i, j + 1),
-                                        Morphism.identity(c.cell(-i)),
-                                        d.diff(-j)))
+    return _functor_grid(tensor_group, induced_tensor_map, c, d, -1)
 
 
 # -- complete resolutions over Z/m ------------------------------------------

@@ -122,10 +122,7 @@ def parse_complex(text):
         raise ParseError('convention must be "%s" or "%s"'
                          % (HOMOLOGICAL, COHOMOLOGICAL))
     support = _parse_support(raw["support"])
-    if isinstance(support, Periodic):
-        wanted = range(support.period)
-    else:
-        wanted = range(support.lo, support.hi + 1)
+    wanted = support.degrees()
     if not isinstance(raw["cells"], dict):
         raise ParseError("cells must be a JSON object")
     cells = {}
@@ -146,14 +143,10 @@ def parse_complex(text):
         n = _degree_key(key, "diffs")
         if n in diffs:
             raise ParseError("diffs[%d] appears twice" % n)
-        src = cells.get(n if isinstance(support, Window)
-                        else n % support.period)
+        src = cells.get(support.canonical(n)[0])
         if src is None:
             raise ParseError("diffs[%d] has no source cell" % n)
-        tgt_deg = n + step
-        if isinstance(support, Periodic):
-            tgt_deg %= support.period
-        tgt = cells.get(tgt_deg)
+        tgt = cells.get(support.canonical(n + step)[0])
         if tgt is None:
             raise ParseError("diffs[%d] leaves the support" % n)
         mat = _parse_matrix(spec, n)
@@ -183,26 +176,12 @@ def load_complex(path):
 
 def _normalized_diff(c, n, forms):
     """Matrix of diff(n) written in cyclic coordinates, entries reduced."""
-    src = forms[_canon(c, n)]
-    tgt_form = forms[_canon(c, n + c.step)]
+    src = forms[c.support.canonical(n)[0]]
+    tgt_form = forms[c.support.canonical(n + c.step)[0]]
     composed = tgt_form.to_cyclic @ c.diff(n).matrix @ src.from_cyclic
     target = FpGroup.from_factors(c.modulus, list(tgt_form.orders))
     cols = [target.reduce(composed.column(j)) for j in range(composed.cols)]
     return IntMatrix.from_columns(cols, rows=len(tgt_form.orders))
-
-
-def _canon(c, n):
-    s = c.support
-    return n % s.period if isinstance(s, Periodic) else n
-
-
-def _diff_degrees(c):
-    s = c.support
-    if isinstance(s, Periodic):
-        return range(s.period)
-    if c.step == -1:
-        return range(s.lo + 1, s.hi + 1)
-    return range(s.lo, s.hi)
 
 
 def serialize_complex(c):
@@ -219,7 +198,7 @@ def serialize_complex(c):
     cells = {str(n): {"factors": list(forms[n].orders)}
              for n in sorted(forms)}
     diffs = {}
-    for n in _diff_degrees(c):
+    for n in c.diff_degrees():
         mat = _normalized_diff(c, n, forms)
         if not mat.is_zero():
             diffs[str(n)] = mat.to_lists()

@@ -83,6 +83,36 @@ def test_periodic_access_wraps():
     assert c.diff(-1) is c.diff(1)
 
 
+def test_support_canonicaliser_contract():
+    p = Periodic(3)
+    assert p.canonical(-1) == (2, True)
+    assert p.canonical(7) == (1, True)
+    assert list(p.degrees()) == [0, 1, 2]
+    assert p.reflected() == p
+    w = Window(-1, 2)
+    assert w.canonical(2) == (2, True)
+    assert w.canonical(5) == (5, False)  # zero outside: reported outside
+    assert list(w.degrees()) == [-1, 0, 1, 2]
+    assert w.reflected() == Window(-2, 1)
+    t = Window(0, 1, zero_outside=False)
+    assert t.canonical(1) == (1, True)
+    with pytest.raises(OutOfWindow):
+        t.canonical(2)
+    assert t.reflected() == Window(-1, 0, zero_outside=False)
+
+
+def test_periodic_differentials_sharing_a_degree_are_refused():
+    z4 = FpGroup.from_factors(4, [4])
+    two = make_morphism(z4, z4, IntMatrix([[2]]))
+    # 1 and 3 are the same degree mod 2; neither map may be dropped
+    with pytest.raises(ConventionViolation, match="degree 1 is given twice"):
+        Complex("homological", 4, Periodic(2), {0: z4, 1: z4},
+                {1: two, 3: Morphism.zero(z4, z4)})
+    c = Complex("homological", 4, Periodic(2), {0: z4, 1: z4},
+                {-1: two, 0: two})
+    assert c.diff(1) is two
+
+
 # -------------------------------------------------- cycles and boundaries
 
 
@@ -173,6 +203,19 @@ def test_hclass_semantics():
         HClass(hh, Element(strand.cell(0), (1,)))  # 1 is not a cycle
     with pytest.raises(ParentMismatch):
         one + two
+
+
+def test_periodic_homology_at_a_shifted_degree():
+    c = periodic_strand(4, [0, 0])  # zero differentials: H = Z/4 everywhere
+    canon = homology(c, 0)
+    shifted = homology(c, 2)
+    assert shifted.degree == 2 and canon.degree == 0
+    assert shifted.group is canon.group
+    assert homology(c, 0) is canon  # the canonical degree stays memoized
+    rep = Element(c.cell(0), (1,))
+    with pytest.raises(ParentMismatch):
+        shifted.class_of(rep) + canon.class_of(rep)
+    assert shifted.class_of(rep) == shifted.class_of(Element(c.cell(2), (5,)))
 
 
 def test_periodic_homology_translation_invariance():

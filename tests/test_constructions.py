@@ -18,7 +18,8 @@ from bicohom.bicomplexes import (PRIME, SECOND, check_exact_grid,
                                  core_homology, directional_homology)
 from bicohom.complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex, Periodic,
                                Window, cycles, hom_from_module,
-                               hom_into_module, homology, is_exact)
+                               hom_into_module, homology, is_exact,
+                               module_tensor_with, tensor_with_module)
 from bicohom.constructions import (complete_injective_resolution,
                                    complete_projective_resolution,
                                    hom_bicomplex, random_exact_complex,
@@ -78,6 +79,54 @@ def test_hom_bicomplex_rows_and_columns_match_functors():
         for j in range(2):
             assert x.cell(i, j) == col.cell(j)
             assert x.dsecond(i, j) == col.diff(j)
+
+
+def random_pair(kind, first_convention, second_convention):
+    """Two seeded exact complexes over Z/8 with the given support kind."""
+    return (random_exact_complex(8, 21, blocks=3, kind=kind,
+                                 convention=first_convention),
+            random_exact_complex(8, 22, blocks=3, kind=kind,
+                                 convention=second_convention))
+
+
+def around(c, sign=1):
+    """c's stored degrees plus one on each side (wrapping when periodic),
+    times sign."""
+    degrees = c.degrees()
+    return [sign * n for n in range(degrees[0] - 1, degrees[-1] + 2)]
+
+
+@pytest.mark.parametrize("kind", ["periodic", "window"])
+def test_hom_bicomplex_rows_and_columns_match_functors_on_both_supports(kind):
+    c, d = random_pair(kind, HOMOLOGICAL, COHOMOLOGICAL)
+    x = hom_bicomplex(c, d)
+    for j in around(d):
+        row = hom_into_module(c, d.cell(j))
+        for i in around(c):
+            assert x.cell(i, j) == row.cell(i)
+            assert x.dprime(i, j) == row.diff(i)
+    for i in around(c):
+        col = hom_from_module(c.cell(i), d)
+        for j in around(d):
+            assert x.cell(i, j) == col.cell(j)
+            assert x.dsecond(i, j) == col.diff(j)
+
+
+@pytest.mark.parametrize("kind", ["periodic", "window"])
+def test_tensor_bicomplex_rows_and_columns_match_functors(kind):
+    c, d = random_pair(kind, HOMOLOGICAL, HOMOLOGICAL)
+    x = tensor_bicomplex(c, d)
+    # cell (i, j) is C_{-i} (x) D_{-j}: row j is C (x) D_{-j} read at -i
+    for j in around(d, -1):
+        row = tensor_with_module(c, d.cell(-j))
+        for i in around(c, -1):
+            assert x.cell(i, j) == row.cell(-i)
+            assert x.dprime(i, j) == row.diff(-i)
+    for i in around(c, -1):
+        col = module_tensor_with(c.cell(-i), d)
+        for j in around(d, -1):
+            assert x.cell(i, j) == col.cell(-j)
+            assert x.dsecond(i, j) == col.diff(-j)
 
 
 def test_hom_bicomplex_validation():

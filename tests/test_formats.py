@@ -173,6 +173,14 @@ def test_rejection_of_bad_differentials():
             '"diffs": {"1": [[1]]}}', "degree 1 ignores relations")
 
 
+def test_rejection_of_periodic_differentials_sharing_a_degree():
+    # "1" and "3" are one degree mod 2; the later map must not win silently
+    _expect('{"modulus": 4, "convention": "homological", "support": '
+            '{"periodic": {"period": 2}}, "cells": {"0": {"factors": [4]}, '
+            '"1": {"factors": [4]}}, "diffs": {"1": [[2]], "3": [[0]]}}',
+            "differential at degree 1 is given twice")
+
+
 def test_load_complex_reports_path(tmp_path):
     with pytest.raises(ParseError) as err:
         load_complex(str(tmp_path / "absent.json"))
