@@ -131,17 +131,15 @@ class FpGroup:
 
     def _reduction(self):
         if self._echelon is None:
-            h, _, pivots = backend.col_echelon(
-                self.relations.to_lists(), False, self.modulus)
+            h, pivots = backend.col_echelon(self.relations.to_lists(),
+                                            self.modulus)
             self._echelon = (h, pivots)
         return self._echelon
 
     def reduce(self, coords):
         """Canonical representative of coords modulo the relation lattice."""
         h, pivots = self._reduction()
-        residue, _ = backend.reduce_columns(h, pivots, list(coords),
-                                            self.modulus)
-        return tuple(residue)
+        return tuple(backend.reduce_columns(h, pivots, coords, self.modulus))
 
     def element(self, coords):
         return Element(self, coords)
@@ -351,8 +349,8 @@ class Subgroup:
         # echelon of generators + parent relations: the lifted lattice in Z^r
         if self._lattice is None:
             mat = self.as_matrix().hstack(self.parent.relations)
-            h, _, pivots = backend.col_echelon(mat.to_lists(), False,
-                                               self.parent.modulus)
+            h, pivots = backend.col_echelon(mat.to_lists(),
+                                            self.parent.modulus)
             self._lattice = (h, pivots)
         return self._lattice
 
@@ -360,9 +358,8 @@ class Subgroup:
         if elt.parent != self.parent:
             raise ParentMismatch("element is not in the parent group")
         h, pivots = self._reduction()
-        residue, _ = backend.reduce_columns(h, pivots, list(elt.coords),
-                                            self.parent.modulus)
-        return not any(residue)
+        return not any(backend.reduce_columns(h, pivots, elt.coords,
+                                              self.parent.modulus))
 
     def __contains__(self, elt):
         return self.contains(elt)

@@ -8,14 +8,16 @@ Conventions:
   * matrices are row-major, dimensions may be zero in either direction;
   * snf_transforms returns (u, d, v, uinv, vinv) with d = u*a*v,
     u*uinv = I, v*vinv = I, d diagonal, nonnegative, d[i] | d[i+1];
-  * col_echelon returns (h, w, pivots) with h = a*w (w unimodular), h in
-    column echelon form: pivot entries positive, at strictly increasing row
-    indices, and each pivot is the only nonzero entry of its row among
-    columns at or after its own;
-  * col_echelon with a modulus m > 0 returns the column Howell form of
+  * col_echelon(a, m) returns (h, pivots), pivots the (row, col) pairs of
+    h's pivots at strictly increasing rows, each column zero above its
+    pivot.  With m = 0, h is the column echelon form of the columns of a:
+    pivots positive, each the only nonzero entry of its row among columns
+    at or after its own.  With m > 0, h is the column Howell form of
     span(columns) + m*Z^rows (Howell 1986; Storjohann & Mulders 1998): a
     square lower-triangular basis with one pivot per row, each pivot a
-    divisor of m, every entry in [0, m].  No entry ever exceeds m.
+    divisor of m, every entry in [0, m];
+  * reduce_columns(h, pivots, v, m) returns the canonical residue of v
+    modulo the lattice of such an h.
 """
 
 BACKEND = "python"
@@ -231,56 +233,33 @@ def snf_transforms(a):
     return u, d, v, uinv, vinv
 
 
-def col_echelon(a, want_transform=True, modulus=0):
+def col_echelon(a, modulus=0):
     """Column echelon form by unimodular column operations.
 
-    Returns (h, w, pivots) with h = a*w when want_transform (else w is None)
-    and pivots a list of (row, col) pairs.  Columns past the last pivot are
-    zero; with the transform they index a kernel basis of a inside w.
+    Returns (h, pivots), pivots a list of (row, col) pairs; columns past the
+    last pivot are zero.  Every column operation on h is unimodular, so
+    echelonizing a stacked matrix [a; b] applies one transform w to both
+    blocks: the top rows become a@w, the bottom rows b@w.
 
     With modulus m > 0, h is instead the Howell form of the lattice
     span(columns of a) + m*Z^rows: square, lower triangular, pivots ==
     [(i, i) for every row i], each pivot dividing m (m itself on a row the
-    columns do not reach), every entry in [0, m].  No transform exists
-    modulo m, so want_transform must be false and w is None.
+    columns do not reach), every entry in [0, m].
     """
     if modulus:
-        if want_transform:
-            raise ValueError("col_echelon has no transform modulo m")
         return _howell(a, modulus)
     m = len(a)
     n = len(a[0]) if m else 0
     h = [list(row) for row in a]
-    w = identity(n) if want_transform else None
-
-    def swap_cols(j, k):
-        for row in h:
-            row[j], row[k] = row[k], row[j]
-        if w is not None:
-            for row in w:
-                row[j], row[k] = row[k], row[j]
-
-    def col_addmul(j, k, q):
-        for row in h:
-            if row[k]:
-                row[j] += q * row[k]
-        if w is not None:
-            for row in w:
-                if row[k]:
-                    row[j] += q * row[k]
-
-    def negate_col(j):
-        for row in h:
-            row[j] = -row[j]
-        if w is not None:
-            for row in w:
-                row[j] = -row[j]
 
     def combine(r, c, j):
         # make h[r][j] zero against h[r][c], keeping the column lattice
         p, e = h[r][c], h[r][j]
         if e % p == 0:
-            col_addmul(j, c, -(e // p))
+            q = e // p
+            for row in h:
+                if row[c]:
+                    row[j] -= q * row[c]
             return
         g, x, y = xgcd(p, e)
         pg, eg = p // g, e // g
@@ -288,11 +267,6 @@ def col_echelon(a, want_transform=True, modulus=0):
             ac, bj = row[c], row[j]
             row[c] = x * ac + y * bj
             row[j] = pg * bj - eg * ac
-        if w is not None:
-            for row in w:
-                ac, bj = row[c], row[j]
-                row[c] = x * ac + y * bj
-                row[j] = pg * bj - eg * ac
 
     pivots = []
     c = 0
@@ -307,15 +281,17 @@ def col_echelon(a, want_transform=True, modulus=0):
         if jp < 0:
             continue
         if jp != c:
-            swap_cols(jp, c)
+            for row in h:
+                row[jp], row[c] = row[c], row[jp]
         for j in range(c + 1, n):
             if h[r][j]:
                 combine(r, c, j)
         if h[r][c] < 0:
-            negate_col(c)
+            for row in h:
+                row[c] = -row[c]
         pivots.append((r, c))
         c += 1
-    return h, w, pivots
+    return h, pivots
 
 
 def _howell(a, m):
@@ -378,7 +354,7 @@ def _howell(a, m):
         for k, x in enumerate(piv):
             if x:
                 h[i + k][i] = x
-    return h, None, [(i, i) for i in range(nrows)]
+    return h, [(i, i) for i in range(nrows)]
 
 
 def _unit_to_divisor(e, m):
@@ -395,28 +371,25 @@ def _unit_to_divisor(e, m):
 def reduce_columns(h, pivots, vec, modulus=0):
     """Canonically reduce vec modulo the column lattice of an echelon h.
 
-    Returns (residue, coeffs); residue is the unique representative with
-    0 <= residue[r] < pivot at every pivot row r, and coeffs[k] is the
-    multiple of pivot column k that was subtracted.  vec lies in the lattice
-    iff the residue is all zero.  With modulus m > 0 (h a Howell form
-    modulo m) the lattice includes m*Z^rows: each pivot-row entry is taken
-    mod m before its pivot acts, which keeps every entry of order m.
+    Returns the residue: the unique representative with 0 <= residue[r] <
+    pivot at every pivot row r.  vec lies in the lattice iff the residue is
+    all zero.  With modulus m > 0 (h a Howell form modulo m) the lattice
+    includes m*Z^rows: each pivot-row entry is taken mod m before its pivot
+    acts, which keeps every entry of order m.
     """
     nrows = len(h)
     v = list(vec)
-    coeffs = [0] * len(pivots)
-    for k, (r, c) in enumerate(pivots):
+    for r, c in pivots:
         p = h[r][c]
         if modulus:
             v[r] %= modulus
         q = v[r] // p
         if q:
-            coeffs[k] = q
             for i in range(r, nrows):
                 hic = h[i][c]
                 if hic:
                     v[i] -= q * hic
-    return v, coeffs
+    return v
 
 
 def det(a):

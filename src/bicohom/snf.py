@@ -2,17 +2,18 @@
 
 All arithmetic is arbitrary-precision integer arithmetic; floats never enter.
 The modulus convention used across the package appears here in its rawest
-form: m = 0 means "over Z", m >= 2 means "over Z/m".  Over Z the lattice
-functions eliminate with unimodular integer column operations.  Over Z/m
-every lattice involved contains m*Z^n, so they work on residues instead:
-the Howell form of backend.col_echelon keeps every entry in [0, m].
+form: m = 0 means "over Z", m >= 2 means "over Z/m".
 
-kernel_basis and solve_mod also take `relations`, extra columns R that are
-quotiented out on the target side: kernel_basis(a, m, R) is the preimage
+The lattice functions share one construction for every modulus: each reads
+its answer off one backend.col_echelon call on a stacked matrix, which is
+the column echelon form over Z and the Howell form modulo m (every lattice
+in a Z/m problem contains m*Z^n, so that form keeps every entry in [0, m]).
+Both forms are zero above each pivot, so the basis columns whose pivot lies
+below the top block have top part zero; their bottom parts span exactly the
+lattice vectors with zero top part.  kernel_basis(a, m, R) is the preimage
 {x : a@x in span(R) + m*Z^rows} and solve_mod(a, b, m, R) finds an x with
-a@x - b in that lattice.  Over Z/m both read their answer off the Howell
-form of the stacked matrix [[a, R], [I, 0]], whose lattice vectors are the
-pairs (a@x + R@y + m*z; x + m*w).
+a@x - b in that lattice, both from [[a, R], [I, 0]], whose lattice vectors
+are the pairs (a@x + R@y + m*z; x + m*w).
 """
 
 from operator import index as _as_int
@@ -53,6 +54,8 @@ class IntMatrix:
             nr = len(columns[0])
             if rows is not None and rows != nr:
                 raise ValueError("rows mismatch")
+            if any(len(col) != nr for col in columns):
+                raise ValueError("ragged columns")
         else:
             nr = 0 if rows is None else rows
         return cls([[col[i] for col in columns] for i in range(nr)],
@@ -63,6 +66,9 @@ class IntMatrix:
         entries = list(entries)
         nr = len(entries) if rows is None else rows
         nc = len(entries) if cols is None else cols
+        if len(entries) > min(nr, nc):
+            raise ValueError("more diagonal entries than a %dx%d matrix holds"
+                             % (nr, nc))
         data = [[0] * nc for _ in range(nr)]
         for i, e in enumerate(entries):
             data[i][i] = e
@@ -202,14 +208,15 @@ def smith_normal_form(a):
 def hermite_normal_form(a):
     """Column echelon form (H, W) with H = a @ W and W unimodular.
 
-    Pivots are positive and sit at strictly increasing row indices; columns
-    past the last pivot are zero, and the matching columns of W form a basis
-    of the integer kernel of a.
+    Both are read off the column echelon form of [[a], [I]]: H is its top
+    block, W its bottom block.  Pivots of H are positive and sit at strictly
+    increasing row indices; columns past the last pivot are zero, and the
+    matching columns of W form a basis of the integer kernel of a, itself in
+    column echelon form.
     """
-    if a.rows == 0:
-        return a, IntMatrix.identity(a.cols)
-    h, w, _ = backend.col_echelon(a.to_lists(), True)
-    return IntMatrix(h, cols=a.cols), IntMatrix(w, cols=a.cols)
+    h, _ = backend.col_echelon(a.to_lists() + backend.identity(a.cols))
+    return (IntMatrix(h[:a.rows], cols=a.cols),
+            IntMatrix(h[a.rows:], cols=a.cols))
 
 
 def _check_modulus(m):
@@ -219,123 +226,83 @@ def _check_modulus(m):
     return m
 
 
-def _normalize_columns(cols, nrows):
-    """Echelonize a generating set, dropping dependent/zero columns."""
-    if not cols:
-        return IntMatrix.zeros(nrows, 0)
-    mat = IntMatrix.from_columns(cols, rows=nrows)
-    h, _, pivots = backend.col_echelon(mat.to_lists(), False)
-    kept = [c for (_, c) in pivots]
-    return IntMatrix([[h[i][c] for c in kept] for i in range(nrows)],
-                     cols=len(kept))
+def _stacked_echelon(top, bottom, m):
+    """(h, pivots, k): the echelon form of [top; bottom] and its pivots.
+
+    The first k pivots lie on top rows; basis columns k .. len(pivots)-1
+    have their pivot below the top block, so their top part is zero.
+    """
+    h, pivots = backend.col_echelon(top + bottom, m)
+    return h, pivots, sum(1 for r, _ in pivots if r < len(top))
 
 
-def _relations(a, relations):
-    """a's rows extended by the columns of relations, as row-major lists."""
-    if relations is None:
-        return a.to_lists()
-    if relations.rows != a.rows:
-        raise ValueError("relations need one row per row of the matrix")
-    return [list(ra) + list(rr) for ra, rr in
-            zip(a.to_lists(), relations.to_lists())]
+def _preimage_echelon(a, m, relations):
+    """_stacked_echelon of [[a, R], [I, 0]]."""
+    top = a.to_lists()
+    if relations is not None:
+        if relations.rows != a.rows:
+            raise ValueError("relations need one row per row of the matrix")
+        top = [ra + rr for ra, rr in zip(top, relations.to_lists())]
+    width = len(top[0]) if top else a.cols
+    eye = [[1 if i == j else 0 for j in range(width)] for i in range(a.cols)]
+    return _stacked_echelon(top, eye, m)
 
 
-def _identity_below(top, n):
-    """Rows of [I, 0] to stack under top: I under the first n columns."""
-    width = len(top[0]) if top else n
-    return [[1 if i == j else 0 for j in range(width)] for i in range(n)]
+def _bottom_block(h, pivots, k, ntop):
+    """Bottom rows of the basis columns k .. len(pivots)-1 of h."""
+    return IntMatrix([row[k:len(pivots)] for row in h[ntop:]],
+                     cols=len(pivots) - k)
 
 
 def kernel_basis(a, m=0, relations=None):
     """Generators of {x : a @ x in span(relations) + m*Z^rows} as columns.
 
-    Without relations this is {x : a @ x == 0 (mod m)}.  For m > 0 the
-    result is the Howell basis of that lattice (it contains m*Z^cols):
-    square, lower triangular, pivots dividing m, entries in [0, m].  It is
-    the lower-right block of the Howell form of [[a, R], [I, 0]]: the basis
-    columns whose pivot lies below a's rows have top part zero, so their
-    bottom parts span exactly the solutions x.  For m = 0 it is the integer
-    kernel of [a | R] cut down to x, in column echelon form.
+    Without relations this is {x : a @ x == 0 (mod m)}.  It is the bottom
+    block of the basis columns of the echelon form of [[a, R], [I, 0]]
+    whose pivot lies below a's rows.  For m > 0 that is the Howell basis of
+    the lattice (it contains m*Z^cols): square, lower triangular, pivots
+    dividing m, entries in [0, m].  For m = 0 it is a basis of the integer
+    kernel in column echelon form.
     """
     m = _check_modulus(m)
-    if a.rows == 0:
-        # vacuous constraint: the kernel is all of Z^cols
-        return IntMatrix.identity(a.cols)
-    top = _relations(a, relations)
-    if m:
-        h, _, _ = backend.col_echelon(
-            top + _identity_below(top, a.cols), False, m)
-        return IntMatrix([row[a.rows:] for row in h[a.rows:]], cols=a.cols)
-    _, w, pivots = backend.col_echelon(top, True)
-    gens = []
-    for j in range(len(pivots), len(w)):
-        col = tuple(w[i][j] for i in range(a.cols))
-        if any(col):
-            gens.append(col)
-    return _normalize_columns(gens, a.cols)
+    return _bottom_block(*_preimage_echelon(a, m, relations), a.rows)
 
 
 def solve_mod(a, b, m=0, relations=None):
     """One x with a @ x - b in span(relations) + m*Z^rows, or None.
 
-    For m > 0, (b; 0) is reduced by the pivots of the Howell form of
-    [[a, R], [I, 0]] on a's rows; b is reachable iff the top part of the
-    residue vanishes, and then minus its bottom part, mod m, is a witness
-    with entries in [0, m).  For m = 0 the same reduction runs on the
-    column echelon form of [a | R] over Z.  Any returned x satisfies the
-    system exactly (substitution is the oracle of record).
+    (b; 0) is reduced by the pivots on a's rows of the echelon form of
+    [[a, R], [I, 0]].  b is reachable iff the top part of the residue
+    vanishes, and then minus its bottom part is a witness, taken mod m
+    (entries in [0, m)) when m > 0.  Any returned x satisfies the system
+    exactly (substitution is the oracle of record).
     """
     m = _check_modulus(m)
     b = [_as_int(e) for e in b]
     if len(b) != a.rows:
         raise ValueError("right-hand side has wrong length")
-    top = _relations(a, relations)
-    if m:
-        h, _, pivots = backend.col_echelon(
-            top + _identity_below(top, a.cols), False, m)
-        residue, _ = backend.reduce_columns(
-            h, pivots[:a.rows], b + [0] * a.cols, m)
-        if any(residue[:a.rows]):
-            return None
-        return tuple(-e % m for e in residue[a.rows:])
-    h, w, pivots = backend.col_echelon(top, True)
-    residue, coeffs = backend.reduce_columns(h, pivots, b)
-    if any(residue):
+    h, pivots, k = _preimage_echelon(a, m, relations)
+    residue = backend.reduce_columns(h, pivots[:k], b + [0] * a.cols, m)
+    if any(residue[:a.rows]):
         return None
-    x = [0] * a.cols
-    for q, (_, c) in zip(coeffs, pivots):
-        if q:
-            for i in range(a.cols):
-                wic = w[i][c]
-                if wic:
-                    x[i] += q * wic
-    return tuple(x)
+    if m:
+        return tuple(-e % m for e in residue[a.rows:])
+    return tuple(-e for e in residue[a.rows:])
 
 
 def lattice_intersect(b1, b2, m=0):
     """Generators of (span b1 + m*Z^rows) ∩ (span b2 + m*Z^rows).
 
-    For m > 0 the result is the Howell basis of the intersection: the
-    lower-right block of the Howell form of [[b1, b2], [b1, 0]], whose
-    lattice vectors with top part zero are exactly (0; b1@x + m*w) with
-    b1@x in span(b2) + m*Z^rows.  For m = 0 it is built from the integer
-    kernel of [b1 | -b2]: every kernel vector (x; y) has b1 @ x == b2 @ y,
-    which is exactly a point of the intersection.
+    The bottom block of the basis columns of the echelon form of
+    [[b1, b2], [b1, 0]] whose pivot lies below the top block: the lattice
+    vectors with top part zero are exactly (0; b1@x + m*w) with b1@x in
+    span(b2) + m*Z^rows.  For m > 0 that is the Howell basis of the
+    intersection; for m = 0 a basis of it in column echelon form.
     """
     if b1.rows != b2.rows:
         raise ValueError("lattices live in different ambient ranks")
     m = _check_modulus(m)
-    if m:
-        rows1 = b1.to_lists()
-        top = [r1 + list(r2) for r1, r2 in zip(rows1, b2.to_lists())]
-        bottom = [r1 + [0] * b2.cols for r1 in rows1]
-        h, _, _ = backend.col_echelon(top + bottom, False, m)
-        return IntMatrix([row[b1.rows:] for row in h[b1.rows:]],
-                         cols=b1.rows)
-    stacked = b1.hstack(-b2)
-    ker = kernel_basis(stacked, 0)
-    gens = []
-    for j in range(ker.cols):
-        x = [ker[(i, j)] for i in range(b1.cols)]
-        gens.append(b1.mul_vector(x))
-    return _normalize_columns([g for g in gens if any(g)], b1.rows)
+    rows1 = b1.to_lists()
+    top = [r1 + list(r2) for r1, r2 in zip(rows1, b2.to_lists())]
+    bottom = [r1 + [0] * b2.cols for r1 in rows1]
+    return _bottom_block(*_stacked_echelon(top, bottom, m), b1.rows)

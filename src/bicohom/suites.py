@@ -21,8 +21,8 @@ from .abgroup import FpGroup, Morphism, Subgroup, hom_group, subquotient, \
     tensor_group
 from .bicomplexes import (core_equality_check, core_homology,
                           core_homology_alt, diagonal_shift)
-from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex, cycles,
-                        homology, hom_from_module, hom_into_module)
+from .complexes import (COHOMOLOGICAL, Complex, cycles, homology,
+                        hom_from_module, hom_into_module)
 from .constructions import (complete_injective_resolution,
                             complete_projective_resolution, hom_bicomplex,
                             random_exact_complex, tensor_bicomplex,

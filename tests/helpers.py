@@ -6,7 +6,7 @@ from collections import defaultdict
 from bicohom import backend
 from bicohom.abgroup import FpGroup, Morphism, make_morphism
 from bicohom.complexes import Complex
-from bicohom.snf import IntMatrix
+from bicohom.snf import IntMatrix, smith_normal_form
 
 
 def invariant_factors_oracle(orders):
@@ -122,8 +122,8 @@ def adjoin_modulus(rows, m):
 
 def oracle_reduce(rows, m, vec):
     """Canonical residue of vec modulo span(columns of rows) + m*Z^n."""
-    h, _, pivots = backend.col_echelon(adjoin_modulus(rows, m), False)
-    return tuple(backend.reduce_columns(h, pivots, list(vec))[0])
+    h, pivots = backend.col_echelon(adjoin_modulus(rows, m))
+    return tuple(backend.reduce_columns(h, pivots, vec))
 
 
 def oracle_contains(basis, vec):
@@ -132,13 +132,18 @@ def oracle_contains(basis, vec):
 
 
 def _oracle_kernel_columns(rows, ncols, keep):
-    """First `keep` coordinates of an integer kernel basis of rows."""
+    """First `keep` coordinates of an integer kernel basis of rows.
+
+    Read off the Smith form D = U@A@V: the columns of V past the rank of D
+    span the kernel, so no echelon code is shared with the route under test.
+    """
     if not rows:
         return [tuple(1 if i == j else 0 for i in range(keep))
                 for j in range(keep)]
-    _, w, pivots = backend.col_echelon(rows, True)
-    return [tuple(w[i][j] for i in range(keep))
-            for j in range(len(pivots), ncols)]
+    res = smith_normal_form(IntMatrix(rows, cols=ncols))
+    rank = sum(1 for e in res.diagonal if e)
+    return [tuple(res.V[(i, j)] for i in range(keep))
+            for j in range(rank, ncols)]
 
 
 def oracle_kernel_basis(a, m, relations=None):

@@ -270,6 +270,15 @@ def test_modulus_validation():
         IntMatrix([[1.5]])
 
 
+def test_constructors_refuse_inputs_that_do_not_fit():
+    with pytest.raises(ValueError, match="ragged columns"):
+        IntMatrix.from_columns([(1,), (2, 3)])
+    with pytest.raises(ValueError, match="ragged columns"):
+        IntMatrix.from_columns([(1, 2), (3,)])
+    with pytest.raises(ValueError, match="more diagonal entries"):
+        IntMatrix.diagonal([1, 2, 3], rows=2, cols=2)
+
+
 def test_entries_stay_exact_on_large_inputs():
     # arbitrary precision end to end: entries far beyond 64-bit
     big = 10 ** 40
