@@ -7,8 +7,8 @@ from .abgroup import (Element, FpGroup, HomGroup, Morphism, Subgroup,
                       invert_isomorphism, kernel_image, make_morphism,
                       preimage_element, subquotient, tensor_group)
 from .bicomplexes import (Bicomplex, BoundaryData, DoubleComplex,
-                          I_THEN_II, II_THEN_I, PRIME, SECOND, BiClass,
-                          CoreHomology, boundary_subgroups, check_exact_grid,
+                          I_THEN_II, II_THEN_I, PRIME, SECOND,
+                          boundary_subgroups, check_exact_grid,
                           core_equality_check, core_homology,
                           core_homology_alt, diagonal_shift,
                           directional_homology, from_double_complex,
@@ -35,8 +35,8 @@ from .tate import (EXT, RESOLVE_LEFT, RESOLVE_RIGHT, TOR, VIA_INJECTIVE,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiClass", "Bicomplex", "BicohomError", "BoundaryData",
-    "COHOMOLOGICAL", "Complex", "ConventionViolation", "CoreHomology",
+    "Bicomplex", "BicohomError", "BoundaryData",
+    "COHOMOLOGICAL", "Complex", "ConventionViolation",
     "DoubleComplex", "EXT", "Element", "FpGroup", "HClass", "HOMOLOGICAL",
     "HomGroup", "Homology", "HypothesisViolated", "I_THEN_II", "II_THEN_I",
     "IllDefined", "IntMatrix", "InternalChaseFailure", "Morphism",

@@ -315,6 +315,13 @@ def make_morphism(source, target, matrix):
     return f
 
 
+def morphism_from_images(source, target, images):
+    """The checked morphism sending the k-th generator of source to the
+    element of target whose coordinates are images[k]."""
+    return make_morphism(source, target, IntMatrix.from_columns(
+        images, rows=target.ambient_rank))
+
+
 class Subgroup:
     """A subgroup of an FpGroup, recorded by a finite generating set."""
 
@@ -546,8 +553,7 @@ def induced_hom_map(src_hom, dst_hom, precompose=None, postcompose=None):
         phi = src_hom.realize(e)
         psi = postcompose.compose(phi.compose(precompose))
         cols.append(dst_hom.element_of(psi).coords)
-    mat = IntMatrix.from_columns(cols, rows=dst_hom.group.ambient_rank)
-    return make_morphism(src_hom.group, dst_hom.group, mat)
+    return morphism_from_images(src_hom.group, dst_hom.group, cols)
 
 
 class TensorGroup:
@@ -603,8 +609,7 @@ def induced_tensor_map(src_tensor, dst_tensor, f, g):
         x = Element(src_tensor.source, s_from.column(i))
         y = Element(src_tensor.target, t_from.column(j))
         cols.append(dst_tensor.pure(f(x), g(y)).coords)
-    mat = IntMatrix.from_columns(cols, rows=dst_tensor.group.ambient_rank)
-    return make_morphism(src_tensor.group, dst_tensor.group, mat)
+    return morphism_from_images(src_tensor.group, dst_tensor.group, cols)
 
 
 def intersect(s1, s2):

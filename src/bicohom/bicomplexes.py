@@ -10,18 +10,20 @@ idempotent: recomputing a cell always yields an equal value.
 The core invariant at (i, j) is (Z' ∩ Z'') / d'(Z''); under exact rows and
 columns it equals the quotient by d''(Z') and carries a (1, -1) shift
 isomorphism chased through preimages.  Both facts are consumed here and
-verified by the callers' tests rather than re-proved per call.
+verified by the callers' tests rather than re-proved per call.  It is a
+homology group of the grid, and it is returned as one: a
+`complexes.Homology` whose owner is the grid and whose index is the
+bidegree, with `complexes.HClass` classes.
 """
 
 from collections import namedtuple
 
-from .abgroup import (Morphism, intersect, kernel_image, make_morphism,
-                      preimage_element, subquotient, Subgroup, FpGroup)
-from .complexes import Periodic, Window
+from .abgroup import (Morphism, intersect, kernel_image,
+                      morphism_from_images, preimage_element, subquotient,
+                      Subgroup, FpGroup)
+from .complexes import Homology, Periodic, Window
 from .errors import (ConventionViolation, HypothesisViolated,
-                     InternalChaseFailure, NotContained, OutOfWindow,
-                     ParentMismatch)
-from .snf import IntMatrix
+                     InternalChaseFailure, OutOfWindow)
 
 PRIME = "prime"     # the d' direction (first index)
 SECOND = "second"   # the d'' direction (second index)
@@ -284,87 +286,6 @@ def _require_exact(x, sites, op_name):
 # -- the core invariant -----------------------------------------------------
 
 
-class CoreHomology:
-    """(Z' ∩ Z'') / d'(Z'') at one bidegree, with class bookkeeping."""
-
-    __slots__ = ("grid", "bidegree", "numerator", "denominator", "group",
-                 "_sub")
-
-    def __init__(self, grid, bidegree, numerator, denominator, sub):
-        self.grid = grid
-        self.bidegree = bidegree
-        self.numerator = numerator
-        self.denominator = denominator
-        self._sub = sub
-        self.group = sub.group
-
-    def class_of(self, representative):
-        return BiClass(self, representative)
-
-    def project(self, representative):
-        return self._sub.project(representative)
-
-    def representative(self, class_elt):
-        return self._sub.lift(class_elt)
-
-    def zero_class(self):
-        return BiClass(self, self.grid.cell(*self.bidegree).zero())
-
-    def _same_site(self, other):
-        return (self.grid is other.grid
-                and self.bidegree == other.bidegree)
-
-
-class BiClass:
-    """A core-homology class carried by a representative in Z' ∩ Z''."""
-
-    __slots__ = ("core", "representative")
-
-    def __init__(self, core, representative):
-        if representative.parent != core.grid.cell(*core.bidegree):
-            raise ParentMismatch("representative lives in the wrong cell")
-        if not core.numerator.contains(representative):
-            raise NotContained("representative is not in Z' ∩ Z''")
-        self.core = core
-        self.representative = representative
-
-    def value(self):
-        return self.core.project(self.representative)
-
-    def is_zero(self):
-        return self.core.denominator.contains(self.representative)
-
-    def _check_peer(self, other):
-        if not isinstance(other, BiClass) or \
-                not self.core._same_site(other.core):
-            raise ParentMismatch("classes from different core sites")
-
-    def __add__(self, other):
-        self._check_peer(other)
-        return BiClass(self.core,
-                       self.representative + other.representative)
-
-    def __sub__(self, other):
-        self._check_peer(other)
-        return BiClass(self.core,
-                       self.representative - other.representative)
-
-    def __neg__(self):
-        return BiClass(self.core, -self.representative)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiClass) or \
-                not self.core._same_site(other.core):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "BiClass(%r, rep=%r)" % (self.core.bidegree,
-                                        self.representative)
-
-
 def _require_core_exact(x, i, j, op_name):
     # the two vanishing statements that make d'(Z'') = d''(Z') at (i, j)
     _require_exact(x, [(SECOND, i - 1, j), (PRIME, i, j - 1)], op_name)
@@ -390,7 +311,7 @@ def _core(x, i, j, label, denominator_fn, op_name):
     numerator = intersect(zp, zs)
     denominator = denominator_fn(x, i, j)
     sub = subquotient(x.cell(i, j), numerator, denominator)
-    return CoreHomology(x, label, numerator, denominator, sub)
+    return Homology(x, label, numerator, denominator, sub)
 
 
 def core_homology(x, bidegree):
@@ -436,8 +357,8 @@ def diagonal_shift(cls, direction):
     direction "+": solve d''(y) = x and return the class of d'(y) at
     (i+1, j-1); direction "-" swaps the roles and lands at (i-1, j+1).
     """
-    x = cls.core.grid
-    i, j = cls.core.bidegree
+    x = cls.homology.owner
+    i, j = cls.homology.index
     rep = cls.representative
     if direction == "+":
         _require_exact(x, [(SECOND, i, j), (SECOND, i - 1, j)],
@@ -471,8 +392,7 @@ def _induced_between_subs(sq_from, sq_to, f):
     for g in sq_from.group.generators():
         rep = sq_from.lift(g)
         cols.append(sq_to.project(f(rep)).coords)
-    mat = IntMatrix.from_columns(cols, rows=sq_to.group.ambient_rank)
-    return make_morphism(sq_from.group, sq_to.group, mat)
+    return morphism_from_images(sq_from.group, sq_to.group, cols)
 
 
 def iterated_homology(x, bidegree, order):

@@ -9,6 +9,10 @@ Every degree lookup, here, in the grids and in the file format, goes
 through the support's `canonical(n)`.  One builder, `_functor_complex`,
 applies Hom or tensor with a group degreewise for all four functors
 below; `constructions._functor_grid` is its twin for both grids.
+
+`Homology` and `HClass` are the one homology type of the package: the
+same class serves a complex at a degree and, through
+`bicomplexes.core_homology`, a grid's core invariant at a bidegree.
 """
 
 from math import gcd
@@ -205,41 +209,42 @@ def boundaries(c, n):
 
 
 class Homology:
-    """Z/B at one degree, with class projection and representative lift."""
+    """numerator / denominator at one site of a complex or of a grid.
 
-    __slots__ = ("complex", "degree", "cycles", "boundaries", "group", "_sub")
+    `owner` is the complex or the grid and `index` the degree or the
+    bidegree.  For a complex the quotient is cycles over boundaries; for
+    a grid it is the core invariant, Z' ∩ Z'' over d'(Z'') or d''(Z').
+    Classes are projected into `group` and lifted back through the
+    packaged subquotient.
+    """
 
-    def __init__(self, c, n):
-        self.complex = c
-        self.degree = n
-        canon = c._homology.get(c.support.canonical(n)[0])
-        if canon is None:
-            self.cycles = cycles(c, n)
-            self.boundaries = boundaries(c, n)
-            self._sub = subquotient(c.cell(n), self.cycles, self.boundaries)
-        else:
-            # the memoized groups of the canonical degree
-            self.cycles = canon.cycles
-            self.boundaries = canon.boundaries
-            self._sub = canon._sub
-        self.group = self._sub.group
+    __slots__ = ("owner", "index", "numerator", "denominator", "group",
+                 "_sub")
+
+    def __init__(self, owner, index, numerator, denominator, sub):
+        self.owner = owner
+        self.index = index
+        self.numerator = numerator
+        self.denominator = denominator
+        self._sub = sub
+        self.group = sub.group
 
     def class_of(self, representative):
         return HClass(self, representative)
 
     def project(self, representative):
-        """Coordinates of a cycle's class in the homology group."""
+        """Coordinates of a numerator element's class in the group."""
         return self._sub.project(representative)
 
     def representative(self, class_elt):
-        """A cycle representing a homology-group element."""
+        """A numerator element representing a group element."""
         return self._sub.lift(class_elt)
 
     def zero_class(self):
-        return HClass(self, self.complex.cell(self.degree).zero())
+        return HClass(self, self._sub.parent.zero())
 
     def _same_site(self, other):
-        return (self.complex is other.complex and self.degree == other.degree)
+        return self.owner is other.owner and self.index == other.index
 
 
 def homology(c, n):
@@ -251,21 +256,25 @@ def homology(c, n):
     key, _ = c.support.canonical(n)
     got = c._homology.get(key)
     if got is None:
-        got = c._homology[key] = Homology(c, key)
-    return got if key == n else Homology(c, n)
+        z, b = cycles(c, key), boundaries(c, key)
+        got = c._homology[key] = Homology(c, key, z, b,
+                                          subquotient(c.cell(key), z, b))
+    if key == n:
+        return got
+    return Homology(c, n, got.numerator, got.denominator, got._sub)
 
 
 class HClass:
-    """A homology class carried by a cycle representative."""
+    """A class of a Homology, carried by a representative in its numerator:
+    a cycle of a complex, or an element of Z' ∩ Z'' of a grid."""
 
     __slots__ = ("homology", "representative")
 
     def __init__(self, homology, representative):
-        cell = homology.complex.cell(homology.degree)
-        if representative.parent != cell:
+        if representative.parent != homology._sub.parent:
             raise ParentMismatch("representative lives in the wrong cell")
-        if not homology.cycles.contains(representative):
-            raise NotContained("representative is not a cycle")
+        if not homology.numerator.contains(representative):
+            raise NotContained("representative is outside the numerator")
         self.homology = homology
         self.representative = representative
 
@@ -274,7 +283,7 @@ class HClass:
         return self.homology.project(self.representative)
 
     def is_zero(self):
-        return self.homology.boundaries.contains(self.representative)
+        return self.homology.denominator.contains(self.representative)
 
     def _check_peer(self, other):
         if not isinstance(other, HClass) or \
@@ -303,8 +312,8 @@ class HClass:
     __hash__ = None
 
     def __repr__(self):
-        return "HClass(degree=%d, rep=%r)" % (self.homology.degree,
-                                              self.representative)
+        return "HClass(%r, rep=%r)" % (self.homology.index,
+                                       self.representative)
 
 
 def is_exact(c, lo=None, hi=None):

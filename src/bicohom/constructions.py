@@ -16,8 +16,8 @@ from random import Random
 
 from .abgroup import (FpGroup, Morphism, Subgroup, _shared_modulus,
                       hom_group, induced_hom_map, induced_tensor_map,
-                      kernel_image, make_morphism, preimage_element,
-                      subquotient, tensor_group)
+                      kernel_image, make_morphism, morphism_from_images,
+                      preimage_element, subquotient, tensor_group)
 from .bicomplexes import Bicomplex
 from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex, _joining_diff,
                         cycles, homology, is_exact)
@@ -133,8 +133,7 @@ def _cycle_witness(complex_, degree, module, factors, m):
         lifted = cell.reduce(packaged.lift(g).coords)
         weights = [lifted[i] // (m // f) for i, f in enumerate(factors)]
         cols.append(basis.mul_vector(weights))
-    mat = IntMatrix.from_columns(cols, rows=module.ambient_rank)
-    return make_morphism(packaged.group, module, mat)
+    return morphism_from_images(packaged.group, module, cols)
 
 
 def _checked_exact(c, what):
@@ -298,7 +297,6 @@ def zprime_witness(c, d, bidegree):
     z_side = _packaged(hom_cell.group, zp)
     cyc_side = _packaged(c.cell(i - 1), cycles(c, i - 1))
     target_hom = hom_group(cyc_side.group, d.cell(j))
-    t_rank = d.cell(j).ambient_rank
     fwd_cols = []
     for g in z_side.group.generators():
         f = hom_cell.realize(z_side.lift(g))
@@ -310,24 +308,17 @@ def zprime_witness(c, d, bidegree):
                     "no differential preimage for a cycle at degree %d"
                     % (i - 1,))
             cols.append(f(w).coords)
-        restricted = make_morphism(cyc_side.group, d.cell(j),
-                                   IntMatrix.from_columns(cols, rows=t_rank))
+        restricted = morphism_from_images(cyc_side.group, d.cell(j), cols)
         fwd_cols.append(target_hom.element_of(restricted).coords)
-    forward = make_morphism(
-        z_side.group, target_hom.group,
-        IntMatrix.from_columns(fwd_cols,
-                               rows=target_hom.group.ambient_rank))
+    forward = morphism_from_images(z_side.group, target_hom.group, fwd_cols)
     bwd_cols = []
     for e in target_hom.group.generators():
         g = target_hom.realize(e)
         cols = [g(cyc_side.project(c.diff(i)(b))).coords
                 for b in c.cell(i).generators()]
-        spread = make_morphism(c.cell(i), d.cell(j),
-                               IntMatrix.from_columns(cols, rows=t_rank))
+        spread = morphism_from_images(c.cell(i), d.cell(j), cols)
         bwd_cols.append(z_side.project(hom_cell.element_of(spread)).coords)
-    backward = make_morphism(
-        target_hom.group, z_side.group,
-        IntMatrix.from_columns(bwd_cols, rows=z_side.group.ambient_rank))
+    backward = morphism_from_images(target_hom.group, z_side.group, bwd_cols)
     _verify_inverse_pair(forward, backward, "zprime_witness")
     return forward, backward
 
@@ -352,25 +343,15 @@ def zsecond_witness(c, d, bidegree):
         f = hom_cell.realize(z_side.lift(g))
         cols = [cyc_side.project(f(b)).coords
                 for b in c.cell(i).generators()]
-        corestricted = make_morphism(
-            c.cell(i), cyc_side.group,
-            IntMatrix.from_columns(cols,
-                                   rows=cyc_side.group.ambient_rank))
+        corestricted = morphism_from_images(c.cell(i), cyc_side.group, cols)
         fwd_cols.append(target_hom.element_of(corestricted).coords)
-    forward = make_morphism(
-        z_side.group, target_hom.group,
-        IntMatrix.from_columns(fwd_cols,
-                               rows=target_hom.group.ambient_rank))
+    forward = morphism_from_images(z_side.group, target_hom.group, fwd_cols)
     bwd_cols = []
     for e in target_hom.group.generators():
         g = target_hom.realize(e)
         cols = [cyc_side.lift(g(b)).coords for b in c.cell(i).generators()]
-        included = make_morphism(
-            c.cell(i), d.cell(j),
-            IntMatrix.from_columns(cols, rows=d.cell(j).ambient_rank))
+        included = morphism_from_images(c.cell(i), d.cell(j), cols)
         bwd_cols.append(z_side.project(hom_cell.element_of(included)).coords)
-    backward = make_morphism(
-        target_hom.group, z_side.group,
-        IntMatrix.from_columns(bwd_cols, rows=z_side.group.ambient_rank))
+    backward = morphism_from_images(target_hom.group, z_side.group, bwd_cols)
     _verify_inverse_pair(forward, backward, "zsecond_witness")
     return forward, backward

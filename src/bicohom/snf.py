@@ -21,8 +21,15 @@ from operator import index as _as_int
 from . import backend
 
 
+def _dimension(n, what):
+    n = _as_int(n)
+    if n < 0:
+        raise ValueError("negative %s count %d" % (what, n))
+    return n
+
+
 class IntMatrix:
-    """Immutable row-major integer matrix; zero-sized dimensions allowed."""
+    """Immutable row-major integer matrix; dimensions may be 0, never < 0."""
 
     __slots__ = ("_data", "rows", "cols")
 
@@ -37,7 +44,7 @@ class IntMatrix:
             if cols is not None and cols != self.cols:
                 raise ValueError("cols mismatch")
         else:
-            self.cols = 0 if cols is None else _as_int(cols)
+            self.cols = 0 if cols is None else _dimension(cols, "column")
 
     @classmethod
     def identity(cls, n):
@@ -45,7 +52,9 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        cols = _dimension(cols, "column")
+        return cls([[0] * cols for _ in range(_dimension(rows, "row"))],
+                   cols=cols)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
@@ -57,15 +66,15 @@ class IntMatrix:
             if any(len(col) != nr for col in columns):
                 raise ValueError("ragged columns")
         else:
-            nr = 0 if rows is None else rows
+            nr = 0 if rows is None else _dimension(rows, "row")
         return cls([[col[i] for col in columns] for i in range(nr)],
                    cols=len(columns))
 
     @classmethod
     def diagonal(cls, entries, rows=None, cols=None):
         entries = list(entries)
-        nr = len(entries) if rows is None else rows
-        nc = len(entries) if cols is None else cols
+        nr = len(entries) if rows is None else _dimension(rows, "row")
+        nc = len(entries) if cols is None else _dimension(cols, "column")
         if len(entries) > min(nr, nc):
             raise ValueError("more diagonal entries than a %dx%d matrix holds"
                              % (nr, nc))
@@ -124,10 +133,6 @@ class IntMatrix:
         k = _as_int(k)
         return IntMatrix([[k * e for e in row] for row in self._data],
                          cols=self.cols)
-
-    def transpose(self):
-        return IntMatrix([[self._data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)], cols=self.rows)
 
     def hstack(self, other):
         if self.rows != other.rows:

@@ -16,14 +16,13 @@ Degree rows are computed independently and merged sorted, so the report is
 deterministic.
 """
 
-from .abgroup import invert_isomorphism, make_morphism
+from .abgroup import invert_isomorphism, morphism_from_images
 from .bicomplexes import core_homology, diagonal_shift
 from .complexes import (hom_from_module, hom_into_module, homology,
                         module_tensor_with, tensor_with_module)
 from .constructions import (_zm_factors, complete_injective_resolution,
                             complete_projective_resolution, hom_bicomplex,
                             tensor_bicomplex)
-from .snf import IntMatrix
 
 VIA_PROJECTIVE = "via_projective"
 VIA_INJECTIVE = "via_injective"
@@ -74,9 +73,7 @@ def _walk_is_isomorphism(x, corner):
         for _ in range(abs(corner)):
             cls = diagonal_shift(cls, direction)
         cols.append(dst.project(cls.representative).coords)
-    walk = make_morphism(src.group, dst.group,
-                         IntMatrix.from_columns(
-                             cols, rows=dst.group.ambient_rank))
+    walk = morphism_from_images(src.group, dst.group, cols)
     try:
         invert_isomorphism(walk)
     except ValueError:

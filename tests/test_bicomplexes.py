@@ -12,14 +12,15 @@ import pytest
 
 from bicohom.abgroup import (FpGroup, Morphism, Subgroup, hom_group,
                              induced_hom_map, make_morphism)
-from bicohom.bicomplexes import (Bicomplex, BiClass, BoundaryData,
+from bicohom.bicomplexes import (Bicomplex, BoundaryData,
                                  DoubleComplex, I_THEN_II, II_THEN_I, PRIME,
                                  SECOND, boundary_subgroups, check_exact_grid,
                                  core_equality_check, core_homology,
                                  core_homology_alt, diagonal_shift,
                                  directional_homology, from_double_complex,
                                  iterated_homology, to_double_complex)
-from bicohom.complexes import Complex, Periodic, Window
+from bicohom.complexes import (Complex, HClass, Homology, Periodic, Window,
+                               homology)
 from bicohom.errors import (ConventionViolation, HypothesisViolated,
                             NotContained, OutOfWindow, ParentMismatch)
 from bicohom.snf import IntMatrix
@@ -265,6 +266,15 @@ def test_biclass_semantics():
     other = core_homology(x, (1, 0)).zero_class()
     with pytest.raises(ParentMismatch):
         a + other
+    # the core invariant is the homology type of complexes, site-checked
+    assert isinstance(core, Homology)
+    assert isinstance(core_homology_alt(x, (0, 0)), Homology)
+    assert isinstance(a, HClass)
+    strand = periodic_strand(4, [0])  # zero differential: all are cycles
+    flat = homology(strand, 0).class_of(strand.cell(0).element((2,)))
+    with pytest.raises(ParentMismatch):
+        a + flat
+    assert a != flat and flat != a
 
 
 # ----------------------------------------------------------- diagonal shift
@@ -275,7 +285,7 @@ def test_diagonal_shift_roundtrip():
     core = core_homology(x, (0, 0))
     cls = core.class_of(x.cell(0, 0).element((2,)))
     moved = diagonal_shift(cls, "+")
-    assert moved.core.bidegree == (1, 1)  # canonical label of (1, -1)
+    assert moved.homology.index == (1, 1)  # canonical label of (1, -1)
     assert not moved.is_zero()
     assert moved.representative == x.cell(1, 1).element((2,))
     back = diagonal_shift(moved, "-")

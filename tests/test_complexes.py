@@ -209,7 +209,7 @@ def test_periodic_homology_at_a_shifted_degree():
     c = periodic_strand(4, [0, 0])  # zero differentials: H = Z/4 everywhere
     canon = homology(c, 0)
     shifted = homology(c, 2)
-    assert shifted.degree == 2 and canon.degree == 0
+    assert shifted.index == 2 and canon.index == 0
     assert shifted.group is canon.group
     assert homology(c, 0) is canon  # the canonical degree stays memoized
     rep = Element(c.cell(0), (1,))

@@ -277,6 +277,18 @@ def test_constructors_refuse_inputs_that_do_not_fit():
         IntMatrix.from_columns([(1, 2), (3,)])
     with pytest.raises(ValueError, match="more diagonal entries"):
         IntMatrix.diagonal([1, 2, 3], rows=2, cols=2)
+    with pytest.raises(ValueError, match="negative column count -2"):
+        IntMatrix([], cols=-2)
+    with pytest.raises(ValueError, match="negative column count -3"):
+        IntMatrix.zeros(0, -3)
+    with pytest.raises(ValueError, match="negative column count -1"):
+        IntMatrix.identity(-1)
+    with pytest.raises(ValueError, match="negative row count -1"):
+        IntMatrix.zeros(-1, 2)
+    with pytest.raises(ValueError, match="negative row count -2"):
+        IntMatrix.from_columns([], rows=-2)
+    with pytest.raises(ValueError, match="negative row count -1"):
+        IntMatrix.diagonal([], rows=-1, cols=2)
 
 
 def test_entries_stay_exact_on_large_inputs():
