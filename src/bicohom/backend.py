@@ -6,6 +6,12 @@ implementation; the layers above import it as `bicohom.backend`.
 
 Conventions:
   * matrices are row-major, dimensions may be zero in either direction;
+  * over Z, snf_transforms and col_echelon(a, 0) change a matrix only by
+    2x2 moves (a, b, c, e) of determinant s = +-1 on a pair of rows
+    (_rows) or columns (_cols): a swap is (0, 1, 1, 0), a negation is
+    (-1, 0, 0, -1) on one line taken as both of the pair, and the move
+    that clears an entry against a pivot comes from _pair_step.
+    snf_transforms undoes each move on uinv or vinv by s*(e, -c, -b, a);
   * snf_transforms returns (u, d, v, uinv, vinv) with d = u*a*v,
     u*uinv = I, v*vinv = I, d diagonal, nonnegative, d[i] | d[i+1];
   * col_echelon(a, m) returns (h, pivots), pivots the (row, col) pairs of
@@ -69,12 +75,39 @@ def mat_mul(a, b):
     return out
 
 
+def _rows(mat, i, k, a, b, c, e):
+    """Rows (i, k) of mat become (a*r_i + b*r_k, c*r_i + e*r_k)."""
+    ri, rk = mat[i], mat[k]
+    mat[i] = [a * x + b * y for x, y in zip(ri, rk)]
+    mat[k] = [c * x + e * y for x, y in zip(ri, rk)]
+
+
+def _cols(mat, j, k, a, b, c, e):
+    """Columns (j, k) of mat become (a*c_j + b*c_k, c*c_j + e*c_k)."""
+    for row in mat:
+        x, y = row[j], row[k]
+        if x or y:
+            row[j] = a * x + b * y
+            row[k] = c * x + e * y
+
+
+def _pair_step(p, e):
+    """The determinant-1 move taking (p, e) to (g, 0): the subtraction
+    (1, 0, -e/p, 1) with g = p if p | e, else one with g = gcd(p, e)."""
+    if e % p == 0:
+        return 1, 0, -(e // p), 1
+    g, x, y = xgcd(p, e)
+    return x, y, -(e // g), p // g
+
+
 def snf_transforms(a):
     """Smith normal form with all four transforms.
 
     Returns (u, d, v, uinv, vinv) such that d == u*a*v with u, v unimodular,
     uinv, vinv their exact integer inverses, and d diagonal with nonnegative
-    entries forming a divisibility chain.
+    entries forming a divisibility chain.  A row move acts on d and u and,
+    inverted, on the columns of uinv; a column move on d and v and, inverted,
+    on the rows of vinv.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -84,99 +117,17 @@ def snf_transforms(a):
     v = identity(n)
     vinv = identity(n)
 
-    def swap_rows(i, k):
-        d[i], d[k] = d[k], d[i]
-        u[i], u[k] = u[k], u[i]
-        for row in uinv:
-            row[i], row[k] = row[k], row[i]
+    def row_move(i, k, a, b, c, e):
+        _rows(d, i, k, a, b, c, e)
+        _rows(u, i, k, a, b, c, e)
+        s = a * e - b * c
+        _cols(uinv, i, k, s * e, -s * c, -s * b, s * a)
 
-    def swap_cols(j, k):
-        for row in d:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-        vinv[j], vinv[k] = vinv[k], vinv[j]
-
-    def negate_row(i):
-        d[i] = [-e for e in d[i]]
-        u[i] = [-e for e in u[i]]
-        for row in uinv:
-            row[i] = -row[i]
-
-    def row_addmul(i, k, q):
-        # row_i += q * row_k; inverse transform: uinv col_k -= q * col_i
-        di, dk = d[i], d[k]
-        for j in range(n):
-            if dk[j]:
-                di[j] += q * dk[j]
-        ui, uk = u[i], u[k]
-        for j in range(m):
-            if uk[j]:
-                ui[j] += q * uk[j]
-        for row in uinv:
-            if row[i]:
-                row[k] -= q * row[i]
-
-    def col_addmul(j, k, q):
-        # col_j += q * col_k; inverse transform: vinv row_k -= q * row_j
-        for row in d:
-            if row[k]:
-                row[j] += q * row[k]
-        for row in v:
-            if row[k]:
-                row[j] += q * row[k]
-        vj, vk = vinv[j], vinv[k]
-        for t in range(n):
-            if vj[t]:
-                vk[t] -= q * vj[t]
-
-    def row_eliminate(t, i):
-        # zero d[i][t] against the pivot d[t][t]
-        p, e = d[t][t], d[i][t]
-        if e % p == 0:
-            row_addmul(i, t, -(e // p))
-            return
-        g, x, y = xgcd(p, e)
-        pg, eg = p // g, e // g
-        # rows (t, i) <- (x*t + y*i, -eg*t + pg*i), determinant 1
-        dt, di = d[t], d[i]
-        for j in range(n):
-            aj, bj = dt[j], di[j]
-            dt[j] = x * aj + y * bj
-            di[j] = pg * bj - eg * aj
-        ut, ui = u[t], u[i]
-        for j in range(m):
-            aj, bj = ut[j], ui[j]
-            ut[j] = x * aj + y * bj
-            ui[j] = pg * bj - eg * aj
-        # uinv cols (t, i): c_t <- pg*c_t + eg*c_i ; c_i <- -y*c_t + x*c_i
-        for row in uinv:
-            at, bi = row[t], row[i]
-            row[t] = pg * at + eg * bi
-            row[i] = x * bi - y * at
-
-    def col_eliminate(t, j):
-        # zero d[t][j] against the pivot d[t][t]
-        p, e = d[t][t], d[t][j]
-        if e % p == 0:
-            col_addmul(j, t, -(e // p))
-            return
-        g, x, y = xgcd(p, e)
-        pg, eg = p // g, e // g
-        for row in d:
-            at, bj = row[t], row[j]
-            row[t] = x * at + y * bj
-            row[j] = pg * bj - eg * at
-        for row in v:
-            at, bj = row[t], row[j]
-            row[t] = x * at + y * bj
-            row[j] = pg * bj - eg * at
-        # vinv rows (t, j): r_t <- pg*r_t + eg*r_j ; r_j <- -y*r_t + x*r_j
-        vt, vj = vinv[t], vinv[j]
-        for c in range(n):
-            at, bj = vt[c], vj[c]
-            vt[c] = pg * at + eg * bj
-            vj[c] = x * bj - y * at
+    def col_move(j, k, a, b, c, e):
+        _cols(d, j, k, a, b, c, e)
+        _cols(v, j, k, a, b, c, e)
+        s = a * e - b * c
+        _rows(vinv, j, k, s * e, -s * c, -s * b, s * a)
 
     kmax = min(m, n)
     t = 0
@@ -199,19 +150,18 @@ def snf_transforms(a):
         if pr < 0:
             break
         if pr != t:
-            swap_rows(pr, t)
+            row_move(pr, t, 0, 1, 1, 0)
         if pc != t:
-            swap_cols(pc, t)
+            col_move(pc, t, 0, 1, 1, 0)
         while True:
             for i in range(t + 1, m):
                 if d[i][t]:
-                    row_eliminate(t, i)
+                    row_move(t, i, *_pair_step(d[t][t], d[i][t]))
+            # this clears row t; it can refill column t below the pivot
             for j in range(t + 1, n):
                 if d[t][j]:
-                    col_eliminate(t, j)
+                    col_move(t, j, *_pair_step(d[t][t], d[t][j]))
             if any(d[i][t] for i in range(t + 1, m)):
-                continue  # column elimination disturbed the cleared column
-            if any(d[t][j] for j in range(t + 1, n)):
                 continue
             # pivot must divide the whole trailing block for the chain
             p = d[t][t]
@@ -226,9 +176,9 @@ def snf_transforms(a):
                     break
             if offender < 0:
                 break
-            row_addmul(t, offender, 1)
+            row_move(t, offender, 1, 1, 0, 1)
         if d[t][t] < 0:
-            negate_row(t)
+            row_move(t, t, -1, 0, 0, -1)
         t += 1
     return u, d, v, uinv, vinv
 
@@ -239,7 +189,10 @@ def col_echelon(a, modulus=0):
     Returns (h, pivots), pivots a list of (row, col) pairs; columns past the
     last pivot are zero.  Every column operation on h is unimodular, so
     echelonizing a stacked matrix [a; b] applies one transform w to both
-    blocks: the top rows become a@w, the bottom rows b@w.
+    blocks: the top rows become a@w, the bottom rows b@w.  With m = 0, on
+    each row a swap brings the first nonzero entry to the pivot column,
+    _pair_step clears the rest of the row against it, and a negation makes
+    it positive.
 
     With modulus m > 0, h is instead the Howell form of the lattice
     span(columns of a) + m*Z^rows: square, lower triangular, pivots ==
@@ -251,23 +204,6 @@ def col_echelon(a, modulus=0):
     m = len(a)
     n = len(a[0]) if m else 0
     h = [list(row) for row in a]
-
-    def combine(r, c, j):
-        # make h[r][j] zero against h[r][c], keeping the column lattice
-        p, e = h[r][c], h[r][j]
-        if e % p == 0:
-            q = e // p
-            for row in h:
-                if row[c]:
-                    row[j] -= q * row[c]
-            return
-        g, x, y = xgcd(p, e)
-        pg, eg = p // g, e // g
-        for row in h:
-            ac, bj = row[c], row[j]
-            row[c] = x * ac + y * bj
-            row[j] = pg * bj - eg * ac
-
     pivots = []
     c = 0
     for r in range(m):
@@ -281,14 +217,12 @@ def col_echelon(a, modulus=0):
         if jp < 0:
             continue
         if jp != c:
-            for row in h:
-                row[jp], row[c] = row[c], row[jp]
+            _cols(h, jp, c, 0, 1, 1, 0)
         for j in range(c + 1, n):
             if h[r][j]:
-                combine(r, c, j)
+                _cols(h, c, j, *_pair_step(h[r][c], h[r][j]))
         if h[r][c] < 0:
-            for row in h:
-                row[c] = -row[c]
+            _cols(h, c, c, -1, 0, 0, -1)
         pivots.append((r, c))
         c += 1
     return h, pivots

@@ -403,11 +403,11 @@ def iterated_homology(x, bidegree, order):
     """
     i, j = bidegree
     if order == I_THEN_II:
-        inner_axis, outer_axis = PRIME, SECOND
+        inner_axis = PRIME
         sites = [(i, j - 1), (i, j), (i, j + 1)]
         outer_diff = lambda a, b: x.dsecond(a, b)
     elif order == II_THEN_I:
-        inner_axis, outer_axis = SECOND, PRIME
+        inner_axis = SECOND
         sites = [(i - 1, j), (i, j), (i + 1, j)]
         outer_diff = lambda a, b: x.dprime(a, b)
     else:

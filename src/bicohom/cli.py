@@ -76,6 +76,11 @@ def _parse_module(ring, text):
     except ValueError:
         raise ValueError("module spec %r is not a comma list of orders"
                          % text)
+    for d in factors:
+        # Z/d is a Z/ring-module only for d | ring; mod ring it would collapse
+        if d < 1 or ring % d:
+            raise ValueError("module order %d is not a positive divisor of "
+                             "the ring order %d" % (d, ring))
     return FpGroup.from_factors(ring, factors)
 
 

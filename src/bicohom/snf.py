@@ -129,11 +129,6 @@ class IntMatrix:
         return IntMatrix([[-e for e in row] for row in self._data],
                          cols=self.cols)
 
-    def scale(self, k):
-        k = _as_int(k)
-        return IntMatrix([[k * e for e in row] for row in self._data],
-                         cols=self.cols)
-
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")

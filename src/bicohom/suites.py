@@ -396,9 +396,12 @@ SUITES = {
 
 
 def run_suite(name, seed, cases, inject_fault=False):
-    """Rows for one named suite; ValueError for an unknown name."""
+    """Rows for one named suite; ValueError for an unknown name or for
+    fewer than one case, which would pass with nothing checked."""
     fn = SUITES.get(name)
     if fn is None:
         raise ValueError("unknown suite %r (choose from %s)"
                          % (name, ", ".join(sorted(SUITES))))
+    if cases < 1:
+        raise ValueError("case count %d is not positive" % cases)
     return fn(seed, cases, inject_fault=inject_fault)

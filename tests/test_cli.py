@@ -146,6 +146,15 @@ def test_tate_input_errors(capsys):
     capsys.readouterr()
     assert main(["tate", "--ring", "4", "--module", "2", "--other", "2",
                  "--kind", "ext", "--range", "3..-3"]) == 2
+    capsys.readouterr()
+    # Z/3 mod 4 would collapse to 0, -2 would be read as Z/2, 0 as Z
+    for order in ("3", "-2", "0"):
+        assert main(["tate", "--ring", "4", "--module", order, "--other", "2",
+                     "--kind", "ext", "--range", "0"]) == 2
+        assert ("module order %s is not a positive divisor" % order
+                in capsys.readouterr().err)
+    assert main(["tate", "--ring", "4", "--module", "2", "--other", "2,3",
+                 "--kind", "ext", "--range", "0"]) == 2
 
 
 def test_verify_passes_and_reports(capsys):
@@ -165,6 +174,16 @@ def test_verify_seed_env_override(capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert report["seed"] == 7
     assert report["cases"] == 3
+
+
+def test_verify_refuses_nonpositive_case_counts(capsys, monkeypatch):
+    assert main(["verify", "--suite", "snf", "--cases", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "case count -1 is not positive" in captured.err
+    assert captured.out == ""
+    monkeypatch.setenv("CASES", "-3")
+    assert main(["verify", "--suite", "thm21"]) == 2
+    assert "case count -3 is not positive" in capsys.readouterr().err
 
 
 def test_verify_fault_injection_goes_red(capsys, monkeypatch):

@@ -1,9 +1,11 @@
-"""Package hygiene: the public name list and the imports of each module.
+"""Package hygiene: the public name list, the imports and the locals of
+each module.
 
 No other test reads `__all__`, so a name left there after its object was
 deleted would pass every behavioural test; so would an import that
-nothing uses any more.  `__init__.py` is left out of the import check
-because its imports are the re-exports.
+nothing uses any more, or a local that is assigned and never read.
+`__init__.py` is left out of the import check because its imports are the
+re-exports.
 """
 
 import ast
@@ -30,6 +32,31 @@ def unused_imports(source):
     return sorted(imported - used)
 
 
+def unused_locals(source):
+    """(function, name) for each name bound in a function of `source` and
+    read nowhere in it, nested functions included.
+
+    Parameters are not checked, and names starting with "_" are exempt, so
+    `_` stays available for a value that must be unpacked but is not used.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, read = set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node.ctx, ast.Store):
+                    bound.add(node.id)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.add(node.name)
+        found += [(fn.name, name) for name in bound
+                  if name not in read and not name.startswith("_")]
+    return sorted(found)
+
+
 def test_every_public_name_resolves():
     assert [n for n in bicohom.__all__ if not hasattr(bicohom, n)] == []
     assert len(set(bicohom.__all__)) == len(bicohom.__all__)
@@ -49,3 +76,26 @@ def test_the_import_check_sees_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_locals_check_sees_unused_locals():
+    source = (
+        "def f(arg):\n"
+        "    a, b = arg\n"
+        "    c, _d = b, 1\n"
+        "    for i in range(2):\n"
+        "        pass\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError as exc:\n"
+        "        pass\n"
+        "    def g():\n"
+        "        return c\n"
+        "    return g\n")
+    assert unused_locals(source) == [("f", "a"), ("f", "exc"), ("f", "i")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text(encoding="utf-8")) == []

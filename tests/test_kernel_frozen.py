@@ -1,16 +1,18 @@
 """Kernel outputs against frozen digests.
 
 `snf_transforms` returns (U, D, V, U^-1, V^-1) and `col_echelon` returns
-(H, pivots).  The Smith and echelon forms are unique up to the choices the
-kernel makes, and those choices reach the user: the cyclic coordinates of
-every group are read off U and U^-1.  The property tests check that the
+(H, pivots).  D is unique, but U, V and H depend on the choices the kernel
+makes, and those choices reach the user: the cyclic coordinates of every
+group are read off U and U^-1.  The property tests check that the
 outputs are valid; this file checks that they are the same ones as before,
 bit for bit, on a fixed set of seeded inputs.
 
 tests/golden_kernel.json holds, per input family, the number of inputs and
 the SHA-256 of the JSON list of outputs.  The families cover empty shapes,
 zero rows and columns, negative pivots, pivot swaps, the divisibility
-fix-up of the Smith loop and entries up to 100.  Regenerate the file
+fix-up of the Smith loop and entries up to 100; a line-coverage test
+checks that they run every line of the Smith and Z-echelon loops, so the
+digests guard every move the kernel can make.  Regenerate the file
 (`python tests/test_kernel_frozen.py`) only for an intended change of the
 kernel's output.
 """
@@ -133,6 +135,51 @@ def current():
 def test_kernel_output_matches_frozen_digest(kernel, family):
     frozen = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert digest(kernel, family) == frozen[kernel][family]
+
+
+# Functions of the kernel that are not part of the Smith and Z-echelon loops:
+# the Howell path, the reduction and the independent oracles.
+NOT_COVERED_HERE = {"identity", "mat_mul", "_howell", "_unit_to_divisor",
+                    "reduce_columns", "det", "minor_gcds"}
+
+
+def _code_lines(code):
+    lines = {line for _, _, line in code.co_lines() if line is not None}
+    lines.discard(code.co_firstlineno)
+    for const in code.co_consts:
+        if hasattr(const, "co_lines"):
+            lines |= _code_lines(const)
+    return lines
+
+
+def test_the_inputs_run_every_line_of_the_smith_and_echelon_loops():
+    path = backend.__file__
+    wanted = set()
+    for name, obj in vars(backend).items():
+        code = getattr(obj, "__code__", None)
+        if code is not None and code.co_filename == path \
+                and name not in NOT_COVERED_HERE:
+            wanted |= _code_lines(code)
+    ran = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename != path:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for family in FAMILIES:
+            for a in inputs(family):
+                backend.snf_transforms(a)
+                backend.col_echelon(a, 0)
+                backend.col_echelon(a, 12)
+    finally:
+        sys.settrace(previous)
+    assert sorted(wanted - ran) == []
 
 
 if __name__ == "__main__":

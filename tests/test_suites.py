@@ -57,6 +57,12 @@ def test_unknown_suite_rejected():
         run_suite("spectral", seed=0, cases=1)
 
 
+@pytest.mark.parametrize("cases", [0, -1])
+def test_nonpositive_case_count_rejected(cases):
+    with pytest.raises(ValueError, match="case count"):
+        run_suite("snf", seed=0, cases=cases)
+
+
 @pytest.mark.parametrize("name", ["thm21", "prop31", "thm33", "balance"])
 def test_fault_injection_is_deterministically_red(name):
     for seed in (1, 2, 3):
