@@ -23,9 +23,8 @@ from .errors import (ConventionViolation, HypothesisViolated, IllDefined,
 from .abgroup import FpGroup
 from .complexes import homology
 from .formats import load_complex
-from .suites import run_suite
-from .tate import (EXT, RESOLVE_LEFT, RESOLVE_RIGHT, TOR, VIA_INJECTIVE,
-                   VIA_PROJECTIVE, balance_report, tate_ext, tate_tor)
+from .suites import SUITES, run_suite
+from .tate import ROUTES, balance_report, tate_groups
 
 _INPUT_ERRORS = (ParseError, NotAModule, OutOfWindow, ConventionViolation,
                  HypothesisViolated, NotContained, ParentMismatch,
@@ -152,10 +151,9 @@ def cmd_tate(args):
     module = _parse_module(args.ring, args.module)
     other = _parse_module(args.ring, args.other)
     degrees = _parse_range(args.range)
+    routes = ROUTES[args.kind]
     if args.both_ways:
         report = balance_report(args.ring, module, other, degrees, args.kind)
-        routes = (VIA_PROJECTIVE, VIA_INJECTIVE) if args.kind == EXT \
-            else (RESOLVE_LEFT, RESOLVE_RIGHT)
         lines = []
         for row in report["degrees"]:
             lines.append("n=%+d: %s | %s | %s" % (
@@ -171,12 +169,11 @@ def cmd_tate(args):
                       index_bridge=report["index_bridge"])
         _emit(args, out, lines)
         return 0 if report["all_pass"] else 1
-    route = VIA_PROJECTIVE if args.kind == EXT else RESOLVE_LEFT
-    compute = tate_ext if args.kind == EXT else tate_tor
+    groups = tate_groups(args.ring, module, other, degrees, args.kind,
+                         routes[0])
     items, lines = [], []
-    for n in degrees:
-        g = compute(args.ring, module, other, n, route)
-        items.append({"degree": n, "route": route,
+    for n, g in zip(degrees, groups):
+        items.append({"degree": n, "route": routes[0],
                       "factors": list(g.invariant_factors),
                       "group": render_group(g)})
         lines.append("n=%+d: %s" % (n, render_group(g)))
@@ -189,9 +186,7 @@ def cmd_verify(args):
         int(os.environ.get("SEED", "0"))
     cases = args.cases if args.cases is not None else \
         int(os.environ.get("CASES", "25"))
-    inject = args.inject_fault or \
-        os.environ.get("BICOHOM_INJECT_FAULT", "") not in ("", "0")
-    rows = run_suite(args.suite, seed, cases, inject_fault=inject)
+    rows = run_suite(args.suite, seed, cases, inject_fault=args.inject_fault)
     passed = sum(1 for r in rows if r["pass"])
     ok = passed == len(rows)
     lines = []
@@ -202,8 +197,8 @@ def cmd_verify(args):
     lines.append("suite %s: %d/%d passed (seed %d)"
                  % (args.suite, passed, len(rows), seed))
     _emit(args, _report(args, rows, all_pass=ok, suite=args.suite,
-                        seed=seed, cases=cases, inject_fault=inject),
-          lines)
+                        seed=seed, cases=cases,
+                        inject_fault=args.inject_fault), lines)
     return 0 if ok else 1
 
 
@@ -239,7 +234,7 @@ def _build_parser():
     p.add_argument("--module", required=True,
                    help="cyclic orders, e.g. 2,2,4")
     p.add_argument("--other", required=True)
-    p.add_argument("--kind", choices=(EXT, TOR), required=True)
+    p.add_argument("--kind", choices=ROUTES, required=True)
     p.add_argument("--range", required=True, help="degrees lo..hi")
     p.add_argument("--both-ways", action="store_true",
                    help="compare both routes, grid corners, and the "
@@ -248,9 +243,7 @@ def _build_parser():
     p.set_defaults(run=cmd_tate)
 
     p = sub.add_parser("verify", help="seeded verification suites")
-    p.add_argument("--suite", required=True,
-                   choices=("snf", "abgroup", "thm21", "prop31", "thm33",
-                            "balance"))
+    p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--seed", type=int, default=None,
                    help="default: env SEED, else 0")
     p.add_argument("--cases", type=int, default=None,

@@ -1,9 +1,12 @@
 """Seeded verification suites behind the `verify` command.
 
-Each suite draws `cases` random instances from a seeded generator, checks a
-package claim against either an algebraic identity or an independent
-brute-force computation, and returns one row per case.  A row never hides
-an exception: errors are recorded as failures with the exception name.
+Each suite builds one case at a time: given the suite's seeded generator
+it makes the case's random draws and returns a check of a package claim
+against either an algebraic identity or an independent brute-force
+computation.  `run_suite` draws the cases in order and runs each check,
+one row per case.  A row never hides an exception: errors in a check are
+recorded as failures with the exception name, and errors while building a
+case propagate.
 
 `inject_fault=True` corrupts each instance by zeroing its first nonzero
 differential before running the same checks; the suites that verify
@@ -29,8 +32,7 @@ from .constructions import (complete_injective_resolution,
                             zprime_witness, zsecond_witness)
 from .errors import BicohomError
 from .snf import IntMatrix, smith_normal_form
-from .tate import (RESOLVE_LEFT, VIA_PROJECTIVE, balance_report, tate_ext,
-                   tate_tor)
+from .tate import ROUTES, balance_grid, balance_report, tate_groups
 
 MODULI = (4, 8, 9, 12)
 
@@ -148,66 +150,56 @@ def _guarded(label, check):
     return _row(label, ok, detail)
 
 
-def suite_snf(seed, cases, inject_fault=False):
+def suite_snf(rng, inject_fault):
     _no_fault(inject_fault)
-    rng = random.Random(seed)
-    rows = []
-    for k in range(cases):
-        r = rng.randint(0, 8)
-        c = rng.randint(0, 8)
-        a = IntMatrix([[rng.randint(-9, 9) for _ in range(c)]
-                       for _ in range(r)], cols=c)
+    r = rng.randint(0, 8)
+    c = rng.randint(0, 8)
+    a = IntMatrix([[rng.randint(-9, 9) for _ in range(c)]
+                   for _ in range(r)], cols=c)
 
-        def check(a=a, r=r, c=c):
-            res = smith_normal_form(a)
-            d = res.U @ a @ res.V
-            if d.to_lists() != IntMatrix.diagonal(
-                    list(res.diagonal), rows=r, cols=c).to_lists():
-                return False, "U*A*V is not the stated diagonal"
-            if abs(res.U.det()) != 1 or abs(res.V.det()) != 1:
-                return False, "transform is not unimodular"
-            diag = res.diagonal
-            for i in range(len(diag) - 1):
-                if diag[i] and diag[i + 1] % diag[i]:
-                    return False, "divisibility chain broken"
-                if diag[i] == 0 and diag[i + 1] != 0:
-                    return False, "zero precedes a nonzero factor"
-            chain = backend.minor_gcds(a.to_lists())
-            prod = 1
-            for i, g in enumerate(chain):
-                prod *= diag[i] if i < len(diag) else 0
-                if g != abs(prod):
-                    return False, "gcd of %d-minors disagrees" % (i + 1)
-            return True, "%dx%d" % (r, c)
-
-        rows.append(_guarded("snf[%d]" % k, check))
-    return rows
+    def check():
+        res = smith_normal_form(a)
+        d = res.U @ a @ res.V
+        if d.to_lists() != IntMatrix.diagonal(
+                list(res.diagonal), rows=r, cols=c).to_lists():
+            return False, "U*A*V is not the stated diagonal"
+        if abs(res.U.det()) != 1 or abs(res.V.det()) != 1:
+            return False, "transform is not unimodular"
+        diag = res.diagonal
+        for i in range(len(diag) - 1):
+            if diag[i] and diag[i + 1] % diag[i]:
+                return False, "divisibility chain broken"
+            if diag[i] == 0 and diag[i + 1] != 0:
+                return False, "zero precedes a nonzero factor"
+        chain = backend.minor_gcds(a.to_lists())
+        prod = 1
+        for i, g in enumerate(chain):
+            prod *= diag[i] if i < len(diag) else 0
+            if g != abs(prod):
+                return False, "gcd of %d-minors disagrees" % (i + 1)
+        return True, "%dx%d" % (r, c)
+    return check
 
 
-def suite_abgroup(seed, cases, inject_fault=False):
+def suite_abgroup(rng, inject_fault):
     _no_fault(inject_fault)
-    rng = random.Random(seed)
-    rows = []
-    for k in range(cases):
-        fa = rng.choice(FIXED_GROUPS)
-        fb = rng.choice(FIXED_GROUPS)
-        g = _scrambled_group(fa, rng)
-        h = _scrambled_group(fb, rng)
+    fa = rng.choice(FIXED_GROUPS)
+    fb = rng.choice(FIXED_GROUPS)
+    g = _scrambled_group(fa, rng)
+    h = _scrambled_group(fb, rng)
 
-        def check(fa=fa, fb=fb, g=g, h=h):
-            want_hom = _hom_count(fa, fb)
-            got_hom = hom_group(g, h).group.order()
-            if got_hom != want_hom:
-                return False, "|Hom| %s != %s" % (got_hom, want_hom)
-            want_ten = _invariants_of_cyclics(
-                gcd(a, b) for a in fa for b in fb)
-            got_ten = tensor_group(g, h).group.invariant_factors
-            if got_ten != want_ten:
-                return False, "tensor %s != %s" % (got_ten, want_ten)
-            return True, "%s (x) %s" % (list(fa), list(fb))
-
-        rows.append(_guarded("abgroup[%d]" % k, check))
-    return rows
+    def check():
+        want_hom = _hom_count(fa, fb)
+        got_hom = hom_group(g, h).group.order()
+        if got_hom != want_hom:
+            return False, "|Hom| %s != %s" % (got_hom, want_hom)
+        want_ten = _invariants_of_cyclics(
+            gcd(a, b) for a in fa for b in fb)
+        got_ten = tensor_group(g, h).group.invariant_factors
+        if got_ten != want_ten:
+            return False, "tensor %s != %s" % (got_ten, want_ten)
+        return True, "%s (x) %s" % (list(fa), list(fb))
+    return check
 
 
 def _random_pair(rng, m, inject_fault):
@@ -241,72 +233,62 @@ def _bidegrees(rng, count=5, span=2):
             for _ in range(count)]
 
 
-def suite_thm21(seed, cases, inject_fault=False):
-    rng = random.Random(seed)
-    rows = []
-    for k in range(cases):
-        m = rng.choice(MODULI)
-        kind, x, broken_at = _random_pair(rng, m, inject_fault)
-        spots = _bidegrees(rng)
-        if broken_at is not None:
-            spots.insert(0, broken_at)
+def suite_thm21(rng, inject_fault):
+    m = rng.choice(MODULI)
+    kind, x, broken_at = _random_pair(rng, m, inject_fault)
+    spots = _bidegrees(rng)
+    if broken_at is not None:
+        spots.insert(0, broken_at)
 
-        def check(x=x, spots=spots, kind=kind, m=m):
-            for bd in spots:
-                if not core_equality_check(x, bd):
-                    return False, "denominators differ at %s" % (bd,)
-                a = core_homology(x, bd)
-                b = core_homology_alt(x, bd)
-                if a.group.invariant_factors != b.group.invariant_factors:
-                    return False, "route mismatch at %s" % (bd,)
-                if not diagonal_shift(a.zero_class(), "+").is_zero():
-                    return False, "shift moves zero at %s" % (bd,)
-                gens = list(a.group.generators())[:2]
-                classes = [a.class_of(a.representative(g)) for g in gens]
-                for cls in classes:
-                    for there, back in (("+", "-"), ("-", "+")):
-                        if diagonal_shift(diagonal_shift(cls, there),
-                                          back) != cls:
-                            return False, "round trip fails at %s" % (bd,)
-                if len(classes) == 2:
-                    lhs = diagonal_shift(classes[0] + classes[1], "+")
-                    rhs = diagonal_shift(classes[0], "+") + \
-                        diagonal_shift(classes[1], "+")
-                    if lhs != rhs:
-                        return False, "shift is not additive at %s" % (bd,)
-            return True, "%s grid over Z/%d" % (kind, m)
-
-        rows.append(_guarded("thm21[%d]" % k, check))
-    return rows
+    def check():
+        for bd in spots:
+            if not core_equality_check(x, bd):
+                return False, "denominators differ at %s" % (bd,)
+            a = core_homology(x, bd)
+            b = core_homology_alt(x, bd)
+            if a.group.invariant_factors != b.group.invariant_factors:
+                return False, "route mismatch at %s" % (bd,)
+            if not diagonal_shift(a.zero_class(), "+").is_zero():
+                return False, "shift moves zero at %s" % (bd,)
+            gens = list(a.group.generators())[:2]
+            classes = [a.class_of(a.representative(g)) for g in gens]
+            for cls in classes:
+                for there, back in (("+", "-"), ("-", "+")):
+                    if diagonal_shift(diagonal_shift(cls, there),
+                                      back) != cls:
+                        return False, "round trip fails at %s" % (bd,)
+            if len(classes) == 2:
+                lhs = diagonal_shift(classes[0] + classes[1], "+")
+                rhs = diagonal_shift(classes[0], "+") + \
+                    diagonal_shift(classes[1], "+")
+                if lhs != rhs:
+                    return False, "shift is not additive at %s" % (bd,)
+        return True, "%s grid over Z/%d" % (kind, m)
+    return check
 
 
-def suite_prop31(seed, cases, inject_fault=False):
-    rng = random.Random(seed)
-    rows = []
-    for k in range(cases):
-        m = rng.choice(MODULI)
-        c = random_exact_complex(m, rng.randrange(2 ** 32), blocks=2)
-        d = random_exact_complex(m, rng.randrange(2 ** 32), blocks=2,
-                                 convention=COHOMOLOGICAL)
-        spots = _bidegrees(rng, count=3)
-        if inject_fault:
-            c, victim = _zero_first_diff(c)
-            spots.insert(0, (victim, _first_filled_degree(d)))
+def suite_prop31(rng, inject_fault):
+    m = rng.choice(MODULI)
+    c = random_exact_complex(m, rng.randrange(2 ** 32), blocks=2)
+    d = random_exact_complex(m, rng.randrange(2 ** 32), blocks=2,
+                             convention=COHOMOLOGICAL)
+    spots = _bidegrees(rng, count=3)
+    if inject_fault:
+        c, victim = _zero_first_diff(c)
+        spots.insert(0, (victim, _first_filled_degree(d)))
 
-        def check(c=c, d=d, spots=spots, m=m):
-            for bd in spots:
-                for witness in (zprime_witness, zsecond_witness):
-                    f, b = witness(c, d, bd)
-                    if b.compose(f) != Morphism.identity(f.source):
-                        return False, "%s not left-inverse at %s" % (
-                            witness.__name__, bd)
-                    if f.compose(b) != Morphism.identity(f.target):
-                        return False, "%s not right-inverse at %s" % (
-                            witness.__name__, bd)
-            return True, "over Z/%d" % m
-
-        rows.append(_guarded("prop31[%d]" % k, check))
-    return rows
+    def check():
+        for bd in spots:
+            for witness in (zprime_witness, zsecond_witness):
+                f, b = witness(c, d, bd)
+                if b.compose(f) != Morphism.identity(f.source):
+                    return False, "%s not left-inverse at %s" % (
+                        witness.__name__, bd)
+                if f.compose(b) != Morphism.identity(f.target):
+                    return False, "%s not right-inverse at %s" % (
+                        witness.__name__, bd)
+        return True, "over Z/%d" % m
+    return check
 
 
 def _packaged_cycles(c, n):
@@ -314,75 +296,60 @@ def _packaged_cycles(c, n):
     return subquotient(cell, cycles(c, n), Subgroup.zero(cell)).group
 
 
-def suite_thm33(seed, cases, inject_fault=False):
-    rng = random.Random(seed)
-    rows = []
-    for k in range(cases):
-        m = rng.choice(MODULI)
-        divisors = [d for d in range(2, m + 1) if m % d == 0]
-        mod_a = FpGroup.from_factors(m, rng.sample(
-            divisors, min(len(divisors), rng.randint(1, 2))))
-        mod_b = FpGroup.from_factors(m, [rng.choice(divisors)])
-        p, _ = complete_projective_resolution(m, mod_a)
-        e, _ = complete_injective_resolution(m, mod_b)
-        spots = _bidegrees(rng)
+def suite_thm33(rng, inject_fault):
+    m = rng.choice(MODULI)
+    divisors = [d for d in range(2, m + 1) if m % d == 0]
+    mod_a = FpGroup.from_factors(m, rng.sample(
+        divisors, min(len(divisors), rng.randint(1, 2))))
+    mod_b = FpGroup.from_factors(m, [rng.choice(divisors)])
+    p, _ = complete_projective_resolution(m, mod_a)
+    e, _ = complete_injective_resolution(m, mod_b)
+    spots = _bidegrees(rng)
+    if inject_fault:
+        p, victim = _zero_first_diff(p)
+        spots.insert(0, (victim, 1))
+    grid = hom_bicomplex(p, e)
+
+    def check():
+        for i, j in spots:
+            left = core_homology(grid, (i, j)).group.invariant_factors
+            mid = homology(hom_from_module(_packaged_cycles(p, i - 1), e),
+                           j).group.invariant_factors
+            right = homology(hom_into_module(p, _packaged_cycles(e, j)),
+                             i).group.invariant_factors
+            if not (left == mid == right):
+                return False, "triple %s %s %s at %s" % (
+                    left, mid, right, (i, j))
+        return True, "over Z/%d" % m
+    return check
+
+
+def suite_balance(rng, inject_fault):
+    m = rng.choice(MODULI)
+    divisors = [d for d in range(2, m + 1) if m % d == 0]
+    mod_a = FpGroup.from_factors(m, [rng.choice(divisors)])
+    mod_b = FpGroup.from_factors(m, [rng.choice(divisors)])
+    kind = rng.choice(tuple(ROUTES))
+
+    def check():
         if inject_fault:
-            p, victim = _zero_first_diff(p)
-            spots.insert(0, (victim, 1))
-        grid = hom_bicomplex(p, e)
-
-        def check(p=p, e=e, grid=grid, spots=spots, m=m):
-            for i, j in spots:
-                left = core_homology(grid, (i, j)).group.invariant_factors
-                mid = homology(hom_from_module(_packaged_cycles(p, i - 1), e),
-                               j).group.invariant_factors
-                right = homology(hom_into_module(p, _packaged_cycles(e, j)),
-                                 i).group.invariant_factors
-                if not (left == mid == right):
-                    return False, "triple %s %s %s at %s" % (
-                        left, mid, right, (i, j))
-            return True, "over Z/%d" % m
-
-        rows.append(_guarded("thm33[%d]" % k, check))
-    return rows
-
-
-def suite_balance(seed, cases, inject_fault=False):
-    rng = random.Random(seed)
-    rows = []
-    for k in range(cases):
-        m = rng.choice(MODULI)
-        divisors = [d for d in range(2, m + 1) if m % d == 0]
-        mod_a = FpGroup.from_factors(m, [rng.choice(divisors)])
-        mod_b = FpGroup.from_factors(m, [rng.choice(divisors)])
-        kind = rng.choice(("ext", "tor"))
-
-        def check(m=m, mod_a=mod_a, mod_b=mod_b, kind=kind):
-            if inject_fault:
-                # same corner-vs-route comparison, corrupted grid
-                if kind == "ext":
-                    p, _ = complete_projective_resolution(m, mod_a)
-                    e, _ = complete_injective_resolution(m, mod_b)
-                    grid = hom_bicomplex(_zero_first_diff(p)[0], e)
-                    route = tate_ext(m, mod_a, mod_b, 0, VIA_PROJECTIVE)
-                else:
-                    c, _ = complete_projective_resolution(m, mod_a)
-                    d, _ = complete_projective_resolution(m, mod_b)
-                    grid = tensor_bicomplex(_zero_first_diff(c)[0], d)
-                    route = tate_tor(m, mod_a, mod_b, 0, RESOLVE_LEFT)
-                corner = core_homology(grid, (0, 0)).group
-                ok = corner.invariant_factors == route.invariant_factors
-                return ok, "corner %s route %s" % (
-                    corner.invariant_factors, route.invariant_factors)
-            report = balance_report(m, mod_a, mod_b, range(-2, 3), kind)
-            bad = [r["degree"] for r in report["degrees"] if not r["pass"]]
-            if bad:
-                return False, "degrees %s fail" % bad
-            return True, "%s over Z/%d: %s vs %s" % (
-                kind, m, mod_a.describe(), mod_b.describe())
-
-        rows.append(_guarded("balance[%d]" % k, check))
-    return rows
+            # same corner-vs-route comparison, corrupted grid
+            p, _ = complete_projective_resolution(m, mod_a)
+            grid, _ = balance_grid(m, mod_a, mod_b, kind,
+                                   first=_zero_first_diff(p)[0])
+            route, = tate_groups(m, mod_a, mod_b, [0], kind,
+                                 ROUTES[kind][0])
+            corner = core_homology(grid, (0, 0)).group
+            ok = corner.invariant_factors == route.invariant_factors
+            return ok, "corner %s route %s" % (
+                corner.invariant_factors, route.invariant_factors)
+        report = balance_report(m, mod_a, mod_b, range(-2, 3), kind)
+        bad = [r["degree"] for r in report["degrees"] if not r["pass"]]
+        if bad:
+            return False, "degrees %s fail" % bad
+        return True, "%s over Z/%d: %s vs %s" % (
+            kind, m, mod_a.describe(), mod_b.describe())
+    return check
 
 
 SUITES = {
@@ -404,4 +371,6 @@ def run_suite(name, seed, cases, inject_fault=False):
                          % (name, ", ".join(sorted(SUITES))))
     if cases < 1:
         raise ValueError("case count %d is not positive" % cases)
-    return fn(seed, cases, inject_fault=inject_fault)
+    rng = random.Random(seed)
+    return [_guarded("%s[%d]" % (name, k), fn(rng, inject_fault))
+            for k in range(cases)]

@@ -7,13 +7,18 @@ computed here per degree, never assumed.  Tor mirrors this with tensor
 functors and homological indexing; a lower index n corresponds to the upper
 index -n, which is also where the tensor grid's corners sit.
 
-The balance report additionally builds the full Hom or tensor grid, reads
-its core invariant at the two corner bidegrees (n, 0) and (0, n) (negated
-for Tor), and walks one corner to the other with repeated diagonal shifts,
-checking that the induced map is an isomorphism.  Every comparison is by
-invariant factors except the walk, which exercises the explicit chase.
-Degree rows are computed independently and merged sorted, so the report is
-deterministic.
+`ROUTES` names each kind's two routes, the first being the one a
+single-route query uses.  One call of `tate_ext` or `tate_tor` builds its
+route's complex once and reads every requested degree off it through the
+`homology` memo; separate calls share nothing.
+
+The balance report makes one such call per route, builds the kind's Hom
+or tensor grid (`balance_grid`), reads its core invariant at the two
+corner bidegrees (n, 0) and (0, n) (negated for Tor), and walks one corner
+to the other with repeated diagonal shifts, checking that the induced map
+is an isomorphism.  Every comparison is by invariant factors except the
+walk, which exercises the explicit chase.  Degree rows are sorted and
+unique, so the report is deterministic.
 """
 
 from .abgroup import invert_isomorphism, morphism_from_images
@@ -32,33 +37,73 @@ RESOLVE_RIGHT = "resolve_right"
 EXT = "ext"
 TOR = "tor"
 
+ROUTES = {EXT: (VIA_PROJECTIVE, VIA_INJECTIVE),
+          TOR: (RESOLVE_LEFT, RESOLVE_RIGHT)}
 
-def tate_ext(m, module, other, n, route):
-    """Stable Ext^n(module, other) over Z/m by the requested route."""
+
+def tate_ext(m, module, other, degrees, route):
+    """Stable Ext^n(module, other) over Z/m for each n in `degrees`, by the
+    requested route: a list with one group per entry of `degrees`, in
+    order, all read off one build of the route's complex."""
     _zm_factors(m, module)
     _zm_factors(m, other)
     if route == VIA_PROJECTIVE:
         p, _ = complete_projective_resolution(m, module)
-        return homology(hom_into_module(p, other), n).group
-    if route == VIA_INJECTIVE:
+        c = hom_into_module(p, other)
+    elif route == VIA_INJECTIVE:
         e, _ = complete_injective_resolution(m, other)
-        return homology(hom_from_module(module, e), n).group
-    raise ValueError("route must be %r or %r" % (VIA_PROJECTIVE,
-                                                 VIA_INJECTIVE))
+        c = hom_from_module(module, e)
+    else:
+        raise ValueError("route must be %r or %r" % ROUTES[EXT])
+    return [homology(c, n).group for n in degrees]
 
 
-def tate_tor(m, module, other, n, route):
-    """Stable Tor_n(module, other) over Z/m by the requested route."""
+def tate_tor(m, module, other, degrees, route):
+    """Stable Tor_n(module, other) over Z/m for each n in `degrees`, by the
+    requested route: a list with one group per entry of `degrees`, in
+    order, all read off one build of the route's complex."""
     _zm_factors(m, module)
     _zm_factors(m, other)
     if route == RESOLVE_LEFT:
-        c, _ = complete_projective_resolution(m, module)
-        return homology(tensor_with_module(c, other), n).group
-    if route == RESOLVE_RIGHT:
+        p, _ = complete_projective_resolution(m, module)
+        c = tensor_with_module(p, other)
+    elif route == RESOLVE_RIGHT:
         d, _ = complete_projective_resolution(m, other)
-        return homology(module_tensor_with(module, d), n).group
-    raise ValueError("route must be %r or %r" % (RESOLVE_LEFT,
-                                                 RESOLVE_RIGHT))
+        c = module_tensor_with(module, d)
+    else:
+        raise ValueError("route must be %r or %r" % ROUTES[TOR])
+    return [homology(c, n).group for n in degrees]
+
+
+def _routes(kind):
+    try:
+        return ROUTES[kind]
+    except KeyError:
+        raise ValueError("kind must be %r or %r" % (EXT, TOR)) from None
+
+
+def tate_groups(m, module, other, degrees, kind, route):
+    """`tate_ext` or `tate_tor`, whichever `kind` names; ValueError for
+    any other kind."""
+    _routes(kind)
+    compute = tate_ext if kind == EXT else tate_tor
+    return compute(m, module, other, degrees, route)
+
+
+def balance_grid(m, module, other, kind, first=None):
+    """(grid, sign) for `kind`: Hom(P, E) and sign 1 for Ext, P (x) Q and
+    sign -1 for Tor, with P, Q complete projective resolutions of `module`,
+    `other` and E a complete injective one of `other`.  Degree n sits at
+    the corners (sign * n, 0) and (0, sign * n).  `first`, when given,
+    stands in for P."""
+    _routes(kind)
+    if first is None:
+        first, _ = complete_projective_resolution(m, module)
+    if kind == EXT:
+        e, _ = complete_injective_resolution(m, other)
+        return hom_bicomplex(first, e), 1
+    q, _ = complete_projective_resolution(m, other)
+    return tensor_bicomplex(first, q), -1
 
 
 def _walk_is_isomorphism(x, corner):
@@ -91,31 +136,20 @@ def balance_report(m, module, other, degrees, kind):
     Returns a JSON-ready dict; each degree row carries the four groups'
     invariant factors, whether the walk induced an isomorphism, and a
     combined pass flag (all four isomorphism classes equal and walk ok).
+    ValueError for an unknown kind or an empty degree set, which would
+    pass with nothing checked.
     """
-    _zm_factors(m, module)
-    _zm_factors(m, other)
-    if kind == EXT:
-        routes = (VIA_PROJECTIVE, VIA_INJECTIVE)
-        compute = tate_ext
-        p, _ = complete_projective_resolution(m, module)
-        e, _ = complete_injective_resolution(m, other)
-        grid = hom_bicomplex(p, e)
-        corner_of = lambda n: n
-    elif kind == TOR:
-        routes = (RESOLVE_LEFT, RESOLVE_RIGHT)
-        compute = tate_tor
-        c, _ = complete_projective_resolution(m, module)
-        d, _ = complete_projective_resolution(m, other)
-        grid = tensor_bicomplex(c, d)
-        # lower index n sits at upper index -n, where the corners live
-        corner_of = lambda n: -n
-    else:
-        raise ValueError("kind must be %r or %r" % (EXT, TOR))
+    routes = _routes(kind)
+    degrees = sorted(set(degrees))
+    if not degrees:
+        raise ValueError("no degrees to check")
+    groups = [tate_groups(m, module, other, degrees, kind, r)
+              for r in routes]
+    grid, sign = balance_grid(m, module, other, kind)
     rows = []
-    for n in sorted(set(degrees)):
-        a = corner_of(n)
-        first = _factors(compute(m, module, other, n, routes[0]))
-        second = _factors(compute(m, module, other, n, routes[1]))
+    for n, g1, g2 in zip(degrees, *groups):
+        a = sign * n
+        first, second = _factors(g1), _factors(g2)
         corner_a = _factors(core_homology(grid, (a, 0)).group)
         corner_b = _factors(core_homology(grid, (0, a)).group)
         walk_ok = _walk_is_isomorphism(grid, a)

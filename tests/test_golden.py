@@ -38,8 +38,7 @@ def without_timestamp(stdout):
 
 
 @pytest.mark.parametrize("suite,fault", CASES)
-def test_verify_json_matches_golden(suite, fault, capsys, monkeypatch):
-    monkeypatch.delenv("BICOHOM_INJECT_FAULT", raising=False)
+def test_verify_json_matches_golden(suite, fault, capsys):
     code = main(argv(suite, fault))
     got = without_timestamp(capsys.readouterr().out)
     assert got == golden_path(suite, fault).read_text(encoding="utf-8")

@@ -6,9 +6,17 @@ deleted would pass every behavioural test; so would an import that
 nothing uses any more, or a local that is assigned and never read.
 `__init__.py` is left out of the import check because its imports are the
 re-exports.
+
+The benchmark's tracer (`perfbench/tracing.py`) wraps its target functions
+by attribute name wherever a module binds them.  A renamed target, or a
+module-level table holding a target function object (which the tracer
+cannot see and a call through it would bypass), would otherwise only show
+when the benchmark report runs; the last two tests catch both here.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -17,6 +25,7 @@ import bicohom
 
 PACKAGE = pathlib.Path(bicohom.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
 
 def unused_imports(source):
@@ -99,3 +108,48 @@ def test_the_locals_check_sees_unused_locals():
                          ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+def tracer_targets():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return [(owner, attr) for _, owner, attr, _ in tracing.TARGETS]
+
+
+def held_functions(namespace, functions):
+    """Names in `namespace` bound to a dict, list, tuple or set that holds
+    (at any depth, as a key or a value) one of `functions`."""
+    def holds(value):
+        if isinstance(value, dict):
+            return any(holds(k) or holds(v) for k, v in value.items())
+        if isinstance(value, (list, tuple, set, frozenset)):
+            return any(holds(v) for v in value)
+        return any(value is f for f in functions)
+    return sorted(name for name, value in namespace.items()
+                  if isinstance(value, (dict, list, tuple, set, frozenset))
+                  and holds(value))
+
+
+def test_every_tracer_target_is_still_an_attribute():
+    targets = tracer_targets()
+    assert len(targets) > 0
+    assert [(getattr(owner, "__name__", owner), attr)
+            for owner, attr in targets if attr not in vars(owner)] == []
+
+
+def test_no_module_table_holds_a_tracer_target():
+    functions = [vars(owner)[attr] for owner, attr in tracer_targets()
+                 if attr in vars(owner)]
+    assert held_functions({"T": {"k": [(functions[0],)]}, "f": functions[0],
+                           "S": ("name",)}, functions) == ["T"]
+    held = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "bicohom" if path.stem == "__init__" else \
+            "bicohom." + path.stem
+        found = held_functions(vars(importlib.import_module(name)),
+                               functions)
+        if found:
+            held[name] = found
+    assert held == {}

@@ -17,9 +17,10 @@ from bicohom.constructions import (complete_injective_resolution,
                                    complete_projective_resolution,
                                    hom_bicomplex)
 from bicohom.errors import NotAModule
+from bicohom import tate
 from bicohom.tate import (EXT, RESOLVE_LEFT, RESOLVE_RIGHT, TOR,
-                          VIA_INJECTIVE, VIA_PROJECTIVE, balance_report,
-                          tate_ext, tate_tor)
+                          VIA_INJECTIVE, VIA_PROJECTIVE, balance_grid,
+                          balance_report, tate_ext, tate_groups, tate_tor)
 
 DEGREES = range(-3, 4)
 
@@ -42,7 +43,7 @@ def test_ext_m4_z2_z2_is_z2_everywhere():
     a, b = z(m, 2), z(m, 2)
     for n in DEGREES:
         for route in (VIA_PROJECTIVE, VIA_INJECTIVE):
-            assert tate_ext(m, a, b, n, route).invariant_factors == (2,)
+            assert tate_ext(m, a, b, [n], route)[0].invariant_factors == (2,)
 
 
 def test_ext_vanishes_when_either_side_is_free():
@@ -53,9 +54,9 @@ def test_ext_vanishes_when_either_side_is_free():
     assert cyclic_h_order(4, 2, 2) == 1
     for n in DEGREES:
         for route in (VIA_PROJECTIVE, VIA_INJECTIVE):
-            assert tate_ext(m, free, small, n, route).is_trivial()
-            assert tate_ext(m, small, free, n, route).is_trivial()
-            assert tate_ext(m, free, free, n, route).is_trivial()
+            assert tate_ext(m, free, small, [n], route)[0].is_trivial()
+            assert tate_ext(m, small, free, [n], route)[0].is_trivial()
+            assert tate_ext(m, free, free, [n], route)[0].is_trivial()
 
 
 def test_ext_m9_z3_z3():
@@ -64,7 +65,7 @@ def test_ext_m9_z3_z3():
     a, b = z(m, 3), z(m, 3)
     for n in DEGREES:
         for route in (VIA_PROJECTIVE, VIA_INJECTIVE):
-            assert tate_ext(m, a, b, n, route).invariant_factors == (3,)
+            assert tate_ext(m, a, b, [n], route)[0].invariant_factors == (3,)
 
 
 def test_ext_mixed_moduli_m8():
@@ -76,7 +77,7 @@ def test_ext_mixed_moduli_m8():
     a, b = z(m, 2), z(m, 4)
     for n in DEGREES:
         for route in (VIA_PROJECTIVE, VIA_INJECTIVE):
-            assert tate_ext(m, a, b, n, route).invariant_factors == (2,)
+            assert tate_ext(m, a, b, [n], route)[0].invariant_factors == (2,)
 
 
 def test_ext_periodicity_two():
@@ -84,8 +85,8 @@ def test_ext_periodicity_two():
     a, b = z(m, 3), z(m, 3)
     for route in (VIA_PROJECTIVE, VIA_INJECTIVE):
         for n in range(-2, 2):
-            assert (tate_ext(m, a, b, n, route).invariant_factors
-                    == tate_ext(m, a, b, n + 2, route).invariant_factors)
+            assert (tate_ext(m, a, b, [n], route)[0].invariant_factors
+                    == tate_ext(m, a, b, [n + 2], route)[0].invariant_factors)
 
 
 def test_tor_m4_z2_z2_is_z2_everywhere():
@@ -95,7 +96,7 @@ def test_tor_m4_z2_z2_is_z2_everywhere():
     a, b = z(m, 2), z(m, 2)
     for n in DEGREES:
         for route in (RESOLVE_LEFT, RESOLVE_RIGHT):
-            assert tate_tor(m, a, b, n, route).invariant_factors == (2,)
+            assert tate_tor(m, a, b, [n], route)[0].invariant_factors == (2,)
 
 
 def test_tor_vanishes_when_either_side_is_free():
@@ -104,8 +105,8 @@ def test_tor_vanishes_when_either_side_is_free():
     small = z(m, 2)
     for n in DEGREES:
         for route in (RESOLVE_LEFT, RESOLVE_RIGHT):
-            assert tate_tor(m, free, small, n, route).is_trivial()
-            assert tate_tor(m, small, free, n, route).is_trivial()
+            assert tate_tor(m, free, small, [n], route)[0].is_trivial()
+            assert tate_tor(m, small, free, [n], route)[0].is_trivial()
 
 
 def test_tor_coprime_factors_vanish():
@@ -116,18 +117,57 @@ def test_tor_coprime_factors_vanish():
     a, b = z(m, 2), z(m, 3)
     for n in DEGREES:
         for route in (RESOLVE_LEFT, RESOLVE_RIGHT):
-            assert tate_tor(m, a, b, n, route).is_trivial()
+            assert tate_tor(m, a, b, [n], route)[0].is_trivial()
 
 
 def test_route_tokens_validated():
     m = 4
     a = z(m, 2)
     with pytest.raises(ValueError):
-        tate_ext(m, a, a, 0, "sideways")
+        tate_ext(m, a, a, [0], "sideways")
     with pytest.raises(ValueError):
-        tate_tor(m, a, a, 0, VIA_PROJECTIVE)
+        tate_tor(m, a, a, [0], VIA_PROJECTIVE)
     with pytest.raises(ValueError):
         balance_report(m, a, a, [0], "both")
+    with pytest.raises(ValueError):
+        tate_groups(m, a, a, [0], "both", VIA_PROJECTIVE)
+    with pytest.raises(ValueError):
+        balance_grid(m, a, a, "both")
+    # an empty degree set would pass with nothing checked
+    with pytest.raises(ValueError, match="no degrees"):
+        balance_report(m, a, a, [], EXT)
+
+
+def test_one_call_reads_every_degree_in_order():
+    m = 8
+    a, b = z(m, 2, 4), z(m, 4)
+    degrees = [2, -1, 0, 2, -3]
+    for compute, kind in ((tate_ext, EXT), (tate_tor, TOR)):
+        for route in tate.ROUTES[kind]:
+            together = compute(m, a, b, degrees, route)
+            alone = [compute(m, a, b, [n], route)[0] for n in degrees]
+            assert ([g.invariant_factors for g in together]
+                    == [g.invariant_factors for g in alone])
+            assert all(g.invariant_factors for g in together)
+            assert compute(m, a, b, [], route) == []
+
+
+@pytest.mark.parametrize("m,kind,builders", [
+    (8, EXT, ("hom_into_module", "hom_from_module")),
+    (12, TOR, ("tensor_with_module", "module_tensor_with")),
+])
+def test_balance_report_builds_each_route_complex_once(m, kind, builders,
+                                                       monkeypatch):
+    calls = dict.fromkeys(builders, 0)
+    for name in builders:
+        def counted(*args, _name=name, _real=getattr(tate, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(tate, name, counted)
+    report = balance_report(m, z(m, 2, m // 2), z(m, 4), DEGREES, kind)
+    assert report["all_pass"] is True
+    assert [row["degree"] for row in report["degrees"]] == list(DEGREES)
+    assert calls == dict.fromkeys(builders, 1)
 
 
 def test_non_modules_rejected():
@@ -136,15 +176,15 @@ def test_non_modules_rejected():
     good = z(4, 2)
     for bad in (integral, wrong):
         with pytest.raises(NotAModule):
-            tate_ext(4, bad, good, 0, VIA_PROJECTIVE)
+            tate_ext(4, bad, good, [0], VIA_PROJECTIVE)
         with pytest.raises(NotAModule):
-            tate_ext(4, good, bad, 0, VIA_INJECTIVE)
+            tate_ext(4, good, bad, [0], VIA_INJECTIVE)
         with pytest.raises(NotAModule):
-            tate_tor(4, bad, good, 0, RESOLVE_LEFT)
+            tate_tor(4, bad, good, [0], RESOLVE_LEFT)
         with pytest.raises(NotAModule):
             balance_report(4, good, bad, [0], EXT)
     with pytest.raises(NotAModule):
-        tate_ext(1, good, good, 0, VIA_PROJECTIVE)
+        tate_ext(1, good, good, [0], VIA_PROJECTIVE)
 
 
 def test_corners_match_routes_directly():
@@ -154,7 +194,7 @@ def test_corners_match_routes_directly():
     e, _ = complete_injective_resolution(m, a)
     grid = hom_bicomplex(p, e)
     for n in (-2, -1, 0, 1, 2):
-        route = tate_ext(m, a, a, n, VIA_PROJECTIVE).invariant_factors
+        route = tate_ext(m, a, a, [n], VIA_PROJECTIVE)[0].invariant_factors
         assert core_homology(grid, (n, 0)).group.invariant_factors == route
         assert core_homology(grid, (0, n)).group.invariant_factors == route
 
