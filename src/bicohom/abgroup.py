@@ -235,10 +235,12 @@ class Morphism:
     """A group morphism given by an integer matrix on ambient coordinates.
 
     The raw constructor does not verify well-definedness; make_morphism is
-    the checked entry point for matrices from outside.
+    the checked entry point for matrices from outside.  A morphism must not
+    be changed after construction: `kernel_image` memoises its kernel and
+    image on it and hands the same two subgroups to every caller.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_kernel_image")
 
     def __init__(self, source, target, matrix):
         if matrix.rows != target.ambient_rank or \
@@ -249,6 +251,7 @@ class Morphism:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self._kernel_image = None
 
     @classmethod
     def identity(cls, group):
@@ -317,9 +320,11 @@ def make_morphism(source, target, matrix):
 
 def morphism_from_images(source, target, images):
     """The checked morphism sending the k-th generator of source to the
-    element of target whose coordinates are images[k]."""
+    element of target whose coordinates are images[k], reduced mod m > 0."""
+    m = target.modulus
     return make_morphism(source, target, IntMatrix.from_columns(
-        images, rows=target.ambient_rank))
+        [[e % m if m else e for e in col] for col in images],
+        rows=target.ambient_rank))
 
 
 class Subgroup:
@@ -393,26 +398,33 @@ class Subgroup:
         return "Subgroup(%d generators)" % len(self.generators)
 
 
+def _span(parent, elements):
+    """The subgroup of parent generated by the nonzero ones of elements."""
+    return Subgroup(parent, [g for g in elements if not g.is_zero()])
+
+
+def _push(subgroup, f):
+    """Image of a subgroup under a morphism, as a subgroup of the target."""
+    return _span(f.target, map(f, subgroup.generators))
+
+
 def kernel_image(f):
     """(kernel, image) of a morphism, as subgroups of source and target.
 
     The kernel generators span the full preimage of the target relation
     lattice: every x with f(x) == 0 appears, including the source relations
-    themselves (which are then zero as elements).
+    themselves (which are then zero as elements).  The pair is built once
+    per morphism and memoised on it, so every later call returns the same
+    two subgroup objects: callers must not change them, and a morphism
+    must not be changed once its pair has been asked for.
     """
-    src, tgt = f.source, f.target
-    ker = kernel_basis(f.matrix, tgt.modulus, tgt.relations)
-    gens = []
-    for j in range(ker.cols):
-        x = tuple(ker[(i, j)] for i in range(src.ambient_rank))
-        if any(x):
-            elt = Element(src, x)
-            if not elt.is_zero():
-                gens.append(elt)
-    kernel = Subgroup(src, gens)
-    image = Subgroup(tgt, [g for g in (f(e) for e in src.generators())
-                           if not g.is_zero()])
-    return kernel, image
+    if f._kernel_image is None:
+        src = f.source
+        ker = kernel_basis(f.matrix, f.target.modulus, f.target.relations)
+        f._kernel_image = (
+            _span(src, (Element(src, x) for x in ker.columns() if any(x))),
+            _push(Subgroup.full(src), f))
+    return f._kernel_image
 
 
 class Subquotient:
@@ -620,8 +632,7 @@ def intersect(s1, s2):
     rel = parent.relations
     meet = lattice_intersect(s1.as_matrix().hstack(rel),
                              s2.as_matrix().hstack(rel), parent.modulus)
-    gens = [Element(parent, meet.column(j)) for j in range(meet.cols)]
-    return Subgroup(parent, [g for g in gens if not g.is_zero()])
+    return _span(parent, (Element(parent, x) for x in meet.columns()))
 
 
 def preimage_element(f, target_elt):

@@ -14,13 +14,17 @@ verified by the callers' tests rather than re-proved per call.  It is a
 homology group of the grid, and it is returned as one: a
 `complexes.Homology` whose owner is the grid and whose index is the
 bidegree, with `complexes.HClass` classes.
+
+Z', B', Z'', B'' and both core denominators d'(Z'') and d''(Z') are read
+through three helpers that take the axis as a parameter, over kernels and
+images that `abgroup.kernel_image` builds once per differential.
 """
 
 from collections import namedtuple
 
-from .abgroup import (Morphism, intersect, kernel_image,
+from .abgroup import (Morphism, _push, intersect, kernel_image,
                       morphism_from_images, preimage_element, subquotient,
-                      Subgroup, FpGroup)
+                      FpGroup)
 from .complexes import Homology, Periodic, Window
 from .errors import (ConventionViolation, HypothesisViolated,
                      InternalChaseFailure, OutOfWindow)
@@ -30,6 +34,14 @@ SECOND = "second"   # the d'' direction (second index)
 
 I_THEN_II = "I-then-II"
 II_THEN_I = "II-then-I"
+
+# per axis: the bidegree step its differential takes, the other axis, and
+# the prime marks of its names (d', H' or d'', H'')
+_STEP = {PRIME: (1, 0), SECOND: (0, 1)}
+_OTHER = {PRIME: SECOND, SECOND: PRIME}
+_MARKS = {PRIME: "'", SECOND: "''"}
+# the axis whose homology an iterated-homology order takes first
+_INNER = {I_THEN_II: PRIME, II_THEN_I: SECOND}
 
 BoundaryData = namedtuple("BoundaryData",
                           ["zprime", "bprime", "zsecond", "bsecond"])
@@ -44,12 +56,10 @@ class _Grid(object):
         self.support_i = support_i
         self.support_j = support_j
         self._cell_fn = cell_fn
-        self._dprime_fn = dprime_fn
-        self._dsecond_fn = dsecond_fn
+        self._diff_fns = {PRIME: dprime_fn, SECOND: dsecond_fn}
         self._zero_cell = FpGroup(modulus, 0)
         self._cells = {}
-        self._dprimes = {}
-        self._dseconds = {}
+        self._diffs = {PRIME: {}, SECOND: {}}
         self._dir_subs = {}
         self._cores = {}
 
@@ -73,18 +83,17 @@ class _Grid(object):
         return got
 
     def _diff(self, i, j, axis):
-        ti, tj = (i + 1, j) if axis == PRIME else (i, j + 1)
-        src, tgt = self.cell(i, j), self.cell(ti, tj)
+        di, dj = _STEP[axis]
+        src, tgt = self.cell(i, j), self.cell(i + di, j + dj)
         key, inside = self._site(i, j)
-        if not (inside and self._site(ti, tj)[1]):
+        if not (inside and self._site(i + di, j + dj)[1]):
             return Morphism.zero(src, tgt)
-        memo = self._dprimes if axis == PRIME else self._dseconds
+        memo = self._diffs[axis]
         got = memo.get(key)
         if got is None:
-            fn = self._dprime_fn if axis == PRIME else self._dsecond_fn
-            raw = fn(*key)
+            raw = self._diff_fns[axis](*key)
             got = raw if raw is not None else Morphism.zero(src, tgt)
-            name = "d'" if axis == PRIME else "d''"
+            name = "d" + _MARKS[axis]
             if got.source != src or got.target != tgt:
                 raise ConventionViolation("%s at %r has wrong endpoints"
                                           % (name, key))
@@ -214,10 +223,23 @@ def to_double_complex(x):
 # -- directional homology and exactness ------------------------------------
 
 
-def _push(subgroup, f):
-    """Image of a subgroup under a morphism, as a subgroup of the target."""
-    gens = [f(g) for g in subgroup.generators]
-    return Subgroup(f.target, [g for g in gens if not g.is_zero()])
+def _cycles(x, i, j, axis):
+    """Z' (axis PRIME) or Z'' (axis SECOND) at (i, j)."""
+    return kernel_image(x._diff(i, j, axis))[0]
+
+
+def _boundaries(x, i, j, axis):
+    """B' or B'' at (i, j): the image of the differential landing there."""
+    di, dj = _STEP[axis]
+    return kernel_image(x._diff(i - di, j - dj, axis))[1]
+
+
+def _pushed_cycles(x, i, j, axis):
+    """The other axis's cycles one step behind (i, j), pushed along axis
+    to (i, j): d'(Z'') for PRIME, d''(Z') for SECOND."""
+    di, dj = _STEP[axis]
+    a, b = i - di, j - dj
+    return _push(_cycles(x, a, b, _OTHER[axis]), x._diff(a, b, axis))
 
 
 def _directional_sub(x, i, j, axis):
@@ -228,13 +250,8 @@ def _directional_sub(x, i, j, axis):
         got = x._dir_subs.get(memo_key)
         if got is not None:
             return got
-    if axis == PRIME:
-        z, _ = kernel_image(x.dprime(i, j))
-        _, b = kernel_image(x.dprime(i - 1, j))
-    else:
-        z, _ = kernel_image(x.dsecond(i, j))
-        _, b = kernel_image(x.dsecond(i, j - 1))
-    got = subquotient(x.cell(i, j), z, b)
+    got = subquotient(x.cell(i, j), _cycles(x, i, j, axis),
+                      _boundaries(x, i, j, axis))
     if inside:
         x._dir_subs[memo_key] = got
     return got
@@ -251,11 +268,8 @@ def directional_homology(x, bidegree, axis):
 def boundary_subgroups(x, bidegree):
     """(Z', B', Z'', B'') at a bidegree."""
     i, j = bidegree
-    zp, _ = kernel_image(x.dprime(i, j))
-    _, bp = kernel_image(x.dprime(i - 1, j))
-    zs, _ = kernel_image(x.dsecond(i, j))
-    _, bs = kernel_image(x.dsecond(i, j - 1))
-    return BoundaryData(zp, bp, zs, bs)
+    return BoundaryData(*(read(x, i, j, axis) for axis in (PRIME, SECOND)
+                          for read in (_cycles, _boundaries)))
 
 
 def check_exact_grid(x, i_lo, i_hi, j_lo, j_hi):
@@ -277,10 +291,9 @@ def _require_exact(x, sites, op_name):
     for axis, i, j in sites:
         g = directional_homology(x, (i, j), axis)
         if not g.is_trivial():
-            tag = "H'" if axis == PRIME else "H''"
             raise HypothesisViolated(
-                "%s needs %s = 0 at (%d, %d) but found %s"
-                % (op_name, tag, i, j, g.describe()))
+                "%s needs H%s = 0 at (%d, %d) but found %s"
+                % (op_name, _MARKS[axis], i, j, g.describe()))
 
 
 # -- the core invariant -----------------------------------------------------
@@ -291,25 +304,11 @@ def _require_core_exact(x, i, j, op_name):
     _require_exact(x, [(SECOND, i - 1, j), (PRIME, i, j - 1)], op_name)
 
 
-def _dprime_of_zsecond(x, i, j):
-    """d'(Z'') landing at (i, j): d' of the d''-cycles one column left."""
-    zs_left, _ = kernel_image(x.dsecond(i - 1, j))
-    return _push(zs_left, x.dprime(i - 1, j))
-
-
-def _dsecond_of_zprime(x, i, j):
-    """d''(Z') landing at (i, j): d'' of the d'-cycles one row down."""
-    zp_below, _ = kernel_image(x.dprime(i, j - 1))
-    return _push(zp_below, x.dsecond(i, j - 1))
-
-
-def _core(x, i, j, label, denominator_fn, op_name):
-    """(Z' ∩ Z'') / denominator_fn(x, i, j) at (i, j), reported at label."""
+def _core(x, i, j, label, axis, op_name):
+    """(Z' ∩ Z'') / _pushed_cycles(x, i, j, axis), reported at label."""
     _require_core_exact(x, i, j, op_name)
-    zp, _ = kernel_image(x.dprime(i, j))
-    zs, _ = kernel_image(x.dsecond(i, j))
-    numerator = intersect(zp, zs)
-    denominator = denominator_fn(x, i, j)
+    numerator = intersect(_cycles(x, i, j, PRIME), _cycles(x, i, j, SECOND))
+    denominator = _pushed_cycles(x, i, j, axis)
     sub = subquotient(x.cell(i, j), numerator, denominator)
     return Homology(x, label, numerator, denominator, sub)
 
@@ -328,8 +327,7 @@ def core_homology(x, bidegree):
         got = x._cores.get(key)
         if got is not None:
             return got
-    got = _core(x, i, j, key if inside else (i, j), _dprime_of_zsecond,
-                "core_homology")
+    got = _core(x, i, j, key if inside else (i, j), PRIME, "core_homology")
     if inside:
         x._cores[key] = got
     return got
@@ -339,7 +337,7 @@ def core_equality_check(x, bidegree):
     """Whether d'(Z'') equals d''(Z') at the bidegree (mutual inclusion)."""
     i, j = bidegree
     _require_core_exact(x, i, j, "core_equality_check")
-    return _dprime_of_zsecond(x, i, j) == _dsecond_of_zprime(x, i, j)
+    return _pushed_cycles(x, i, j, PRIME) == _pushed_cycles(x, i, j, SECOND)
 
 
 def core_homology_alt(x, bidegree):
@@ -348,7 +346,7 @@ def core_homology_alt(x, bidegree):
     A second route to the same group; tests compare the two.
     """
     i, j = bidegree
-    return _core(x, i, j, (i, j), _dsecond_of_zprime, "core_homology_alt")
+    return _core(x, i, j, (i, j), SECOND, "core_homology_alt")
 
 
 def diagonal_shift(cls, direction):
@@ -401,23 +399,15 @@ def iterated_homology(x, bidegree, order):
     I-then-II takes d'-direction homology first, then homology of the
     induced d''-direction complex; II-then-I is the reverse.
     """
-    i, j = bidegree
-    if order == I_THEN_II:
-        inner_axis = PRIME
-        sites = [(i, j - 1), (i, j), (i, j + 1)]
-        outer_diff = lambda a, b: x.dsecond(a, b)
-    elif order == II_THEN_I:
-        inner_axis = SECOND
-        sites = [(i - 1, j), (i, j), (i + 1, j)]
-        outer_diff = lambda a, b: x.dprime(a, b)
-    else:
+    if order not in _INNER:
         raise ValueError("order must be %r or %r" % (I_THEN_II, II_THEN_I))
-    prev_s, mid_s, next_s = sites
-    prev = _directional_sub(x, prev_s[0], prev_s[1], inner_axis)
-    mid = _directional_sub(x, mid_s[0], mid_s[1], inner_axis)
-    nxt = _directional_sub(x, next_s[0], next_s[1], inner_axis)
-    into = _induced_between_subs(prev, mid, outer_diff(*prev_s))
-    outof = _induced_between_subs(mid, nxt, outer_diff(*mid_s))
-    ker, _ = kernel_image(outof)
-    _, img = kernel_image(into)
-    return subquotient(mid.group, ker, img).group
+    inner = _INNER[order]
+    outer = _OTHER[inner]
+    i, j = bidegree
+    di, dj = _STEP[outer]
+    sites = [(i - di, j - dj), (i, j), (i + di, j + dj)]
+    prev, mid, nxt = [_directional_sub(x, a, b, inner) for a, b in sites]
+    into = _induced_between_subs(prev, mid, x._diff(i - di, j - dj, outer))
+    outof = _induced_between_subs(mid, nxt, x._diff(i, j, outer))
+    return subquotient(mid.group, kernel_image(outof)[0],
+                       kernel_image(into)[1]).group

@@ -10,8 +10,9 @@ Oracles, written before the implementations they check:
 
 import pytest
 
+from bicohom import abgroup
 from bicohom.abgroup import (FpGroup, Morphism, Subgroup, hom_group,
-                             induced_hom_map, make_morphism)
+                             induced_hom_map, kernel_image, make_morphism)
 from bicohom.bicomplexes import (Bicomplex, BoundaryData,
                                  DoubleComplex, I_THEN_II, II_THEN_I, PRIME,
                                  SECOND, boundary_subgroups, check_exact_grid,
@@ -19,10 +20,13 @@ from bicohom.bicomplexes import (Bicomplex, BoundaryData,
                                  core_homology_alt, diagonal_shift,
                                  directional_homology, from_double_complex,
                                  iterated_homology, to_double_complex)
-from bicohom.complexes import (Complex, HClass, Homology, Periodic, Window,
+from bicohom.complexes import (COHOMOLOGICAL, Complex, HClass, Homology,
+                               Periodic, Window,
                                homology)
 from bicohom.errors import (ConventionViolation, HypothesisViolated,
                             NotContained, OutOfWindow, ParentMismatch)
+from bicohom.constructions import (hom_bicomplex, random_exact_complex,
+                                   tensor_bicomplex)
 from bicohom.snf import IntMatrix
 from helpers import periodic_strand
 
@@ -160,7 +164,7 @@ def test_lazy_memoization():
         return FpGroup.from_factors(4, [4])
 
     counted = Bicomplex(4, Periodic(2), Periodic(2), counting_cell,
-                        x._dprime_fn, x._dsecond_fn)
+                        x._diff_fns[PRIME], x._diff_fns[SECOND])
     first = counted.cell(0, 0)
     assert counted.cell(0, 0) is first
     assert counted.cell(2, -2) is first  # canonical wrap, no recompute
@@ -427,3 +431,55 @@ def test_periodic_by_window_edges():
     assert all(axis == SECOND for _, axis, _ in report)
     assert {site for site, _, _ in report} == \
         {(0, 0), (1, 0), (0, 2), (1, 2)}
+
+
+# ------------------------------------------- one kernel/image per differential
+
+
+def rank4_grid(kind):
+    """A fresh Hom or tensor grid over Z/12 with rank-4 cells."""
+    c = random_exact_complex(12, 3, blocks=2)
+    if kind == "hom":
+        d = random_exact_complex(12, 4, blocks=2, convention=COHOMOLOGICAL)
+        return hom_bicomplex(c, d)
+    return tensor_bicomplex(c, random_exact_complex(12, 4, blocks=2))
+
+
+def run_core_queries(x):
+    for bd in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        core_homology(x, bd)
+        core_homology_alt(x, bd)
+        assert core_equality_check(x, bd)
+
+
+def memoised_diffs(x):
+    return [f for memo in x._diffs.values() for f in memo.values()]
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_each_differential_kernel_is_built_once(monkeypatch, kind):
+    x = rank4_grid(kind)
+    seen = []
+    real = abgroup.kernel_basis
+
+    def counting(a, *args):
+        seen.append(a)
+        return real(a, *args)
+
+    monkeypatch.setattr(abgroup, "kernel_basis", counting)
+    run_core_queries(x)
+    diffs = memoised_diffs(x)
+    assert max(sum(a is f.matrix for a in seen) for f in diffs) == 1
+    for f in diffs:
+        ker, img = kernel_image(f)
+        again = kernel_image(f)
+        assert again[0] is ker and again[1] is img
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_grid_differentials_are_reduced_mod_m(kind):
+    x = rank4_grid(kind)
+    run_core_queries(x)
+    entries = {e for f in memoised_diffs(x)
+               for row in f.matrix.to_lists() for e in row}
+    assert entries and min(entries) >= 0 and max(entries) < 12

@@ -7,6 +7,11 @@ nothing uses any more, or a local that is assigned and never read.
 `__init__.py` is left out of the import check because its imports are the
 re-exports.
 
+`abgroup.kernel_image` memoises a morphism's kernel and image on the
+`Morphism` object, which is only sound while no morphism is changed after
+construction; `test_no_morphism_is_changed_after_construction` fails on any
+write to a morphism's attributes outside the places that set them.
+
 The benchmark's tracer (`perfbench/tracing.py`) wraps its target functions
 by attribute name wherever a module binds them.  A renamed target, or a
 module-level table holding a target function object (which the tracer
@@ -108,6 +113,59 @@ def test_the_locals_check_sees_unused_locals():
                          ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+# the attributes of a Morphism, which kernel_image's memo relies on
+FROZEN = ("source", "target", "matrix", "_kernel_image")
+
+
+def frozen_writes(source):
+    """(function, attribute) for each assignment to or deletion of an
+    attribute in FROZEN in `source`, except `self.<attr>` inside an
+    `__init__` and anything inside `kernel_image`."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in FROZEN \
+                    and isinstance(child.ctx, (ast.Store, ast.Del)):
+                on_self = isinstance(child.value, ast.Name) and \
+                    child.value.id == "self"
+                if not (fn == "kernel_image"
+                        or (fn == "__init__" and on_self)):
+                    found.append((fn, child.attr))
+            visit(child, fn)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_the_frozen_check_sees_writes():
+    source = (
+        "class M:\n"
+        "    def __init__(self, other):\n"
+        "        self.matrix = 1\n"
+        "        other.source = 2\n"
+        "    def bump(self):\n"
+        "        self.matrix += 1\n"
+        "        del self._kernel_image\n"
+        "def kernel_image(f):\n"
+        "    f._kernel_image = 3\n"
+        "def rewire(f, g):\n"
+        "    f.target, g.width = g.target, 4\n"
+        "h.matrix = 5\n")
+    assert frozen_writes(source) == [
+        ("<module>", "matrix"), ("__init__", "source"),
+        ("bump", "_kernel_image"), ("bump", "matrix"), ("rewire", "target")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_morphism_is_changed_after_construction(path):
+    assert frozen_writes(path.read_text(encoding="utf-8")) == []
 
 
 def tracer_targets():
