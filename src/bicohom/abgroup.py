@@ -477,12 +477,17 @@ def subquotient(parent, num, den):
     return Subquotient(group, parent, num_mat)
 
 
-class HomGroup:
-    """Hom(source, target) as an FpGroup with a realize/element_of pair.
+def _cyclic_matrix(f):
+    """The matrix of a morphism in the cyclic coordinates of its ends."""
+    return (f.target.cyclic_decomposition().to_cyclic @ f.matrix
+            @ f.source.cyclic_decomposition().from_cyclic)
 
-    Components come from the cyclic decompositions: Hom(Z/a, Z/b) is cyclic
-    of order gcd(a, b), generated by 1 |-> b/gcd(a, b); Hom(Z, H) is H;
-    Hom(Z/a, Z) vanishes for a > 0.  Trivial components are dropped.
+
+class _PairGroup:
+    """A bifunctor's value on (source, target): one cyclic component per
+    pair (i, j) of cyclic summands, of the (order, scale) that the
+    subclass's `_component(a, b)` gives for their orders; its generator is
+    scale times the (i, j) unit.  Components of order 1 are dropped.
     """
 
     __slots__ = ("source", "target", "group", "_pairs", "_scales")
@@ -494,20 +499,32 @@ class HomGroup:
         pairs, orders, scales = [], [], []
         for i, a in enumerate(s_orders):
             for j, b in enumerate(t_orders):
-                if b == 0 and a != 0:
-                    continue
-                o = gcd(a, b)
-                s = b // o if b else 1
-                if o == 1:
-                    continue
-                pairs.append((i, j))
-                orders.append(o)
-                scales.append(s)
+                o, s = self._component(a, b)
+                if o != 1:
+                    pairs.append((i, j))
+                    orders.append(o)
+                    scales.append(s)
         self.source = source
         self.target = target
         self.group = FpGroup(modulus, len(pairs), IntMatrix.diagonal(orders))
         self._pairs = tuple(pairs)
         self._scales = tuple(scales)
+
+
+class HomGroup(_PairGroup):
+    """Hom(source, target) as an FpGroup with a realize/element_of pair.
+
+    Component rule: the pair of orders (a, b) gives order gcd(a, b) and
+    scale b/gcd(a, b), so Hom(Z/a, Z/b) is generated by 1 |-> b/gcd(a, b)
+    and Hom(Z, H) is H; Hom(Z/a, Z) vanishes for a > 0 (order 1).
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _component(a, b):
+        o = gcd(a, b) if b or not a else 1
+        return o, (b // o if b else 1)
 
     def realize(self, elt):
         """The homomorphism source -> target that an element encodes."""
@@ -527,9 +544,7 @@ class HomGroup:
         """Inverse of realize on well-defined morphisms source -> target."""
         if f.source != self.source or f.target != self.target:
             raise ParentMismatch("morphism endpoints do not match")
-        s_form = self.source.cyclic_decomposition()
-        t_form = self.target.cyclic_decomposition()
-        body = t_form.to_cyclic @ f.matrix @ s_form.from_cyclic
+        body = _cyclic_matrix(f)
         coords = []
         for (i, j), s in zip(self._pairs, self._scales):
             # well-definedness of f forces exact divisibility by the scale
@@ -542,6 +557,27 @@ class HomGroup:
 
 def hom_group(source, target):
     return HomGroup(source, target)
+
+
+def _induced_map(src, dst, left, right):
+    """The morphism src.group -> dst.group of a map of pair groups.
+
+    Generator (i, j) of scale s goes to s * right[j2][j] * left[i2][i] / s2
+    at each target pair (i2, j2) of scale s2, where left and right are the
+    maps on the two factors in cyclic coordinates, each indexed as
+    [target summand][source summand].  A remainder means a factor map
+    does not respect the relations.
+    """
+    cols = []
+    for (i, j), s in zip(src._pairs, src._scales):
+        col = []
+        for (i2, j2), s2 in zip(dst._pairs, dst._scales):
+            q, r = divmod(s * right[j2][j] * left[i2][i], s2)
+            if r:
+                raise IllDefined("morphism does not respect the relations")
+            col.append(q)
+        cols.append(col)
+    return morphism_from_images(src.group, dst.group, cols)
 
 
 def induced_hom_map(src_hom, dst_hom, precompose=None, postcompose=None):
@@ -560,40 +596,24 @@ def induced_hom_map(src_hom, dst_hom, precompose=None, postcompose=None):
     if postcompose.source != src_hom.target or \
             postcompose.target != dst_hom.target:
         raise ParentMismatch("postcomposition map endpoints do not match")
-    cols = []
-    for e in src_hom.group.generators():
-        phi = src_hom.realize(e)
-        psi = postcompose.compose(phi.compose(precompose))
-        cols.append(dst_hom.element_of(psi).coords)
-    return morphism_from_images(src_hom.group, dst_hom.group, cols)
+    # precomposition runs against the source summands: read it transposed
+    return _induced_map(src_hom, dst_hom, _cyclic_matrix(precompose).columns(),
+                        _cyclic_matrix(postcompose).to_lists())
 
 
-class TensorGroup:
+class TensorGroup(_PairGroup):
     """source (x) target as an FpGroup with the bilinear `pure` map.
 
-    Z/a (x) Z/b is cyclic of order gcd(a, b) with gcd(0, 0) = 0; the (i, j)
-    coordinate of pure(x, y) is the product of the i-th and j-th cyclic
-    coordinates.  Trivial components are dropped.
+    Component rule: the pair of orders (a, b) gives order gcd(a, b), with
+    gcd(0, 0) = 0, and scale 1; the (i, j) coordinate of pure(x, y) is the
+    product of the i-th and j-th cyclic coordinates.
     """
 
-    __slots__ = ("source", "target", "group", "_pairs")
+    __slots__ = ()
 
-    def __init__(self, source, target):
-        modulus = _shared_modulus(source, target)
-        s_orders = source.cyclic_decomposition().orders
-        t_orders = target.cyclic_decomposition().orders
-        pairs, orders = [], []
-        for i, a in enumerate(s_orders):
-            for j, b in enumerate(t_orders):
-                o = gcd(a, b)
-                if o == 1:
-                    continue
-                pairs.append((i, j))
-                orders.append(o)
-        self.source = source
-        self.target = target
-        self.group = FpGroup(modulus, len(pairs), IntMatrix.diagonal(orders))
-        self._pairs = tuple(pairs)
+    @staticmethod
+    def _component(a, b):
+        return gcd(a, b), 1
 
     def pure(self, x, y):
         """The elementary tensor x (x) y."""
@@ -614,14 +634,8 @@ def induced_tensor_map(src_tensor, dst_tensor, f, g):
         raise ParentMismatch("left factor map endpoints do not match")
     if g.source != src_tensor.target or g.target != dst_tensor.target:
         raise ParentMismatch("right factor map endpoints do not match")
-    s_from = src_tensor.source.cyclic_decomposition().from_cyclic
-    t_from = src_tensor.target.cyclic_decomposition().from_cyclic
-    cols = []
-    for (i, j) in src_tensor._pairs:
-        x = Element(src_tensor.source, s_from.column(i))
-        y = Element(src_tensor.target, t_from.column(j))
-        cols.append(dst_tensor.pure(f(x), g(y)).coords)
-    return morphism_from_images(src_tensor.group, dst_tensor.group, cols)
+    return _induced_map(src_tensor, dst_tensor, _cyclic_matrix(f).to_lists(),
+                        _cyclic_matrix(g).to_lists())
 
 
 def intersect(s1, s2):

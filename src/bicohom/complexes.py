@@ -6,9 +6,10 @@ declared genuinely zero outside -- or exactly periodic, which represents
 the 2-periodic complete resolutions downstream with no truncation error.
 Queries that would need an unknown cell outside a window fail loudly.
 Every degree lookup, here, in the grids and in the file format, goes
-through the support's `canonical(n)`.  One builder, `_functor_complex`,
-applies Hom or tensor with a group degreewise for all four functors
-below; `constructions._functor_grid` is its twin for both grids.
+through the support's `canonical(n)`.  One lazy builder,
+`_lazy_functor`, applies Hom or tensor to two complexes; both grids and,
+reading one line with the group as a one-cell complex, the four functors
+with a group below are built by it.
 
 `Homology` and `HClass` are the one homology type of the package: the
 same class serves a complex at a degree and, through
@@ -343,38 +344,59 @@ def is_exact(c, lo=None, hi=None):
 # -- Hom and tensor functors ---------------------------------------------
 
 
-def _joining_diff(c, a, b):
-    """c's differential between the adjacent degrees a and b, whichever
-    way it runs."""
-    return c.diff(a if a + c.step == b else b)
+def _lazy_functor(cell_fn, map_fn, c, d, sign):
+    """(at, dprime, dsecond) of the lazy grid whose cell (i, j) is the pair
+    group F(C_{sign i}, D_{sign j}), built once per canonical site, for the
+    bifunctor F with group constructor `cell_fn` and induced map
+    `map_fn(src, dst, f, g)`.  d' applies F to (c's differential, identity)
+    and d'' to (identity, d's differential), each run the way that raises
+    the index: against a contravariant slot, the map into i + 1 comes from
+    the differential out of i + 1.
+    """
+    objs = {}
+
+    def at(i, j):
+        a, b = sign * i, sign * j
+        key = (c.support.canonical(a)[0], d.support.canonical(b)[0])
+        if key not in objs:
+            objs[key] = cell_fn(c.cell(a), d.cell(b))
+        return objs[key]
+
+    def joining(x, k):
+        return x.diff(sign * (k if x.step == sign else k + 1))
+
+    def dprime(i, j):
+        return map_fn(at(i, j), at(i + 1, j), joining(c, i),
+                      Morphism.identity(d.cell(sign * j)))
+
+    def dsecond(i, j):
+        return map_fn(at(i, j), at(i, j + 1),
+                      Morphism.identity(c.cell(sign * i)), joining(d, j))
+
+    return at, dprime, dsecond
 
 
 def _functor_complex(cell_fn, map_fn, convention, first, second):
-    """F(first, second) degreewise, where one argument is a complex and the
-    other a group, for the bifunctor F given by its group-level
-    constructor `cell_fn` and its induced map `map_fn(src, dst, f, g)`.
-
-    The result keeps the complex's support and takes `convention`.  Hom
-    is contravariant in its first slot, so there the convention flips and
-    each differential is used backwards: the map into degree n + 1 comes
-    from the complex's differential out of n + 1.
-    """
-    modulus = _shared_modulus(first, second)
+    """F(first, second) for one complex and one group: one line of the lazy
+    grid, the group taken as a one-cell complex at degree 0.  Degree n sits
+    at step * n, the step of `convention`: +1 for Hom, -1 for tensor, whose
+    grid reads its homological factors reflected."""
     c_first = isinstance(first, Complex)
     c, group = (first, second) if c_first else (second, first)
-    s = c.support
-    ident = Morphism.identity(group)
-    objs = {n: cell_fn(c.cell(n), group) if c_first
-            else cell_fn(group, c.cell(n)) for n in s.degrees()}
+    point = Complex.window(HOMOLOGICAL, group.modulus, 0, 0, [group])
     step = -1 if convention == HOMOLOGICAL else 1
-    diffs = {}
-    for n in s.degrees():
-        if n + step in s:
-            f = _joining_diff(c, n, n + step)
-            maps = (f, ident) if c_first else (ident, f)
-            diffs[n] = map_fn(objs[n], objs[s.canonical(n + step)[0]], *maps)
-    return Complex(convention, modulus, s,
-                   {n: o.group for n, o in objs.items()}, diffs)
+    if c_first:
+        at, line, _ = _lazy_functor(cell_fn, map_fn, c, point, step)
+    else:
+        at, _, line = _lazy_functor(cell_fn, map_fn, point, c, step)
+
+    def site(n):
+        return (step * n, 0) if c_first else (0, step * n)
+
+    s = c.support
+    return Complex(convention, _shared_modulus(first, second), s,
+                   {n: at(*site(n)).group for n in s.degrees()},
+                   {n: line(*site(n)) for n in s.degrees() if n + step in s})
 
 
 def hom_into_module(c, group):

@@ -1,15 +1,14 @@
 """Builders on top of the grid machinery.
 
-Hom and tensor bicomplexes assemble a lazy grid from two complexes with
-one builder, `_functor_grid`, the two-complex twin of the builder behind
-the four module functors in `complexes`; it serves both grids.  The Hom
-squares commute on the nose (both composites send f to d_D . f . d_C),
-which is the reason the grid convention carries no signs.  Complete
-resolutions over Z/m are 2-periodic strand sums read off the canonical
-cyclic decomposition, together with an explicit isomorphism witness from
-the degree-0 cycles back to the module.  Randomized exact complexes of
-free modules feed the property tests; they are deterministic in the seed
-and re-checked for exactness before being returned.
+Hom and tensor bicomplexes, and the hom cells and differentials of the
+kernel witnesses, are read off the lazy grid of `complexes._lazy_functor`.
+The Hom squares commute on the nose (both composites send f to
+d_D . f . d_C), which is the reason the grid convention carries no signs.
+Complete resolutions over Z/m are 2-periodic strand sums read off the
+canonical cyclic decomposition, together with an explicit isomorphism
+witness from the degree-0 cycles back to the module.  Randomized exact
+complexes of free modules feed the property tests; they are deterministic
+in the seed and re-checked for exactness before being returned.
 """
 
 from random import Random
@@ -19,7 +18,7 @@ from .abgroup import (FpGroup, Morphism, Subgroup, _shared_modulus,
                       kernel_image, make_morphism, morphism_from_images,
                       preimage_element, subquotient, tensor_group)
 from .bicomplexes import Bicomplex
-from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex, _joining_diff,
+from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex, _lazy_functor,
                         cycles, homology, is_exact)
 from .errors import (ConventionViolation, HypothesisViolated,
                      InternalChaseFailure, NotAModule)
@@ -30,35 +29,12 @@ from .snf import IntMatrix
 
 
 def _functor_grid(cell_fn, map_fn, c, d, sign):
-    """The lazy grid with cell (i, j) = F(C_{sign i}, D_{sign j}) for the
-    bifunctor F given by `cell_fn` and its induced map `map_fn(src, dst,
-    f, g)`; d' applies F to (c's differential, identity) and d'' to
-    (identity, d's differential), each run the way that raises the index.
-    """
-    modulus = _shared_modulus(c, d)
-    objs = {}
-
-    def at(i, j):
-        a, b = sign * i, sign * j
-        key = (c.support.canonical(a)[0], d.support.canonical(b)[0])
-        if key not in objs:
-            objs[key] = cell_fn(c.cell(a), d.cell(b))
-        return objs[key]
-
-    def dprime(i, j):
-        f = _joining_diff(c, sign * i, sign * (i + 1))
-        return map_fn(at(i, j), at(i + 1, j), f,
-                      Morphism.identity(d.cell(sign * j)))
-
-    def dsecond(i, j):
-        g = _joining_diff(d, sign * j, sign * (j + 1))
-        return map_fn(at(i, j), at(i, j + 1),
-                      Morphism.identity(c.cell(sign * i)), g)
-
+    """The Bicomplex of the lazy grid F(C_{sign i}, D_{sign j})."""
+    at, dprime, dsecond = _lazy_functor(cell_fn, map_fn, c, d, sign)
     support_i, support_j = c.support, d.support
     if sign < 0:
         support_i, support_j = support_i.reflected(), support_j.reflected()
-    return Bicomplex(modulus, support_i, support_j,
+    return Bicomplex(_shared_modulus(c, d), support_i, support_j,
                      lambda i, j: at(i, j).group, dprime, dsecond)
 
 
@@ -117,6 +93,11 @@ def _strand_complex(m, factors, convention):
     return Complex.periodic(convention, m, 2, [cell, cell], {0: d0, 1: d1})
 
 
+def _packaged(parent, subgroup):
+    """A subgroup of parent as a group, with its projection and lift."""
+    return subquotient(parent, subgroup, Subgroup.zero(parent))
+
+
 def _cycle_witness(complex_, degree, module, factors, m):
     """Package Z at `degree` as a group plus the iso onto the module.
 
@@ -124,13 +105,11 @@ def _cycle_witness(complex_, degree, module, factors, m):
     scale sends the generator (m/d_i) e_i to the module's i-th cyclic
     generator.
     """
-    cell = complex_.cell(degree)
-    packaged = subquotient(cell, cycles(complex_, degree),
-                           Subgroup.zero(cell))
+    packaged = _packaged(complex_.cell(degree), cycles(complex_, degree))
     basis = module.cyclic_decomposition().from_cyclic
     cols = []
     for g in packaged.group.generators():
-        lifted = cell.reduce(packaged.lift(g).coords)
+        lifted = packaged.parent.reduce(packaged.lift(g).coords)
         weights = [lifted[i] // (m // f) for i, f in enumerate(factors)]
         cols.append(basis.mul_vector(weights))
     return morphism_from_images(packaged.group, module, cols)
@@ -144,6 +123,13 @@ def _checked_exact(c, what):
     return c
 
 
+def _complete_resolution(m, module, convention, what):
+    """(the checked strand sum, the witness Z at degree 0 -> module)."""
+    factors = _zm_factors(m, module)
+    c = _checked_exact(_strand_complex(m, factors, convention), what)
+    return c, _cycle_witness(c, 0, module, factors, m)
+
+
 def complete_projective_resolution(m, module):
     """(P, witness) with P the 2-periodic free strand sum for the module's
     invariant factors and witness : Z_0(P) -> module an isomorphism.
@@ -152,19 +138,15 @@ def complete_projective_resolution(m, module):
     recovers the module; free factors d = m contribute a 0/1-alternating
     strand that is exact and invisible to every Tate group.
     """
-    factors = _zm_factors(m, module)
-    p = _checked_exact(_strand_complex(m, factors, HOMOLOGICAL),
-                       "complete projective resolution")
-    return p, _cycle_witness(p, 0, module, factors, m)
+    return _complete_resolution(m, module, HOMOLOGICAL,
+                                "complete projective resolution")
 
 
 def complete_injective_resolution(m, module):
     """(E, witness): the strand sum read cohomologically, d^0 = diag(d),
     with witness : Z^0(E) -> module.  Free = injective over Z/m."""
-    factors = _zm_factors(m, module)
-    e = _checked_exact(_strand_complex(m, factors, COHOMOLOGICAL),
-                       "complete injective resolution")
-    return e, _cycle_witness(e, 0, module, factors, m)
+    return _complete_resolution(m, module, COHOMOLOGICAL,
+                                "complete injective resolution")
 
 
 # -- randomized exact complexes ---------------------------------------------
@@ -207,8 +189,8 @@ def _strand_sum(m, rng, blocks, convention):
     u1, u1inv = _unimodular_pair(rng, blocks)
     return Complex.periodic(
         convention, m, 2, [cell, cell],
-        {0: make_morphism(cell, cell, u1 @ d0 @ u0inv),
-         1: make_morphism(cell, cell, u0 @ d1 @ u1inv)})
+        {0: morphism_from_images(cell, cell, (u1 @ d0 @ u0inv).columns()),
+         1: morphism_from_images(cell, cell, (u0 @ d1 @ u1inv).columns())})
 
 
 def _disc_sum(m, rng, blocks, convention):
@@ -233,7 +215,8 @@ def _disc_sum(m, rng, blocks, convention):
                 else 0 for cs in slots[n]] for rs in slots[tgt]]
         conjugated = (pairs[tgt][0]
                       @ IntMatrix(mat, cols=len(slots[n])) @ pairs[n][1])
-        diffs[n] = make_morphism(cells[n], cells[tgt], conjugated)
+        diffs[n] = morphism_from_images(cells[n], cells[tgt],
+                                        conjugated.columns())
     return Complex.window(convention, m, lo, hi, cells, diffs)
 
 
@@ -262,15 +245,30 @@ def random_exact_complex(m, seed, blocks=3, kind="periodic",
 # -- kernel identification witnesses ----------------------------------------
 
 
-def _verify_inverse_pair(forward, backward, name):
+def _hom_witness(hom_cell, diff, target_hom, restrict, extend, name):
+    """The inverse pair between Z = ker diff, a subgroup of the hom cell
+    Hom(C_i, D^j), and target_hom.  forward realizes a class of Z as f and
+    reads the images restrict(f) of target_hom.source's generators;
+    backward realizes e in target_hom as g and projects the morphism with
+    images extend(g) of C_i's generators into Z.  The two directions are
+    built independently and verified to compose to the identity both ways.
+    """
+    z_side = _packaged(hom_cell.group, kernel_image(diff)[0])
+    fwd_cols = [target_hom.element_of(morphism_from_images(
+        target_hom.source, target_hom.target,
+        restrict(hom_cell.realize(z_side.lift(g))))).coords
+        for g in z_side.group.generators()]
+    forward = morphism_from_images(z_side.group, target_hom.group, fwd_cols)
+    bwd_cols = [z_side.project(hom_cell.element_of(morphism_from_images(
+        hom_cell.source, hom_cell.target,
+        extend(target_hom.realize(e))))).coords
+        for e in target_hom.group.generators()]
+    backward = morphism_from_images(target_hom.group, z_side.group, bwd_cols)
     if backward.compose(forward) != Morphism.identity(forward.source) or \
             forward.compose(backward) != Morphism.identity(forward.target):
         raise InternalChaseFailure(
             "%s: the composites are not the identity" % name)
-
-
-def _packaged(parent, subgroup):
-    return subquotient(parent, subgroup, Subgroup.zero(parent))
+    return forward, backward
 
 
 def zprime_witness(c, d, bidegree):
@@ -280,8 +278,7 @@ def zprime_witness(c, d, bidegree):
     A d'-cocycle kills B_i(C), and exactness at i and i-1 lets d_i identify
     C_i/B_i(C) with Z_{i-1}(C); note the cycle degree really is i-1 --
     restricting along the differential lowers the degree by one, which
-    periodic examples cannot see.  Verified to compose to the identity
-    both ways before returning.
+    periodic examples cannot see.
     """
     i, j = bidegree
     for n in (i, i - 1):
@@ -290,37 +287,19 @@ def zprime_witness(c, d, bidegree):
             raise HypothesisViolated(
                 "the first factor must be exact at degree %d; found %s"
                 % (n, h.group.describe()))
-    hom_cell = hom_group(c.cell(i), d.cell(j))
-    dprime = induced_hom_map(hom_cell, hom_group(c.cell(i + 1), d.cell(j)),
-                             precompose=c.diff(i + 1))
-    zp, _ = kernel_image(dprime)
-    z_side = _packaged(hom_cell.group, zp)
     cyc_side = _packaged(c.cell(i - 1), cycles(c, i - 1))
-    target_hom = hom_group(cyc_side.group, d.cell(j))
-    fwd_cols = []
-    for g in z_side.group.generators():
-        f = hom_cell.realize(z_side.lift(g))
-        cols = []
-        for zgen in cyc_side.group.generators():
-            w = preimage_element(c.diff(i), cyc_side.lift(zgen))
-            if w is None:
-                raise InternalChaseFailure(
-                    "no differential preimage for a cycle at degree %d"
-                    % (i - 1,))
-            cols.append(f(w).coords)
-        restricted = morphism_from_images(cyc_side.group, d.cell(j), cols)
-        fwd_cols.append(target_hom.element_of(restricted).coords)
-    forward = morphism_from_images(z_side.group, target_hom.group, fwd_cols)
-    bwd_cols = []
-    for e in target_hom.group.generators():
-        g = target_hom.realize(e)
-        cols = [g(cyc_side.project(c.diff(i)(b))).coords
-                for b in c.cell(i).generators()]
-        spread = morphism_from_images(c.cell(i), d.cell(j), cols)
-        bwd_cols.append(z_side.project(hom_cell.element_of(spread)).coords)
-    backward = morphism_from_images(target_hom.group, z_side.group, bwd_cols)
-    _verify_inverse_pair(forward, backward, "zprime_witness")
-    return forward, backward
+    preimages = [preimage_element(c.diff(i), cyc_side.lift(z))
+                 for z in cyc_side.group.generators()]
+    if any(w is None for w in preimages):
+        raise InternalChaseFailure(
+            "no differential preimage for a cycle at degree %d" % (i - 1,))
+    gens = c.cell(i).generators()
+    at, dprime, _ = _lazy_functor(hom_group, induced_hom_map, c, d, 1)
+    return _hom_witness(
+        at(i, j), dprime(i, j), hom_group(cyc_side.group, d.cell(j)),
+        lambda f: [f(w).coords for w in preimages],
+        lambda g: [g(cyc_side.project(c.diff(i)(b))).coords for b in gens],
+        "zprime_witness")
 
 
 def zsecond_witness(c, d, bidegree):
@@ -331,27 +310,11 @@ def zsecond_witness(c, d, bidegree):
     a corestriction: no exactness hypothesis and no degree shift.
     """
     i, j = bidegree
-    hom_cell = hom_group(c.cell(i), d.cell(j))
-    dsecond = induced_hom_map(hom_cell, hom_group(c.cell(i), d.cell(j + 1)),
-                              postcompose=d.diff(j))
-    zs, _ = kernel_image(dsecond)
-    z_side = _packaged(hom_cell.group, zs)
     cyc_side = _packaged(d.cell(j), cycles(d, j))
-    target_hom = hom_group(c.cell(i), cyc_side.group)
-    fwd_cols = []
-    for g in z_side.group.generators():
-        f = hom_cell.realize(z_side.lift(g))
-        cols = [cyc_side.project(f(b)).coords
-                for b in c.cell(i).generators()]
-        corestricted = morphism_from_images(c.cell(i), cyc_side.group, cols)
-        fwd_cols.append(target_hom.element_of(corestricted).coords)
-    forward = morphism_from_images(z_side.group, target_hom.group, fwd_cols)
-    bwd_cols = []
-    for e in target_hom.group.generators():
-        g = target_hom.realize(e)
-        cols = [cyc_side.lift(g(b)).coords for b in c.cell(i).generators()]
-        included = morphism_from_images(c.cell(i), d.cell(j), cols)
-        bwd_cols.append(z_side.project(hom_cell.element_of(included)).coords)
-    backward = morphism_from_images(target_hom.group, z_side.group, bwd_cols)
-    _verify_inverse_pair(forward, backward, "zsecond_witness")
-    return forward, backward
+    gens = c.cell(i).generators()
+    at, _, dsecond = _lazy_functor(hom_group, induced_hom_map, c, d, 1)
+    return _hom_witness(
+        at(i, j), dsecond(i, j), hom_group(c.cell(i), cyc_side.group),
+        lambda f: [cyc_side.project(f(b)).coords for b in gens],
+        lambda g: [cyc_side.lift(g(b)).coords for b in gens],
+        "zsecond_witness")

@@ -24,7 +24,7 @@ in those coordinates, so parse/serialize round-trips are stable.
 
 import json
 
-from .abgroup import FpGroup, Morphism
+from .abgroup import FpGroup, Morphism, _cyclic_matrix
 from .complexes import COHOMOLOGICAL, HOMOLOGICAL, Periodic, Window, Complex
 from .errors import ConventionViolation, ParseError
 from .snf import IntMatrix
@@ -174,14 +174,13 @@ def load_complex(path):
         raise ParseError("%s: %s" % (path, exc))
 
 
-def _normalized_diff(c, n, forms):
+def _normalized_diff(c, n):
     """Matrix of diff(n) written in cyclic coordinates, entries reduced."""
-    src = forms[c.support.canonical(n)[0]]
-    tgt_form = forms[c.support.canonical(n + c.step)[0]]
-    composed = tgt_form.to_cyclic @ c.diff(n).matrix @ src.from_cyclic
-    target = FpGroup.from_factors(c.modulus, list(tgt_form.orders))
-    cols = [target.reduce(composed.column(j)) for j in range(composed.cols)]
-    return IntMatrix.from_columns(cols, rows=len(tgt_form.orders))
+    f = c.diff(n)
+    orders = f.target.cyclic_decomposition().orders
+    target = FpGroup.from_factors(c.modulus, list(orders))
+    cols = [target.reduce(col) for col in _cyclic_matrix(f).columns()]
+    return IntMatrix.from_columns(cols, rows=len(orders))
 
 
 def serialize_complex(c):
@@ -199,7 +198,7 @@ def serialize_complex(c):
              for n in sorted(forms)}
     diffs = {}
     for n in c.diff_degrees():
-        mat = _normalized_diff(c, n, forms)
+        mat = _normalized_diff(c, n)
         if not mat.is_zero():
             diffs[str(n)] = mat.to_lists()
     out = {"modulus": c.modulus, "convention": c.convention,

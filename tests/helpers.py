@@ -4,8 +4,9 @@ import random
 from collections import defaultdict
 
 from bicohom import backend
-from bicohom.abgroup import FpGroup, Morphism, make_morphism
-from bicohom.complexes import Complex
+from bicohom.abgroup import (Element, FpGroup, Morphism, hom_group,
+                             make_morphism, morphism_from_images, tensor_group)
+from bicohom.complexes import COHOMOLOGICAL, HOMOLOGICAL, Complex
 from bicohom.snf import IntMatrix, smith_normal_form
 
 
@@ -105,6 +106,74 @@ def scrambled_group(rng, modulus, factors):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def random_factor_group(rng, m):
+    """A scrambled sum of 1-3 seeded cyclic groups: over Z (m = 0) the
+    orders come from 0 (a Z summand), 2, 3, 4 and 6; over Z/m from the
+    divisors of m above 1."""
+    pool = [0, 2, 3, 4, 6] if m == 0 else \
+        [d for d in range(2, m + 1) if m % d == 0]
+    return scrambled_group(rng, m, [rng.choice(pool)
+                                    for _ in range(rng.randint(1, 3))])
+
+
+def random_morphism(rng, source, target):
+    """A seeded morphism source -> target, read off Hom(source, target)."""
+    hg = hom_group(source, target)
+    coords = [rng.randint(-5, 5) for _ in range(hg.group.ambient_rank)]
+    return hg.realize(hg.group.element(coords))
+
+
+# -- the Hom/tensor functor by its per-generator definition ----------------
+# Each induced map is built one generator at a time through realize,
+# compose and element_of (Hom) or pure (tensor), and each functor complex
+# one degree at a time, so none of the package's lazy grid builder or its
+# cyclic-coordinate formula is shared.  Kept as the oracle that the grids
+# and the four module functors are compared with.
+
+def reference_hom_map(src, dst, pre, post):
+    """phi |-> post . phi . pre between hom groups, generator by generator."""
+    cols = [dst.element_of(post.compose(src.realize(e).compose(pre))).coords
+            for e in src.group.generators()]
+    return morphism_from_images(src.group, dst.group, cols)
+
+
+def reference_tensor_map(src, dst, f, g):
+    """f (x) g sending the generator x_i (x) y_j of each pair (i, j) of
+    cyclic summands to pure(f(x_i), g(y_j))."""
+    s_from = src.source.cyclic_decomposition().from_cyclic
+    t_from = src.target.cyclic_decomposition().from_cyclic
+    cols = [dst.pure(f(Element(src.source, s_from.column(i))),
+                     g(Element(src.target, t_from.column(j)))).coords
+            for i, j in src._pairs]
+    return morphism_from_images(src.group, dst.group, cols)
+
+
+def reference_functor_complex(kind, first, second):
+    """Hom (kind "hom", cohomological) or tensor (kind "tensor",
+    homological) of one complex and one group, degree by degree.  Against
+    the contravariant slot of Hom the differential into degree n + 1 is
+    the complex's differential out of n + 1."""
+    hom = kind == "hom"
+    cell_fn = hom_group if hom else tensor_group
+    map_fn = reference_hom_map if hom else reference_tensor_map
+    convention = COHOMOLOGICAL if hom else HOMOLOGICAL
+    step = 1 if hom else -1
+    c_first = isinstance(first, Complex)
+    c, group = (first, second) if c_first else (second, first)
+    s = c.support
+    ident = Morphism.identity(group)
+    objs = {n: cell_fn(c.cell(n), group) if c_first
+            else cell_fn(group, c.cell(n)) for n in s.degrees()}
+    diffs = {}
+    for n in s.degrees():
+        if n + step in s:
+            f = c.diff(n if c.step == step else n + step)
+            maps = (f, ident) if c_first else (ident, f)
+            diffs[n] = map_fn(objs[n], objs[s.canonical(n + step)[0]], *maps)
+    return Complex(convention, max(first.modulus, second.modulus), s,
+                   {n: o.group for n, o in objs.items()}, diffs)
 
 
 # -- the Z-lattice construction that the modular kernel replaced ------------

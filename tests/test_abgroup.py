@@ -30,7 +30,8 @@ from bicohom.cli import main
 from bicohom.errors import (IllDefined, InternalChaseFailure, NotContained,
                             ParentMismatch)
 from bicohom.snf import IntMatrix, smith_normal_form
-from helpers import (invariant_factors_oracle, random_unimodular,
+from helpers import (invariant_factors_oracle, random_factor_group,
+                     random_morphism, random_unimodular, reference_tensor_map,
                      scrambled_group, seeded)
 
 
@@ -541,6 +542,36 @@ def test_induced_tensor_map_on_pure_tensors():
     for x in z4.elements():
         for y in z2.elements():
             assert fg(t1.pure(x, y)) == t2.pure(f(x), g(y))
+
+
+def random_element(rng, group):
+    return Element(group, [rng.randint(-9, 9)
+                           for _ in range(group.ambient_rank)])
+
+
+@pytest.mark.parametrize("m", [0, 4, 8, 9, 12])
+def test_induced_maps_match_the_per_generator_definition(m):
+    """Column k of an induced Hom map is element_of(post . realize(e_k) .
+    pre), reduced mod m, and the induced tensor map sends pure(x, y) to
+    pure(f(x), g(y)); on scrambled groups with Z summands over Z, so that
+    Hom(Z, Z/b), the vanishing Hom(Z/a, Z) and Z (x) Z occur, and with
+    free summands over Z/m."""
+    rng = seeded("induced-maps-%d" % m)
+    for _ in range(12):
+        g, h, g2, h2 = (random_factor_group(rng, m) for _ in range(4))
+        src, dst = hom_group(g, h), hom_group(g2, h2)
+        pre, post = random_morphism(rng, g2, g), random_morphism(rng, h, h2)
+        got = induced_hom_map(src, dst, pre, post)
+        for e, col in zip(src.group.generators(), got.matrix.columns()):
+            want = dst.element_of(post.compose(src.realize(e).compose(pre)))
+            assert col == tuple(x % m if m else x for x in want.coords)
+        ts, td = tensor_group(g, h), tensor_group(g2, h2)
+        f, f2 = random_morphism(rng, g, g2), random_morphism(rng, h, h2)
+        got = induced_tensor_map(ts, td, f, f2)
+        assert got.matrix == reference_tensor_map(ts, td, f, f2).matrix
+        for _ in range(4):
+            x, y = random_element(rng, g), random_element(rng, h)
+            assert got(ts.pure(x, y)) == td.pure(f(x), f2(y))
 
 
 # ------------------------------------------------- preimages and inverses

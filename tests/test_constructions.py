@@ -3,8 +3,11 @@
 Oracles, written before the implementations they check:
   * strand kernels/images by enumeration in Z/m pin the resolution shape
     and the Z_0 witness targets.
-  * rows and columns of the Hom grid are compared against the one-variable
-    functors, which were tested independently against enumeration.
+  * rows and columns of the Hom and tensor grids, and the one-variable
+    functors, are compared bit for bit with `reference_functor_complex`
+    (tests/helpers.py), which builds each degree from the per-generator
+    definition of the induced map and shares none of the package's lazy
+    grid builder.
   * the window disc instance at the end of the Z' witness tests is the
     decisive case for the cycle degree: Hom(Z_0, D) is Z/4 there while
     Hom(Z_1, D) = 0, so any off-by-one dies loudly.
@@ -27,7 +30,7 @@ from bicohom.constructions import (complete_injective_resolution,
                                    zsecond_witness)
 from bicohom.errors import HypothesisViolated, NotAModule
 from bicohom.snf import IntMatrix
-from helpers import periodic_strand
+from helpers import periodic_strand, reference_functor_complex
 
 
 def mult_kernel(m, a):
@@ -42,6 +45,12 @@ def packaged_cycles(c, n):
     """Z at one degree as a standalone group."""
     cell = c.cell(n)
     return subquotient(cell, cycles(c, n), Subgroup.zero(cell)).group
+
+
+def assert_same_map(got, want):
+    """Same endpoints and the same matrix, entry for entry."""
+    assert got.source == want.source and got.target == want.target
+    assert got.matrix == want.matrix
 
 
 def strand_pair(m, entries):
@@ -71,14 +80,18 @@ def test_hom_bicomplex_rows_and_columns_match_functors():
     x = hom_bicomplex(c, d)
     for j in range(2):
         row = hom_into_module(c, d.cell(j))
+        ref = reference_functor_complex("hom", c, d.cell(j))
         for i in range(2):
-            assert x.cell(i, j) == row.cell(i)
-            assert x.dprime(i, j) == row.diff(i)
+            assert x.cell(i, j) == row.cell(i) == ref.cell(i)
+            assert_same_map(x.dprime(i, j), ref.diff(i))
+            assert_same_map(row.diff(i), ref.diff(i))
     for i in range(2):
         col = hom_from_module(c.cell(i), d)
+        ref = reference_functor_complex("hom", c.cell(i), d)
         for j in range(2):
-            assert x.cell(i, j) == col.cell(j)
-            assert x.dsecond(i, j) == col.diff(j)
+            assert x.cell(i, j) == col.cell(j) == ref.cell(j)
+            assert_same_map(x.dsecond(i, j), ref.diff(j))
+            assert_same_map(col.diff(j), ref.diff(j))
 
 
 def random_pair(kind, first_convention, second_convention):
@@ -102,14 +115,18 @@ def test_hom_bicomplex_rows_and_columns_match_functors_on_both_supports(kind):
     x = hom_bicomplex(c, d)
     for j in around(d):
         row = hom_into_module(c, d.cell(j))
+        ref = reference_functor_complex("hom", c, d.cell(j))
         for i in around(c):
-            assert x.cell(i, j) == row.cell(i)
-            assert x.dprime(i, j) == row.diff(i)
+            assert x.cell(i, j) == row.cell(i) == ref.cell(i)
+            assert_same_map(x.dprime(i, j), ref.diff(i))
+            assert_same_map(row.diff(i), ref.diff(i))
     for i in around(c):
         col = hom_from_module(c.cell(i), d)
+        ref = reference_functor_complex("hom", c.cell(i), d)
         for j in around(d):
-            assert x.cell(i, j) == col.cell(j)
-            assert x.dsecond(i, j) == col.diff(j)
+            assert x.cell(i, j) == col.cell(j) == ref.cell(j)
+            assert_same_map(x.dsecond(i, j), ref.diff(j))
+            assert_same_map(col.diff(j), ref.diff(j))
 
 
 @pytest.mark.parametrize("kind", ["periodic", "window"])
@@ -119,14 +136,18 @@ def test_tensor_bicomplex_rows_and_columns_match_functors(kind):
     # cell (i, j) is C_{-i} (x) D_{-j}: row j is C (x) D_{-j} read at -i
     for j in around(d, -1):
         row = tensor_with_module(c, d.cell(-j))
+        ref = reference_functor_complex("tensor", c, d.cell(-j))
         for i in around(c, -1):
-            assert x.cell(i, j) == row.cell(-i)
-            assert x.dprime(i, j) == row.diff(-i)
+            assert x.cell(i, j) == row.cell(-i) == ref.cell(-i)
+            assert_same_map(x.dprime(i, j), ref.diff(-i))
+            assert_same_map(row.diff(-i), ref.diff(-i))
     for i in around(c, -1):
         col = module_tensor_with(c.cell(-i), d)
+        ref = reference_functor_complex("tensor", c.cell(-i), d)
         for j in around(d, -1):
-            assert x.cell(i, j) == col.cell(-j)
-            assert x.dsecond(i, j) == col.diff(-j)
+            assert x.cell(i, j) == col.cell(-j) == ref.cell(-j)
+            assert_same_map(x.dsecond(i, j), ref.diff(-j))
+            assert_same_map(col.diff(-j), ref.diff(-j))
 
 
 def test_hom_bicomplex_validation():
@@ -267,6 +288,20 @@ def test_resolutions_reject_non_modules():
 
 
 # --------------------------------------------------------- random instances
+
+
+@pytest.mark.parametrize("kind", ["periodic", "window"])
+def test_random_exact_complex_differentials_are_reduced(kind):
+    # the seeded unimodular conjugation must not leave entries outside
+    # [0, m) for every later product to carry
+    for m in (4, 8, 9, 12):
+        for seed in range(8):
+            for convention in (HOMOLOGICAL, COHOMOLOGICAL):
+                c = random_exact_complex(m, seed, blocks=3, kind=kind,
+                                         convention=convention)
+                for n in c.diff_degrees():
+                    entries = sum(c.diff(n).matrix.to_lists(), [])
+                    assert all(0 <= e < m for e in entries), (m, seed, n)
 
 
 def test_random_exact_complex_deterministic():

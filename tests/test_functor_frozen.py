@@ -35,36 +35,17 @@ from bicohom.constructions import (complete_injective_resolution,
                                    tensor_bicomplex, zprime_witness,
                                    zsecond_witness)
 
-from helpers import scrambled_group, seeded
+from helpers import random_factor_group, random_morphism, seeded
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_functor.json"
 
-Z_FACTORS = [0, 2, 3, 4, 6]
 MODULI = [4, 8, 9, 12]
-
-
-def _factors(rng, m):
-    pool = Z_FACTORS if m == 0 else [d for d in range(2, m + 1) if m % d == 0]
-    return [rng.choice(pool) for _ in range(rng.randint(1, 3))]
-
-
-def random_group(rng, m):
-    return scrambled_group(rng, m, _factors(rng, m))
-
-
-def random_morphism(rng, source, target):
-    """A seeded morphism source -> target, read off Hom(source, target)."""
-    hg = hom_group(source, target)
-    coords = [rng.randint(-5, 5) for _ in range(hg.group.ambient_rank)]
-    return hg.realize(hg.group.element(coords))
-
-
 def rows(f):
     return f.matrix.to_lists()
 
 
 def induced_hom_case(rng, m):
-    g, h, g2, h2 = (random_group(rng, m) for _ in range(4))
+    g, h, g2, h2 = (random_factor_group(rng, m) for _ in range(4))
     pre = random_morphism(rng, g2, g)
     post = random_morphism(rng, h, h2)
     which = rng.randrange(3)
@@ -77,7 +58,7 @@ def induced_hom_case(rng, m):
 
 
 def induced_tensor_case(rng, m):
-    g, h, g2, h2 = (random_group(rng, m) for _ in range(4))
+    g, h, g2, h2 = (random_factor_group(rng, m) for _ in range(4))
     f, g_map = random_morphism(rng, g, g2), random_morphism(rng, h, h2)
     return rows(induced_tensor_map(tensor_group(g, h), tensor_group(g2, h2),
                                    f, g_map))
@@ -107,7 +88,7 @@ def _complex_rows(c):
 
 def module_functor_case(rng):
     m = rng.choice(MODULI)
-    module, other = random_group(rng, m), random_group(rng, m)
+    module, other = random_factor_group(rng, m), random_factor_group(rng, m)
     p, _ = complete_projective_resolution(m, module)
     e, _ = complete_injective_resolution(m, other)
     q, _ = complete_projective_resolution(m, other)
@@ -119,7 +100,7 @@ def module_functor_case(rng):
 
 def window_functor_case(rng):
     m = rng.choice(MODULI)
-    group = random_group(rng, m)
+    group = random_factor_group(rng, m)
     c = random_exact_complex(m, rng.randrange(10 ** 6), blocks=3,
                              kind="window")
     d = random_exact_complex(m, rng.randrange(10 ** 6), blocks=3,
