@@ -263,6 +263,20 @@ def test_subgroup_membership_and_equality():
         s.includes(Subgroup(h, [(2,)]))
 
 
+def test_subgroup_checks_its_generators():
+    g = FpGroup.from_factors(0, [4, 4])
+    other = FpGroup.from_factors(0, [4])
+    with pytest.raises(ParentMismatch, match="generator is not in the parent"):
+        Subgroup(g, [Element(other, (1,))])
+    with pytest.raises(ValueError):
+        Subgroup(g, [(1, 0, 0)])
+    with pytest.raises(TypeError):
+        Subgroup(g, [(1.5, 0)])
+    empty = Subgroup(g, [])
+    assert empty.is_zero()
+    assert empty == Subgroup.zero(g)
+
+
 def test_intersect_examples():
     g = FpGroup(0, 2)
     s1 = Subgroup(g, [(1, 0)])
