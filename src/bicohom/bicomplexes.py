@@ -126,16 +126,16 @@ class _Grid(object):
         every bidegree of the rectangle where the composites exist."""
         for i in range(i_lo, i_hi + 1):
             for j in range(j_lo, j_hi + 1):
-                if self.representable(i + 2, j):
-                    two = self.dprime(i + 1, j).compose(self.dprime(i, j))
+                for axis in (PRIME, SECOND):
+                    di, dj = _STEP[axis]
+                    if not self.representable(i + 2 * di, j + 2 * dj):
+                        continue
+                    two = self._diff(i + di, j + dj, axis).compose(
+                        self._diff(i, j, axis))
                     if not two.is_zero():
                         raise ConventionViolation(
-                            "d' o d' is nonzero at (%d, %d)" % (i, j))
-                if self.representable(i, j + 2):
-                    two = self.dsecond(i, j + 1).compose(self.dsecond(i, j))
-                    if not two.is_zero():
-                        raise ConventionViolation(
-                            "d'' o d'' is nonzero at (%d, %d)" % (i, j))
+                            "d%s o d%s is nonzero at (%d, %d)"
+                            % (_MARKS[axis], _MARKS[axis], i, j))
                 if self.representable(i + 1, j + 1):
                     a = self.dsecond(i + 1, j).compose(self.dprime(i, j))
                     b = self.dprime(i, j + 1).compose(self.dsecond(i, j))

@@ -85,11 +85,13 @@ def test_from_grid_validation():
     ident = Morphism.identity(z2)
     with pytest.raises(ValueError):
         Bicomplex.from_grid(2, {(0, 0): z2, (1, 1): z2})  # not a rectangle
-    with pytest.raises(ConventionViolation):
+    with pytest.raises(ConventionViolation,
+                       match=r"^d' o d' is nonzero at \(0, 0\)$"):
         # d' o d' = identity over a 3-cell row
         Bicomplex.from_grid(2, {(i, 0): z2 for i in range(3)},
                             dprimes={(0, 0): ident, (1, 0): ident})
-    with pytest.raises(ConventionViolation):
+    with pytest.raises(ConventionViolation,
+                       match=r"^d'' o d'' is nonzero at \(0, 0\)$"):
         # d'' o d'' = identity over a 3-cell column
         Bicomplex.from_grid(2, {(0, j): z2 for j in range(3)},
                             dseconds={(0, 0): ident, (0, 1): ident})
