@@ -29,6 +29,11 @@ HOMOLOGICAL = "homological"
 COHOMOLOGICAL = "cohomological"
 
 
+def degree_step(convention):
+    """The degree change of a differential: -1 homological, +1 otherwise."""
+    return -1 if convention == HOMOLOGICAL else 1
+
+
 class Window:
     """Support lo..hi inclusive; zero_outside means the complex is known to
     vanish beyond the window rather than merely being truncated there."""
@@ -110,7 +115,7 @@ class Complex:
         self.convention = convention
         self.modulus = modulus
         self.support = support
-        self.step = -1 if convention == HOMOLOGICAL else 1
+        self.step = degree_step(convention)
         self._cells = dict(cells)
         self._diffs = dict(diffs)
         self._zero_cell = FpGroup(modulus, 0)
@@ -384,7 +389,7 @@ def _functor_complex(cell_fn, map_fn, convention, first, second):
     c_first = isinstance(first, Complex)
     c, group = (first, second) if c_first else (second, first)
     point = Complex.window(HOMOLOGICAL, group.modulus, 0, 0, [group])
-    step = -1 if convention == HOMOLOGICAL else 1
+    step = degree_step(convention)
     if c_first:
         at, line, _ = _lazy_functor(cell_fn, map_fn, c, point, step)
     else:

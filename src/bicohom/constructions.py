@@ -19,7 +19,7 @@ from .abgroup import (FpGroup, Morphism, Subgroup, _shared_modulus,
                       preimage_element, subquotient, tensor_group)
 from .bicomplexes import Bicomplex
 from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex, _lazy_functor,
-                        cycles, homology, is_exact)
+                        cycles, degree_step, homology, is_exact)
 from .errors import (ConventionViolation, HypothesisViolated,
                      InternalChaseFailure, NotAModule)
 from .snf import IntMatrix
@@ -206,7 +206,7 @@ def _disc_sum(m, rng, blocks, convention):
     pairs = {n: _unimodular_pair(rng, len(slots[n])) for n in slots}
     diffs = {}
     for n in slots:
-        tgt = n - 1 if convention == HOMOLOGICAL else n + 1
+        tgt = n + degree_step(convention)
         if tgt not in slots:
             continue
         # identity on each disc, aimed along the convention's direction

@@ -25,7 +25,8 @@ in those coordinates, so parse/serialize round-trips are stable.
 import json
 
 from .abgroup import FpGroup, Morphism, _cyclic_matrix
-from .complexes import COHOMOLOGICAL, HOMOLOGICAL, Periodic, Window, Complex
+from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, Periodic, Window,
+                        Complex, degree_step)
 from .errors import ConventionViolation, ParseError
 from .snf import IntMatrix
 
@@ -137,7 +138,7 @@ def parse_complex(text):
     for n in cells:
         if n not in wanted:
             raise ParseError("cells[%d] is outside the support" % n)
-    step = -1 if convention == HOMOLOGICAL else 1
+    step = degree_step(convention)
     diffs = {}
     for key, spec in raw.get("diffs", {}).items():
         n = _degree_key(key, "diffs")
