@@ -1,11 +1,12 @@
 """Exact homological algebra over Z and Z/m: complexes, bicomplexes, the
 core invariant of exact grids, and balanced stable Ext/Tor."""
 
-from .abgroup import (Element, FpGroup, HomGroup, Morphism, Subgroup,
-                      Subquotient, TensorGroup, direct_sum, hom_group,
-                      induced_hom_map, induced_tensor_map, intersect,
-                      invert_isomorphism, kernel_image, make_morphism,
-                      preimage_element, subquotient, tensor_group)
+from .abgroup import (Element, FpGroup, HClass, HomGroup, Homology,
+                      Morphism, Subgroup, TensorGroup, direct_sum,
+                      hom_group, induced_hom_map, induced_tensor_map,
+                      intersect, invert_isomorphism, kernel_image,
+                      make_morphism, preimage_element, subquotient,
+                      tensor_group)
 from .bicomplexes import (Bicomplex, BoundaryData, DoubleComplex,
                           I_THEN_II, II_THEN_I, PRIME, SECOND,
                           boundary_subgroups, check_exact_grid,
@@ -13,11 +14,10 @@ from .bicomplexes import (Bicomplex, BoundaryData, DoubleComplex,
                           core_homology_alt, diagonal_shift,
                           directional_homology, from_double_complex,
                           iterated_homology, to_double_complex)
-from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex, HClass,
-                        Homology, Periodic, Window, boundaries, cycles,
-                        hom_from_module, hom_into_module, homology,
-                        is_exact, module_tensor_with, reindex,
-                        tensor_with_module)
+from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex, Periodic,
+                        Window, boundaries, cycles, hom_from_module,
+                        hom_into_module, homology, is_exact,
+                        module_tensor_with, reindex, tensor_with_module)
 from .constructions import (complete_injective_resolution,
                             complete_projective_resolution, hom_bicomplex,
                             random_exact_complex, tensor_bicomplex,
@@ -42,7 +42,7 @@ __all__ = [
     "IllDefined", "IntMatrix", "InternalChaseFailure", "Morphism",
     "NotAModule", "NotContained", "OutOfWindow", "PRIME", "ParentMismatch",
     "ParseError", "Periodic", "RESOLVE_LEFT", "RESOLVE_RIGHT", "SECOND",
-    "SUITES", "SnfResult", "Subgroup", "Subquotient", "TOR", "TensorGroup",
+    "SUITES", "SnfResult", "Subgroup", "TOR", "TensorGroup",
     "VIA_INJECTIVE", "VIA_PROJECTIVE", "Window", "balance_report",
     "boundaries", "boundary_subgroups", "check_exact_grid",
     "complete_injective_resolution", "complete_projective_resolution",

@@ -8,6 +8,14 @@ and so works on residues mod m when m is positive; elements stay exact
 integer vectors throughout.  For Z/m-modules this is lossless: module maps
 and module tensor products agree with the underlying abelian-group ones
 once both sides are killed by m.
+
+Each object of this layer is stored once, in the form its callers read.
+A `Subgroup` is the IntMatrix of its generator columns; membership
+reduces modulo the relations of the quotient parent / subgroup.  A
+subquotient is one `Homology`: numerator over denominator with its group,
+`project` and `representative`.  `complexes.homology` and
+`bicomplexes.core_homology` return the same type with their site
+attached, and `HClass` is its class type.
 """
 
 from collections import namedtuple
@@ -328,22 +336,26 @@ def morphism_from_images(source, target, images):
 
 
 class Subgroup:
-    """A subgroup of an FpGroup, recorded by a finite generating set."""
+    """A subgroup of an FpGroup, stored as the IntMatrix of its generator
+    columns.  The constructor takes Elements of the parent or coordinate
+    tuples; `generators` builds the Elements on demand.  Membership
+    reduces modulo the relations of the quotient parent / self, whose
+    relation matrix (the generators beside the parent relations) is the
+    subgroup's lattice lifted to Z^r."""
 
-    __slots__ = ("parent", "generators", "_lattice")
+    __slots__ = ("parent", "matrix", "_quotient")
 
     def __init__(self, parent, generators=()):
-        gens = []
+        cols = []
         for g in generators:
             if isinstance(g, Element):
                 if g.parent != parent:
                     raise ParentMismatch("generator is not in the parent")
-                gens.append(g)
-            else:
-                gens.append(Element(parent, g))
+                g = g.coords
+            cols.append(g)
         self.parent = parent
-        self.generators = tuple(gens)
-        self._lattice = None
+        self.matrix = IntMatrix.from_columns(cols, rows=parent.ambient_rank)
+        self._quotient = None
 
     @classmethod
     def zero(cls, parent):
@@ -351,27 +363,24 @@ class Subgroup:
 
     @classmethod
     def full(cls, parent):
-        return cls(parent, parent.generators())
+        return cls(parent, IntMatrix.identity(parent.ambient_rank).columns())
 
-    def as_matrix(self):
-        return IntMatrix.from_columns([g.coords for g in self.generators],
-                                      rows=self.parent.ambient_rank)
+    @property
+    def generators(self):
+        return tuple(Element(self.parent, c) for c in self.matrix.columns())
 
-    def _reduction(self):
-        # echelon of generators + parent relations: the lifted lattice in Z^r
-        if self._lattice is None:
-            mat = self.as_matrix().hstack(self.parent.relations)
-            h, pivots = backend.col_echelon(mat.to_lists(),
-                                            self.parent.modulus)
-            self._lattice = (h, pivots)
-        return self._lattice
+    def _holds(self, coords):
+        # zero in parent / self, the quotient built once
+        if self._quotient is None:
+            p = self.parent
+            self._quotient = FpGroup(p.modulus, p.ambient_rank,
+                                     self.matrix.hstack(p.relations))
+        return not any(self._quotient.reduce(coords))
 
     def contains(self, elt):
         if elt.parent != self.parent:
             raise ParentMismatch("element is not in the parent group")
-        h, pivots = self._reduction()
-        return not any(backend.reduce_columns(h, pivots, elt.coords,
-                                              self.parent.modulus))
+        return self._holds(elt.coords)
 
     def __contains__(self, elt):
         return self.contains(elt)
@@ -380,10 +389,11 @@ class Subgroup:
         """Whether other is a subgroup of self (generator by generator)."""
         if other.parent != self.parent:
             raise ParentMismatch("subgroups of different groups")
-        return all(self.contains(g) for g in other.generators)
+        return all(map(self._holds, other.matrix.columns()))
 
     def is_zero(self):
-        return all(g.is_zero() for g in self.generators)
+        return all(not any(self.parent.reduce(c))
+                   for c in self.matrix.columns())
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):
@@ -395,17 +405,17 @@ class Subgroup:
     __hash__ = None
 
     def __repr__(self):
-        return "Subgroup(%d generators)" % len(self.generators)
+        return "Subgroup(%d generators)" % self.matrix.cols
 
 
-def _span(parent, elements):
-    """The subgroup of parent generated by the nonzero ones of elements."""
-    return Subgroup(parent, [g for g in elements if not g.is_zero()])
+def _span(parent, columns):
+    """The subgroup of parent generated by the columns nonzero in it."""
+    return Subgroup(parent, [c for c in columns if any(parent.reduce(c))])
 
 
 def _push(subgroup, f):
     """Image of a subgroup under a morphism, as a subgroup of the target."""
-    return _span(f.target, map(f, subgroup.generators))
+    return _span(f.target, (f.matrix @ subgroup.matrix).columns())
 
 
 def kernel_image(f):
@@ -419,62 +429,138 @@ def kernel_image(f):
     must not be changed once its pair has been asked for.
     """
     if f._kernel_image is None:
-        src = f.source
         ker = kernel_basis(f.matrix, f.target.modulus, f.target.relations)
         f._kernel_image = (
-            _span(src, (Element(src, x) for x in ker.columns() if any(x))),
-            _push(Subgroup.full(src), f))
+            _span(f.source, [x for x in ker.columns() if any(x)]),
+            _span(f.target, f.matrix.columns()))
     return f._kernel_image
 
 
-class Subquotient:
-    """num/den packaged with its projection and lifting maps."""
+class Homology:
+    """numerator / denominator for subgroups denominator <= numerator of
+    `parent`: the one subquotient type of the package.
 
-    __slots__ = ("group", "parent", "_num_matrix")
+    `owner` is the complex or the grid and `index` the degree or the
+    bidegree; both are None for a bare subquotient.  For a complex the
+    quotient is cycles over boundaries; for a grid it is the core
+    invariant, Z' ∩ Z'' over d'(Z'') or d''(Z').  The ambient generators
+    of `group` are the numerator's generator columns, so `representative`
+    applies the numerator matrix to a class and `project` solves it back.
+    """
 
-    def __init__(self, group, parent, num_matrix):
+    __slots__ = ("owner", "index", "parent", "numerator", "denominator",
+                 "group")
+
+    def __init__(self, owner, index, numerator, denominator, group):
+        self.owner = owner
+        self.index = index
+        self.parent = numerator.parent
+        self.numerator = numerator
+        self.denominator = denominator
         self.group = group
-        self.parent = parent
-        self._num_matrix = num_matrix
+
+    def class_of(self, representative):
+        return HClass(self, representative)
 
     def project(self, elt):
-        """Class of a parent element lying in the numerator subgroup."""
+        """The class in `group` of a parent element lying in the numerator."""
         if elt.parent != self.parent:
             raise ParentMismatch("element is not in the ambient group")
-        sol = solve_mod(self._num_matrix, elt.coords, self.parent.modulus,
-                        self.parent.relations)
+        sol = solve_mod(self.numerator.matrix, elt.coords,
+                        self.parent.modulus, self.parent.relations)
         if sol is None:
             raise NotContained("element is outside the numerator subgroup")
         return Element(self.group, sol)
 
-    def lift(self, elt):
-        """A parent-group representative of a class."""
-        if elt.parent != self.group:
+    def representative(self, class_elt):
+        """A numerator element representing an element of `group`."""
+        if class_elt.parent != self.group:
             raise ParentMismatch("element is not a class of this subquotient")
-        return Element(self.parent, self._num_matrix.mul_vector(elt.coords))
+        return Element(self.parent,
+                       self.numerator.matrix.mul_vector(class_elt.coords))
+
+    def zero_class(self):
+        return HClass(self, self.parent.zero())
+
+    def _same_site(self, other):
+        if self.owner is None:
+            return self is other
+        return self.owner is other.owner and self.index == other.index
 
 
-def subquotient(parent, num, den):
-    """The group num/den for subgroups den <= num of parent.
+class HClass:
+    """A class of a Homology, carried by a representative in its numerator:
+    a cycle of a complex, or an element of Z' ∩ Z'' of a grid."""
 
-    Ambient generators of the result are num's generators; relations are
+    __slots__ = ("homology", "representative")
+
+    def __init__(self, homology, representative):
+        if representative.parent != homology.parent:
+            raise ParentMismatch("representative lives in the wrong cell")
+        if not homology.numerator.contains(representative):
+            raise NotContained("representative is outside the numerator")
+        self.homology = homology
+        self.representative = representative
+
+    def value(self):
+        """The class as an element of the homology group."""
+        return self.homology.project(self.representative)
+
+    def is_zero(self):
+        return self.homology.denominator.contains(self.representative)
+
+    def _check_peer(self, other):
+        if not isinstance(other, HClass) or \
+                not self.homology._same_site(other.homology):
+            raise ParentMismatch("classes from different homology sites")
+
+    def __add__(self, other):
+        self._check_peer(other)
+        return HClass(self.homology,
+                      self.representative + other.representative)
+
+    def __sub__(self, other):
+        self._check_peer(other)
+        return HClass(self.homology,
+                      self.representative - other.representative)
+
+    def __neg__(self):
+        return HClass(self.homology, -self.representative)
+
+    def __eq__(self, other):
+        if not isinstance(other, HClass) or \
+                not self.homology._same_site(other.homology):
+            return NotImplemented
+        return (self - other).is_zero()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "HClass(%r, rep=%r)" % (self.homology.index,
+                                       self.representative)
+
+
+def subquotient(parent, num, den, owner=None, index=None):
+    """The Homology num/den for subgroups den <= num of parent, at the site
+    (owner, index) when one is given.
+
+    Ambient generators of its group are num's generators; relations are
     every integer combination of them that lands in den plus the parent
-    relations.  project/lift on the returned object invert one another up
-    to den, and lift(project(x)) == x holds in the parent.
+    relations.  project/representative invert one another up to den, and
+    representative(project(x)) == x holds in the parent.
     """
     if num.parent != parent or den.parent != parent:
         raise ParentMismatch("subgroups of a different group")
     if not num.includes(den):
         raise NotContained("denominator is not inside the numerator")
-    num_mat = num.as_matrix()
-    t = num_mat.cols
+    t = num.matrix.cols
     m = parent.modulus
-    rels = kernel_basis(num_mat, m, den.as_matrix().hstack(parent.relations))
+    rels = kernel_basis(num.matrix, m, den.matrix.hstack(parent.relations))
     # a Howell pivot m marks the column m*e_j, which the modulus imposes
     kept = [rels.column(j) for j in range(rels.cols)
             if not (m and rels[(j, j)] == m)]
     group = FpGroup(m, t, IntMatrix.from_columns(kept, rows=t))
-    return Subquotient(group, parent, num_mat)
+    return Homology(owner, index, num, den, group)
 
 
 def _cyclic_matrix(f):
@@ -642,11 +728,10 @@ def intersect(s1, s2):
     """The subgroup s1 ∩ s2 of their shared parent."""
     if s1.parent != s2.parent:
         raise ParentMismatch("subgroups of different groups")
-    parent = s1.parent
-    rel = parent.relations
-    meet = lattice_intersect(s1.as_matrix().hstack(rel),
-                             s2.as_matrix().hstack(rel), parent.modulus)
-    return _span(parent, (Element(parent, x) for x in meet.columns()))
+    rel = s1.parent.relations
+    meet = lattice_intersect(s1.matrix.hstack(rel),
+                             s2.matrix.hstack(rel), s1.parent.modulus)
+    return _span(s1.parent, meet.columns())
 
 
 def preimage_element(f, target_elt):

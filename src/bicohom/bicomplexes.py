@@ -11,9 +11,10 @@ The core invariant at (i, j) is (Z' ∩ Z'') / d'(Z''); under exact rows and
 columns it equals the quotient by d''(Z') and carries a (1, -1) shift
 isomorphism chased through preimages.  Both facts are consumed here and
 verified by the callers' tests rather than re-proved per call.  It is a
-homology group of the grid, and it is returned as one: a
-`complexes.Homology` whose owner is the grid and whose index is the
-bidegree, with `complexes.HClass` classes.
+homology group of the grid, and it is returned as one: the
+`abgroup.Homology` that `abgroup.subquotient` builds with the grid as
+owner and the bidegree as index, with `abgroup.HClass` classes.  H', H''
+and the E2 pages are the same type without a site.
 
 Z', B', Z'', B'' and both core denominators d'(Z'') and d''(Z') are read
 through three helpers that take the axis as a parameter, over kernels and
@@ -25,7 +26,7 @@ from collections import namedtuple
 from .abgroup import (Morphism, _push, intersect, kernel_image,
                       morphism_from_images, preimage_element, subquotient,
                       FpGroup)
-from .complexes import Homology, Periodic, Window
+from .complexes import Periodic, Window
 from .errors import (ConventionViolation, HypothesisViolated,
                      InternalChaseFailure, OutOfWindow)
 
@@ -308,9 +309,8 @@ def _core(x, i, j, label, axis, op_name):
     """(Z' ∩ Z'') / _pushed_cycles(x, i, j, axis), reported at label."""
     _require_core_exact(x, i, j, op_name)
     numerator = intersect(_cycles(x, i, j, PRIME), _cycles(x, i, j, SECOND))
-    denominator = _pushed_cycles(x, i, j, axis)
-    sub = subquotient(x.cell(i, j), numerator, denominator)
-    return Homology(x, label, numerator, denominator, sub)
+    return subquotient(x.cell(i, j), numerator,
+                       _pushed_cycles(x, i, j, axis), x, label)
 
 
 def core_homology(x, bidegree):
@@ -386,11 +386,9 @@ def diagonal_shift(cls, direction):
 
 def _induced_between_subs(sq_from, sq_to, f):
     """The map on subquotients induced by f on representatives."""
-    cols = []
-    for g in sq_from.group.generators():
-        rep = sq_from.lift(g)
-        cols.append(sq_to.project(f(rep)).coords)
-    return morphism_from_images(sq_from.group, sq_to.group, cols)
+    return morphism_from_images(sq_from.group, sq_to.group, [
+        sq_to.project(f(sq_from.representative(g))).coords
+        for g in sq_from.group.generators()])
 
 
 def iterated_homology(x, bidegree, order):

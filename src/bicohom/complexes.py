@@ -11,19 +11,19 @@ through the support's `canonical(n)`.  One lazy builder,
 reading one line with the group as a one-cell complex, the four functors
 with a group below are built by it.
 
-`Homology` and `HClass` are the one homology type of the package: the
-same class serves a complex at a degree and, through
+`homology(c, n)` returns the package's one subquotient type,
+`abgroup.Homology` with its `abgroup.HClass` classes, built by
+`abgroup.subquotient` at the site (c, n); the same type serves, through
 `bicomplexes.core_homology`, a grid's core invariant at a bidegree.
 """
 
 from math import gcd
 
-from .abgroup import (FpGroup, Morphism, _shared_modulus, hom_group,
-                      induced_hom_map, induced_tensor_map, kernel_image,
-                      subquotient, tensor_group)
+from .abgroup import (FpGroup, Homology, Morphism, _shared_modulus,
+                      hom_group, induced_hom_map, induced_tensor_map,
+                      kernel_image, subquotient, tensor_group)
 from .abgroup import direct_sum as group_direct_sum
-from .errors import (ConventionViolation, NotContained, OutOfWindow,
-                     ParentMismatch)
+from .errors import ConventionViolation, OutOfWindow
 
 HOMOLOGICAL = "homological"
 COHOMOLOGICAL = "cohomological"
@@ -214,45 +214,6 @@ def boundaries(c, n):
     return img
 
 
-class Homology:
-    """numerator / denominator at one site of a complex or of a grid.
-
-    `owner` is the complex or the grid and `index` the degree or the
-    bidegree.  For a complex the quotient is cycles over boundaries; for
-    a grid it is the core invariant, Z' ∩ Z'' over d'(Z'') or d''(Z').
-    Classes are projected into `group` and lifted back through the
-    packaged subquotient.
-    """
-
-    __slots__ = ("owner", "index", "numerator", "denominator", "group",
-                 "_sub")
-
-    def __init__(self, owner, index, numerator, denominator, sub):
-        self.owner = owner
-        self.index = index
-        self.numerator = numerator
-        self.denominator = denominator
-        self._sub = sub
-        self.group = sub.group
-
-    def class_of(self, representative):
-        return HClass(self, representative)
-
-    def project(self, representative):
-        """Coordinates of a numerator element's class in the group."""
-        return self._sub.project(representative)
-
-    def representative(self, class_elt):
-        """A numerator element representing a group element."""
-        return self._sub.lift(class_elt)
-
-    def zero_class(self):
-        return HClass(self, self._sub.parent.zero())
-
-    def _same_site(self, other):
-        return self.owner is other.owner and self.index == other.index
-
-
 def homology(c, n):
     """Homology of c at degree n, memoized per complex.
 
@@ -263,63 +224,10 @@ def homology(c, n):
     got = c._homology.get(key)
     if got is None:
         z, b = cycles(c, key), boundaries(c, key)
-        got = c._homology[key] = Homology(c, key, z, b,
-                                          subquotient(c.cell(key), z, b))
+        got = c._homology[key] = subquotient(c.cell(key), z, b, c, key)
     if key == n:
         return got
-    return Homology(c, n, got.numerator, got.denominator, got._sub)
-
-
-class HClass:
-    """A class of a Homology, carried by a representative in its numerator:
-    a cycle of a complex, or an element of Z' ∩ Z'' of a grid."""
-
-    __slots__ = ("homology", "representative")
-
-    def __init__(self, homology, representative):
-        if representative.parent != homology._sub.parent:
-            raise ParentMismatch("representative lives in the wrong cell")
-        if not homology.numerator.contains(representative):
-            raise NotContained("representative is outside the numerator")
-        self.homology = homology
-        self.representative = representative
-
-    def value(self):
-        """The class as an element of the homology group."""
-        return self.homology.project(self.representative)
-
-    def is_zero(self):
-        return self.homology.denominator.contains(self.representative)
-
-    def _check_peer(self, other):
-        if not isinstance(other, HClass) or \
-                not self.homology._same_site(other.homology):
-            raise ParentMismatch("classes from different homology sites")
-
-    def __add__(self, other):
-        self._check_peer(other)
-        return HClass(self.homology,
-                      self.representative + other.representative)
-
-    def __sub__(self, other):
-        self._check_peer(other)
-        return HClass(self.homology,
-                      self.representative - other.representative)
-
-    def __neg__(self):
-        return HClass(self.homology, -self.representative)
-
-    def __eq__(self, other):
-        if not isinstance(other, HClass) or \
-                not self.homology._same_site(other.homology):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "HClass(%r, rep=%r)" % (self.homology.index,
-                                       self.representative)
+    return Homology(c, n, got.numerator, got.denominator, got.group)
 
 
 def is_exact(c, lo=None, hi=None):

@@ -94,7 +94,7 @@ def _strand_complex(m, factors, convention):
 
 
 def _packaged(parent, subgroup):
-    """A subgroup of parent as a group, with its projection and lift."""
+    """A subgroup of parent as a group, with project and representative."""
     return subquotient(parent, subgroup, Subgroup.zero(parent))
 
 
@@ -109,7 +109,7 @@ def _cycle_witness(complex_, degree, module, factors, m):
     basis = module.cyclic_decomposition().from_cyclic
     cols = []
     for g in packaged.group.generators():
-        lifted = packaged.parent.reduce(packaged.lift(g).coords)
+        lifted = packaged.parent.reduce(packaged.representative(g).coords)
         weights = [lifted[i] // (m // f) for i, f in enumerate(factors)]
         cols.append(basis.mul_vector(weights))
     return morphism_from_images(packaged.group, module, cols)
@@ -256,7 +256,7 @@ def _hom_witness(hom_cell, diff, target_hom, restrict, extend, name):
     z_side = _packaged(hom_cell.group, kernel_image(diff)[0])
     fwd_cols = [target_hom.element_of(morphism_from_images(
         target_hom.source, target_hom.target,
-        restrict(hom_cell.realize(z_side.lift(g))))).coords
+        restrict(hom_cell.realize(z_side.representative(g))))).coords
         for g in z_side.group.generators()]
     forward = morphism_from_images(z_side.group, target_hom.group, fwd_cols)
     bwd_cols = [z_side.project(hom_cell.element_of(morphism_from_images(
@@ -288,7 +288,7 @@ def zprime_witness(c, d, bidegree):
                 "the first factor must be exact at degree %d; found %s"
                 % (n, h.group.describe()))
     cyc_side = _packaged(c.cell(i - 1), cycles(c, i - 1))
-    preimages = [preimage_element(c.diff(i), cyc_side.lift(z))
+    preimages = [preimage_element(c.diff(i), cyc_side.representative(z))
                  for z in cyc_side.group.generators()]
     if any(w is None for w in preimages):
         raise InternalChaseFailure(
@@ -316,5 +316,5 @@ def zsecond_witness(c, d, bidegree):
     return _hom_witness(
         at(i, j), dsecond(i, j), hom_group(c.cell(i), cyc_side.group),
         lambda f: [cyc_side.project(f(b)).coords for b in gens],
-        lambda g: [cyc_side.lift(g(b)).coords for b in gens],
+        lambda g: [cyc_side.representative(g(b)).coords for b in gens],
         "zsecond_witness")

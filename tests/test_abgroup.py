@@ -311,7 +311,7 @@ def test_subquotient_z_example():
     assert q.group.invariant_factors == (3,)
     x = Element(z, (4,))
     cls = q.project(x)
-    assert q.lift(cls) == x
+    assert q.representative(cls) == x
     assert q.project(Element(z, (6,))).is_zero()
     with pytest.raises(NotContained):
         q.project(Element(z, (3,)))
@@ -357,7 +357,7 @@ def test_subquotient_matches_coset_count():
         assert q.group.order() == count_cosets(g, num, den)
         for x in elts:
             if num.contains(x):
-                assert q.lift(q.project(x)) == x
+                assert q.representative(q.project(x)) == x
 
 
 def test_subquotient_project_lift_inverse_on_classes():
@@ -367,7 +367,7 @@ def test_subquotient_project_lift_inverse_on_classes():
     q = subquotient(g, num, den)
     assert q.group.order() == count_cosets(g, num, den)
     for cls in q.group.elements():
-        assert q.project(q.lift(cls)) == cls
+        assert q.project(q.representative(cls)) == cls
 
 
 # -------------------------------------------------------------- hom groups

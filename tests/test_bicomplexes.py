@@ -11,8 +11,9 @@ Oracles, written before the implementations they check:
 import pytest
 
 from bicohom import abgroup
-from bicohom.abgroup import (FpGroup, Morphism, Subgroup, hom_group,
-                             induced_hom_map, kernel_image, make_morphism)
+from bicohom.abgroup import (FpGroup, HClass, Homology, Morphism, Subgroup,
+                             hom_group, induced_hom_map, kernel_image,
+                             make_morphism)
 from bicohom.bicomplexes import (Bicomplex, BoundaryData,
                                  DoubleComplex, I_THEN_II, II_THEN_I, PRIME,
                                  SECOND, boundary_subgroups, check_exact_grid,
@@ -20,8 +21,7 @@ from bicohom.bicomplexes import (Bicomplex, BoundaryData,
                                  core_homology_alt, diagonal_shift,
                                  directional_homology, from_double_complex,
                                  iterated_homology, to_double_complex)
-from bicohom.complexes import (COHOMOLOGICAL, Complex, HClass, Homology,
-                               Periodic, Window,
+from bicohom.complexes import (COHOMOLOGICAL, Complex, Periodic, Window,
                                homology)
 from bicohom.errors import (ConventionViolation, HypothesisViolated,
                             NotContained, OutOfWindow, ParentMismatch)

@@ -9,9 +9,9 @@ Oracles, written before the implementations they check:
 
 import pytest
 
-from bicohom.abgroup import (Element, FpGroup, Morphism, Subgroup,
+from bicohom.abgroup import (Element, FpGroup, HClass, Morphism, Subgroup,
                              make_morphism)
-from bicohom.complexes import (Complex, HClass, Periodic, Window, boundaries,
+from bicohom.complexes import (Complex, Periodic, Window, boundaries,
                                cycles, direct_sum, hom_from_module,
                                hom_into_module, homology, is_exact,
                                module_tensor_with, reindex,

@@ -89,7 +89,7 @@ def subquotient_case(rng, over_z):
     q = subquotient(g, num, den)
     projected = [list(q.project(g.element(combination(rng, num))).coords)
                  for _ in range(3)]
-    lifted = [list(q.lift(q.group.element(
+    lifted = [list(q.representative(q.group.element(
         [rng.randint(-5, 5) for _ in range(q.group.ambient_rank)])).coords)
         for _ in range(3)]
     return [q.group.relations.to_lists(), projected, lifted]
