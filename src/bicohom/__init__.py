@@ -24,7 +24,8 @@ from .constructions import (complete_injective_resolution,
                             zprime_witness, zsecond_witness)
 from .errors import (BicohomError, ConventionViolation, HypothesisViolated,
                      IllDefined, InternalChaseFailure, NotAModule,
-                     NotContained, OutOfWindow, ParentMismatch, ParseError)
+                     NotAnIsomorphism, NotContained, OutOfWindow,
+                     ParentMismatch, ParseError)
 from .formats import load_complex, parse_complex, serialize_complex
 from .snf import (IntMatrix, SnfResult, hermite_normal_form, kernel_basis,
                   lattice_intersect, smith_normal_form, solve_mod)
@@ -40,11 +41,11 @@ __all__ = [
     "DoubleComplex", "EXT", "Element", "FpGroup", "HClass", "HOMOLOGICAL",
     "HomGroup", "Homology", "HypothesisViolated", "I_THEN_II", "II_THEN_I",
     "IllDefined", "IntMatrix", "InternalChaseFailure", "Morphism",
-    "NotAModule", "NotContained", "OutOfWindow", "PRIME", "ParentMismatch",
-    "ParseError", "Periodic", "RESOLVE_LEFT", "RESOLVE_RIGHT", "SECOND",
-    "SUITES", "SnfResult", "Subgroup", "TOR", "TensorGroup",
-    "VIA_INJECTIVE", "VIA_PROJECTIVE", "Window", "balance_report",
-    "boundaries", "boundary_subgroups", "check_exact_grid",
+    "NotAModule", "NotAnIsomorphism", "NotContained", "OutOfWindow",
+    "PRIME", "ParentMismatch", "ParseError", "Periodic", "RESOLVE_LEFT",
+    "RESOLVE_RIGHT", "SECOND", "SUITES", "SnfResult", "Subgroup", "TOR",
+    "TensorGroup", "VIA_INJECTIVE", "VIA_PROJECTIVE", "Window",
+    "balance_report", "boundaries", "boundary_subgroups", "check_exact_grid",
     "complete_injective_resolution", "complete_projective_resolution",
     "core_equality_check", "core_homology", "core_homology_alt", "cycles",
     "diagonal_shift", "direct_sum", "directional_homology",

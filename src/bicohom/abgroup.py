@@ -24,8 +24,8 @@ from math import gcd
 from operator import index as _as_int
 
 from . import backend
-from .errors import (IllDefined, InternalChaseFailure, NotContained,
-                     ParentMismatch)
+from .errors import (IllDefined, InternalChaseFailure, NotAnIsomorphism,
+                     NotContained, ParentMismatch)
 from .snf import (IntMatrix, kernel_basis, lattice_intersect,
                   smith_normal_form, solve_mod)
 
@@ -157,12 +157,8 @@ class FpGroup:
 
     def generators(self):
         """The ambient basis images e_0, ..., e_{r-1}."""
-        out = []
-        for i in range(self.ambient_rank):
-            coords = [0] * self.ambient_rank
-            coords[i] = 1
-            out.append(Element(self, coords))
-        return out
+        n = self.ambient_rank
+        return [Element(self, row) for row in backend.identity(n)]
 
     def elements(self):
         """Iterate every element exactly once; finite groups only."""
@@ -173,10 +169,10 @@ class FpGroup:
             yield Element(self, form.from_cyclic.mul_vector(combo))
 
     def __eq__(self, other):
-        return (isinstance(other, FpGroup)
-                and self.modulus == other.modulus
-                and self.ambient_rank == other.ambient_rank
-                and self.relations == other.relations)
+        return self is other or (isinstance(other, FpGroup)
+                                 and self.modulus == other.modulus
+                                 and self.ambient_rank == other.ambient_rank
+                                 and self.relations == other.relations)
 
     def __hash__(self):
         return hash((self.modulus, self.ambient_rank, self.relations))
@@ -466,11 +462,10 @@ class Homology:
         """The class in `group` of a parent element lying in the numerator."""
         if elt.parent != self.parent:
             raise ParentMismatch("element is not in the ambient group")
-        sol = solve_mod(self.numerator.matrix, elt.coords,
-                        self.parent.modulus, self.parent.relations)
-        if sol is None:
+        cls = _solve(self.numerator.matrix, elt, self.group, "class")
+        if cls is None:
             raise NotContained("element is outside the numerator subgroup")
-        return Element(self.group, sol)
+        return cls
 
     def representative(self, class_elt):
         """A numerator element representing an element of `group`."""
@@ -738,15 +733,19 @@ def preimage_element(f, target_elt):
     """Some x with f(x) == target_elt, or None when none exists."""
     if target_elt.parent != f.target:
         raise ParentMismatch("element is not in the morphism's target")
-    sol = solve_mod(f.matrix, target_elt.coords, f.target.modulus,
-                    f.target.relations)
+    return _solve(f.matrix, target_elt, f.source, "preimage")
+
+
+def _solve(matrix, elt, source, what):
+    """An x in `source` with matrix @ x == elt in elt's group, or None."""
+    target = elt.parent
+    sol = solve_mod(matrix, elt.coords, target.modulus, target.relations)
     if sol is None:
         return None
-    x = Element(f.source, sol)
     # the only check on the solver's witness that does not share its code
-    if f(x) != target_elt:
-        raise InternalChaseFailure("solve_mod returned a wrong preimage")
-    return x
+    if Element(target, matrix.mul_vector(sol)) != elt:
+        raise InternalChaseFailure("solve_mod returned a wrong " + what)
+    return Element(source, sol)
 
 
 def direct_sum(g, h):
@@ -767,18 +766,18 @@ def direct_sum(g, h):
 
 
 def invert_isomorphism(f):
-    """The two-sided inverse of an isomorphism; ValueError otherwise."""
+    """The two-sided inverse of an isomorphism; NotAnIsomorphism otherwise."""
     cols = []
     for e in f.target.generators():
         x = preimage_element(f, e)
         if x is None:
-            raise ValueError("morphism is not surjective")
+            raise NotAnIsomorphism("morphism is not surjective")
         cols.append(x.coords)
     back = IntMatrix.from_columns(cols, rows=f.source.ambient_rank)
     g = Morphism(f.target, f.source, back)
     if not g.is_well_defined():
-        raise ValueError("morphism is not injective")
+        raise NotAnIsomorphism("morphism is not injective")
     if g.compose(f) != Morphism.identity(f.source) or \
             f.compose(g) != Morphism.identity(f.target):
-        raise ValueError("morphism is not an isomorphism")
+        raise NotAnIsomorphism("morphism is not an isomorphism")
     return g

@@ -37,6 +37,10 @@ class InternalChaseFailure(BicohomError):
     """
 
 
+class NotAnIsomorphism(BicohomError, ValueError):
+    """A morphism asked to be inverted is not an isomorphism."""
+
+
 class NotAModule(BicohomError):
     """A group is not killed by the requested modulus."""
 

@@ -13,7 +13,8 @@ below the top block have top part zero; their bottom parts span exactly the
 lattice vectors with zero top part.  kernel_basis(a, m, R) is the preimage
 {x : a@x in span(R) + m*Z^rows} and solve_mod(a, b, m, R) finds an x with
 a@x - b in that lattice, both from [[a, R], [I, 0]], whose lattice vectors
-are the pairs (a@x + R@y + m*z; x + m*w).
+are the pairs (a@x + R@y + m*z; x + m*w).  solve_mod keeps its echelon on
+the IntMatrix a, so solves against one long-lived matrix build it once.
 """
 
 from operator import index as _as_int
@@ -29,13 +30,15 @@ def _dimension(n, what):
 
 
 class IntMatrix:
-    """Immutable row-major integer matrix; dimensions may be 0, never < 0."""
+    """Immutable row-major integer matrix, dimensions 0 or more; it carries
+    one lazily filled solve echelon, `_solver`, kept by solve_mod."""
 
-    __slots__ = ("_data", "rows", "cols")
+    __slots__ = ("_data", "rows", "cols", "_solver")
 
     def __init__(self, rows, cols=None):
         data = tuple(tuple(_as_int(e) for e in row) for row in rows)
         self._data = data
+        self._solver = None
         self.rows = len(data)
         if data:
             self.cols = len(data[0])
@@ -272,22 +275,24 @@ def solve_mod(a, b, m=0, relations=None):
     """One x with a @ x - b in span(relations) + m*Z^rows, or None.
 
     (b; 0) is reduced by the pivots on a's rows of the echelon form of
-    [[a, R], [I, 0]].  b is reachable iff the top part of the residue
-    vanishes, and then minus its bottom part is a witness, taken mod m
-    (entries in [0, m)) when m > 0.  Any returned x satisfies the system
-    exactly (substitution is the oracle of record).
+    [[a, R], [I, 0]]; `a` keeps them and their columns as (m, relations,
+    h, pivots) until a call has another m or unequal relations.  b is
+    reachable iff the residue's top part vanishes, and then minus its
+    bottom part is a witness, mod m (in [0, m)) when m > 0.  Any returned
+    x satisfies the system exactly (substitution is the oracle of record).
     """
     m = _check_modulus(m)
     b = [_as_int(e) for e in b]
     if len(b) != a.rows:
         raise ValueError("right-hand side has wrong length")
-    h, pivots, k = _preimage_echelon(a, m, relations)
-    residue = backend.reduce_columns(h, pivots[:k], b + [0] * a.cols, m)
+    if a._solver is None or a._solver[:2] != (m, relations):
+        h, pivots, k = _preimage_echelon(a, m, relations)
+        a._solver = (m, relations, [row[:k] for row in h], pivots[:k])
+    h, pivots = a._solver[2:]
+    residue = backend.reduce_columns(h, pivots, b + [0] * a.cols, m)
     if any(residue[:a.rows]):
         return None
-    if m:
-        return tuple(-e % m for e in residue[a.rows:])
-    return tuple(-e for e in residue[a.rows:])
+    return tuple(-e % m if m else -e for e in residue[a.rows:])
 
 
 def lattice_intersect(b1, b2, m=0):

@@ -28,6 +28,7 @@ from .complexes import (hom_from_module, hom_into_module, homology,
 from .constructions import (_zm_factors, complete_injective_resolution,
                             complete_projective_resolution, hom_bicomplex,
                             tensor_bicomplex)
+from .errors import NotAnIsomorphism
 
 VIA_PROJECTIVE = "via_projective"
 VIA_INJECTIVE = "via_injective"
@@ -121,7 +122,7 @@ def _walk_is_isomorphism(x, corner):
     walk = morphism_from_images(src.group, dst.group, cols)
     try:
         invert_isomorphism(walk)
-    except ValueError:
+    except NotAnIsomorphism:
         return False
     return True
 

@@ -27,8 +27,8 @@ from bicohom.abgroup import (Element, FpGroup, Morphism, Subgroup, direct_sum,
                              make_morphism, preimage_element, subquotient,
                              tensor_group)
 from bicohom.cli import main
-from bicohom.errors import (IllDefined, InternalChaseFailure, NotContained,
-                            ParentMismatch)
+from bicohom.errors import (IllDefined, InternalChaseFailure, NotAnIsomorphism,
+                            NotContained, ParentMismatch)
 from bicohom.snf import IntMatrix, smith_normal_form
 from helpers import (invariant_factors_oracle, random_factor_group,
                      random_morphism, random_unimodular, reference_tensor_map,
@@ -649,6 +649,15 @@ def test_preimage_rejects_a_wrong_witness(monkeypatch):
               "--kind", "ext", "--range", "1..1", "--both-ways"])
 
 
+def test_project_rejects_a_wrong_witness(monkeypatch):
+    z4 = FpGroup.from_factors(4, [4])
+    q = subquotient(z4, Subgroup(z4, [(1,)]), Subgroup(z4, []))
+    assert q.representative(q.project(Element(z4, (1,)))) == Element(z4, (1,))
+    _solver_with_wrong_witness(monkeypatch)
+    with pytest.raises(InternalChaseFailure, match="wrong class"):
+        q.project(Element(z4, (1,)))
+
+
 def test_invert_isomorphism():
     z5 = FpGroup.from_factors(0, [5])
     f = make_morphism(z5, z5, IntMatrix([[2]]))
@@ -665,6 +674,21 @@ def test_invert_isomorphism():
     z2 = FpGroup.from_factors(0, [2])
     with pytest.raises(ValueError):
         invert_isomorphism(make_morphism(sq, z2, IntMatrix([[1, 0]])))
+
+
+def test_invert_isomorphism_names_each_failure():
+    # a ValueError still, so callers that catch ValueError keep working
+    z4, z2 = FpGroup.from_factors(0, [4]), FpGroup.from_factors(0, [2])
+    sq = FpGroup.from_factors(0, [2, 2])
+    for f, reason in (
+            (make_morphism(z4, z4, IntMatrix([[2]])), "not surjective"),
+            (make_morphism(FpGroup(0, 1), z2, IntMatrix([[1]])),
+             "not injective"),
+            (make_morphism(sq, z2, IntMatrix([[1, 0]])),
+             "not an isomorphism")):
+        with pytest.raises(NotAnIsomorphism, match=reason):
+            invert_isomorphism(f)
+    assert issubclass(NotAnIsomorphism, ValueError)
 
 
 def test_direct_sum_shape_and_maps():

@@ -136,3 +136,26 @@ def test_entries_never_exceed_the_modulus():
     for k in range(0, 49, 7):
         col = [row[k] for row in rows]
         assert not any(backend.reduce_columns(h, pivots, col, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_mod_never_reuses_a_stale_echelon(data):
+    # one matrix object solved across moduli and relations in turn: its kept
+    # echelon must answer exactly as a fresh copy of the matrix does
+    a = data.draw(matrices())
+    rel = data.draw(matrices(rows=a.rows))
+    same_rel = IntMatrix(rel.to_lists(), cols=rel.cols)
+    schedule = [(4, None), (8, None), (0, None), (4, rel), (4, same_rel),
+                (4, None), (8, rel), (0, rel), (0, None), (8, same_rel)]
+    for m, relations in schedule + schedule[::-1]:
+        b = [data.draw(st.integers(-20, 20)) for _ in range(a.rows)]
+        x = solve_mod(a, b, m, relations)
+        assert x == solve_mod(IntMatrix(a.to_lists(), cols=a.cols), b, m,
+                              relations)
+        assert (x is not None) == oracle_solve_mod(a, b, m, relations)
+        if x is not None:
+            rest = [ax - e for ax, e in zip(a.mul_vector(x), b)]
+            rows = [[] for _ in b] if relations is None \
+                else relations.to_lists()
+            assert not any(oracle_reduce(rows, m, rest))

@@ -16,8 +16,8 @@ from bicohom.bicomplexes import core_homology
 from bicohom.constructions import (complete_injective_resolution,
                                    complete_projective_resolution,
                                    hom_bicomplex)
-from bicohom.errors import NotAModule
-from bicohom import tate
+from bicohom.errors import NotAModule, NotAnIsomorphism
+from bicohom import abgroup, snf, tate
 from bicohom.tate import (EXT, RESOLVE_LEFT, RESOLVE_RIGHT, TOR,
                           VIA_INJECTIVE, VIA_PROJECTIVE, balance_grid,
                           balance_report, tate_ext, tate_groups, tate_tor)
@@ -168,6 +168,52 @@ def test_balance_report_builds_each_route_complex_once(m, kind, builders,
     assert report["all_pass"] is True
     assert [row["degree"] for row in report["degrees"]] == list(DEGREES)
     assert calls == dict.fromkeys(builders, 1)
+
+
+def test_balance_report_echelonizes_each_solve_matrix_once(monkeypatch):
+    # count-based guard on solve_mod's kept echelon: one build per distinct
+    # (matrix object, modulus, relations) the group layer solves against
+    held, keys, builds, solving = [], set(), [0], [False]
+    real_solve, real_echelon = abgroup.solve_mod, snf._preimage_echelon
+
+    def solve(a, b, m=0, relations=None):
+        held.append(a)  # keeps every id(a) distinct while counting
+        keys.add((id(a), m, relations))
+        solving[0] = True
+        try:
+            return real_solve(a, b, m, relations)
+        finally:
+            solving[0] = False
+
+    def echelon(a, m, relations):
+        builds[0] += solving[0]
+        return real_echelon(a, m, relations)
+
+    monkeypatch.setattr(abgroup, "solve_mod", solve)
+    monkeypatch.setattr(snf, "_preimage_echelon", echelon)
+    assert balance_report(8, z(8, 2, 4), z(8, 4), range(-1, 2), EXT)[
+        "all_pass"] is True
+    assert len(held) > 2 * len(keys)  # the walk re-solves against each
+    assert builds[0] == len(keys)
+
+
+def test_walk_fails_only_on_a_non_isomorphism(monkeypatch):
+    a = z(4, 2)
+
+    def not_iso(f):
+        raise NotAnIsomorphism("morphism is not injective")
+
+    monkeypatch.setattr(tate, "invert_isomorphism", not_iso)
+    row, = balance_report(4, a, a, [1], EXT)["degrees"]
+    assert row["shift_walk"] == "failed" and row["pass"] is False
+
+    def internal_fault(f):
+        raise ValueError("dimension mismatch: 1x2 @ 1x1")
+
+    # an internal fault is not a failed walk: it must stay loud
+    monkeypatch.setattr(tate, "invert_isomorphism", internal_fault)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        balance_report(4, a, a, [1], EXT)
 
 
 def test_non_modules_rejected():
