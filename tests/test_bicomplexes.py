@@ -10,7 +10,7 @@ Oracles, written before the implementations they check:
 
 import pytest
 
-from bicohom import abgroup
+from bicohom import abgroup, bicomplexes
 from bicohom.abgroup import (FpGroup, HClass, Homology, Morphism, Subgroup,
                              hom_group, induced_hom_map, kernel_image,
                              make_morphism)
@@ -24,7 +24,8 @@ from bicohom.bicomplexes import (Bicomplex, BoundaryData,
 from bicohom.complexes import (COHOMOLOGICAL, Complex, Periodic, Window,
                                homology)
 from bicohom.errors import (ConventionViolation, HypothesisViolated,
-                            NotContained, OutOfWindow, ParentMismatch)
+                            InternalChaseFailure, NotContained, OutOfWindow,
+                            ParentMismatch)
 from bicohom.constructions import (hom_bicomplex, random_exact_complex,
                                    tensor_bicomplex)
 from bicohom.snf import IntMatrix
@@ -327,6 +328,38 @@ def test_diagonal_shift_requires_exactness():
         diagonal_shift(cls, "+")  # H'' at (0, 0) is Z/2, not zero
     with pytest.raises(HypothesisViolated):
         diagonal_shift(cls, "-")
+
+
+@pytest.mark.parametrize("direction, mark", [("+", "''"), ("-", "'")])
+def test_diagonal_shift_hypothesis_message(direction, mark):
+    lone = Bicomplex.from_grid(2, {(1, 2): FpGroup.from_factors(2, [2])})
+    cls = core_homology(lone, (1, 2)).class_of(
+        lone.cell(1, 2).element((1,)))
+    with pytest.raises(HypothesisViolated) as err:
+        diagonal_shift(cls, direction)
+    assert str(err.value) == (
+        "diagonal_shift(%s) needs H%s = 0 at (1, 2) but found Z/2"
+        % (direction, mark))
+
+
+@pytest.mark.parametrize("direction, line", [("+", "column"), ("-", "row")])
+def test_diagonal_shift_loud_without_preimage(monkeypatch, direction, line):
+    x = strand_square(4, [2, 2])
+    cls = core_homology(x, (0, 0)).class_of(x.cell(0, 0).element((2,)))
+    monkeypatch.setattr(bicomplexes, "preimage_element",
+                        lambda f, elt: None)
+    with pytest.raises(InternalChaseFailure) as err:
+        diagonal_shift(cls, direction)
+    assert str(err.value) == (
+        "certified-exact %s has no preimage at (0, 0)" % line)
+
+
+def test_diagonal_shift_rejects_a_bad_direction():
+    x = strand_square(4, [2, 2])
+    cls = core_homology(x, (0, 0)).class_of(x.cell(0, 0).element((2,)))
+    with pytest.raises(ValueError) as err:
+        diagonal_shift(cls, "sideways")
+    assert str(err.value) == "direction must be '+' or '-'"
 
 
 # -------------------------------------------------------- iterated homology
