@@ -15,12 +15,16 @@ reduces modulo the relations of the quotient parent / subgroup.  A
 subquotient is one `Homology`: numerator over denominator with its group,
 `project` and `representative`.  `complexes.homology` and
 `bicomplexes.core_homology` return the same type with their site
-attached, and `HClass` is its class type.
+attached, and `HClass` is its class type.  The relation echelon that
+each group caches decides every yes/no question (zero, well defined,
+contained, trivial) in `FpGroup._kills` and `is_trivial`; the Smith form
+only describes a group: its invariant factors, order, cyclic coordinates
+and `describe`.
 """
 
 from collections import namedtuple
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from operator import index as _as_int
 
 from . import backend
@@ -118,16 +122,12 @@ class FpGroup:
         return self.cyclic_decomposition().orders.count(0)
 
     def is_trivial(self):
-        return not self.cyclic_decomposition().orders
+        h, pivots = self._reduction()  # a unit pivot on every row
+        return sum(h[r][c] == 1 for r, c in pivots) == self.ambient_rank
 
     def order(self):
         """Number of elements, or None when the group is infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return None if self.free_rank else prod(self.invariant_factors)
 
     def describe(self):
         parts = ["Z/%d" % d for d in self.invariant_factors]
@@ -139,15 +139,18 @@ class FpGroup:
 
     def _reduction(self):
         if self._echelon is None:
-            h, pivots = backend.col_echelon(self.relations.to_lists(),
-                                            self.modulus)
-            self._echelon = (h, pivots)
+            self._echelon = backend.col_echelon(self.relations.to_lists(),
+                                                self.modulus)
         return self._echelon
 
     def reduce(self, coords):
         """Canonical representative of coords modulo the relation lattice."""
         h, pivots = self._reduction()
         return tuple(backend.reduce_columns(h, pivots, coords, self.modulus))
+
+    def _kills(self, columns):
+        """Whether every coordinate column is zero in this group."""
+        return all(not any(self.reduce(c)) for c in columns)
 
     def element(self, coords):
         return Element(self, coords)
@@ -199,7 +202,7 @@ class Element:
         return Element(self.parent, self.parent.reduce(self.coords))
 
     def is_zero(self):
-        return not any(self.parent.reduce(self.coords))
+        return self.parent._kills([self.coords])
 
     def _check_peer(self, other):
         if not isinstance(other, Element) or other.parent != self.parent:
@@ -225,8 +228,7 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element) or other.parent != self.parent:
             return NotImplemented
-        return (self.parent.reduce(self.coords)
-                == self.parent.reduce(other.coords))
+        return (self - other).is_zero()
 
     def __hash__(self):
         return hash(self.parent.reduce(self.coords))
@@ -289,13 +291,11 @@ class Morphism:
         return Morphism(self.source, self.target, -self.matrix)
 
     def is_well_defined(self):
-        image = self.matrix @ self.source.full_relations
-        return all(not any(self.target.reduce(image.column(j)))
-                   for j in range(image.cols))
+        return self.target._kills(
+            (self.matrix @ self.source.full_relations).columns())
 
     def is_zero(self):
-        return all(not any(self.target.reduce(self.matrix.column(j)))
-                   for j in range(self.matrix.cols))
+        return self.target._kills(self.matrix.columns())
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):
@@ -365,18 +365,18 @@ class Subgroup:
     def generators(self):
         return tuple(Element(self.parent, c) for c in self.matrix.columns())
 
-    def _holds(self, coords):
-        # zero in parent / self, the quotient built once
+    def _holds(self, columns):
+        # every column zero in parent / self, the quotient built once
         if self._quotient is None:
             p = self.parent
             self._quotient = FpGroup(p.modulus, p.ambient_rank,
                                      self.matrix.hstack(p.relations))
-        return not any(self._quotient.reduce(coords))
+        return self._quotient._kills(columns)
 
     def contains(self, elt):
         if elt.parent != self.parent:
             raise ParentMismatch("element is not in the parent group")
-        return self._holds(elt.coords)
+        return self._holds([elt.coords])
 
     def __contains__(self, elt):
         return self.contains(elt)
@@ -385,11 +385,10 @@ class Subgroup:
         """Whether other is a subgroup of self (generator by generator)."""
         if other.parent != self.parent:
             raise ParentMismatch("subgroups of different groups")
-        return all(map(self._holds, other.matrix.columns()))
+        return self._holds(other.matrix.columns())
 
     def is_zero(self):
-        return all(not any(self.parent.reduce(c))
-                   for c in self.matrix.columns())
+        return self.parent._kills(self.matrix.columns())
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):
@@ -427,7 +426,7 @@ def kernel_image(f):
     if f._kernel_image is None:
         ker = kernel_basis(f.matrix, f.target.modulus, f.target.relations)
         f._kernel_image = (
-            _span(f.source, [x for x in ker.columns() if any(x)]),
+            _span(f.source, ker.columns()),
             _span(f.target, f.matrix.columns()))
     return f._kernel_image
 
@@ -743,7 +742,8 @@ def _solve(matrix, elt, source, what):
     if sol is None:
         return None
     # the only check on the solver's witness that does not share its code
-    if Element(target, matrix.mul_vector(sol)) != elt:
+    if not target._kills([tuple(a - b for a, b in
+                                zip(matrix.mul_vector(sol), elt.coords))]):
         raise InternalChaseFailure("solve_mod returned a wrong " + what)
     return Element(source, sol)
 

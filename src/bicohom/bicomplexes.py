@@ -18,7 +18,10 @@ and the E2 pages are the same type without a site.
 
 Z', B', Z'', B'' and both core denominators d'(Z'') and d''(Z') are read
 through three helpers that take the axis as a parameter, over kernels and
-images that `abgroup.kernel_image` builds once per differential.
+images that `abgroup.kernel_image` builds once per differential.  H', H''
+and the core share one memo per grid, keyed by canonical site, and the
+diagonal shift is one chase for both directions: it solves along one axis
+and pushes along the other.
 """
 
 from collections import namedtuple
@@ -43,6 +46,11 @@ _OTHER = {PRIME: SECOND, SECOND: PRIME}
 _MARKS = {PRIME: "'", SECOND: "''"}
 # the axis whose homology an iterated-homology order takes first
 _INNER = {I_THEN_II: PRIME, II_THEN_I: SECOND}
+# diagonal_shift: the axis each direction solves along; per axis, the
+# _Grid method of its differential (called by name) and its grid line
+_SOLVE_AXIS = {"+": SECOND, "-": PRIME}
+_DIFF_NAME = {PRIME: "dprime", SECOND: "dsecond"}
+_LINE = {PRIME: "row", SECOND: "column"}
 
 BoundaryData = namedtuple("BoundaryData",
                           ["zprime", "bprime", "zsecond", "bsecond"])
@@ -61,8 +69,7 @@ class _Grid(object):
         self._zero_cell = FpGroup(modulus, 0)
         self._cells = {}
         self._diffs = {PRIME: {}, SECOND: {}}
-        self._dir_subs = {}
-        self._cores = {}
+        self._sites = {}
 
     def _site(self, i, j):
         ci, ini = self.support_i.canonical(i)
@@ -243,19 +250,21 @@ def _pushed_cycles(x, i, j, axis):
     return _push(_cycles(x, a, b, _OTHER[axis]), x._diff(a, b, axis))
 
 
+def _at_site(x, i, j, tag, build):
+    """build(label) for the site (i, j), memoized per tag and canonical
+    site; label is the canonical bidegree, or (i, j) outside the support."""
+    key, inside = x._site(i, j)
+    if not inside:
+        return build((i, j))
+    if (tag, key) not in x._sites:
+        x._sites[tag, key] = build(key)
+    return x._sites[tag, key]
+
+
 def _directional_sub(x, i, j, axis):
     """H' or H'' at (i, j) as a subquotient, memoized per canonical site."""
-    key, inside = x._site(i, j)
-    memo_key = (axis,) + key
-    if inside:
-        got = x._dir_subs.get(memo_key)
-        if got is not None:
-            return got
-    got = subquotient(x.cell(i, j), _cycles(x, i, j, axis),
-                      _boundaries(x, i, j, axis))
-    if inside:
-        x._dir_subs[memo_key] = got
-    return got
+    return _at_site(x, i, j, axis, lambda _label: subquotient(
+        x.cell(i, j), _cycles(x, i, j, axis), _boundaries(x, i, j, axis)))
 
 
 def directional_homology(x, bidegree, axis):
@@ -273,28 +282,30 @@ def boundary_subgroups(x, bidegree):
                           for read in (_cycles, _boundaries)))
 
 
+def _inexact(x, sites):
+    """(axis, i, j, H) for each site of sites, in order, where H != 0."""
+    for axis, i, j in sites:
+        g = directional_homology(x, (i, j), axis)
+        if not g.is_trivial():
+            yield axis, i, j, g
+
+
 def check_exact_grid(x, i_lo, i_hi, j_lo, j_hi):
     """Sites in the rectangle where a row or column fails to be exact.
 
     Empty report = the exactness hypothesis holds on the rectangle.
     """
-    report = []
-    for i in range(i_lo, i_hi + 1):
-        for j in range(j_lo, j_hi + 1):
-            for axis in (PRIME, SECOND):
-                g = directional_homology(x, (i, j), axis)
-                if not g.is_trivial():
-                    report.append(((i, j), axis, g.describe()))
-    return report
+    sites = [(axis, i, j) for i in range(i_lo, i_hi + 1)
+             for j in range(j_lo, j_hi + 1) for axis in (PRIME, SECOND)]
+    return [((i, j), axis, g.describe())
+            for axis, i, j, g in _inexact(x, sites)]
 
 
 def _require_exact(x, sites, op_name):
-    for axis, i, j in sites:
-        g = directional_homology(x, (i, j), axis)
-        if not g.is_trivial():
-            raise HypothesisViolated(
-                "%s needs H%s = 0 at (%d, %d) but found %s"
-                % (op_name, _MARKS[axis], i, j, g.describe()))
+    for axis, i, j, g in _inexact(x, sites):
+        raise HypothesisViolated(
+            "%s needs H%s = 0 at (%d, %d) but found %s"
+            % (op_name, _MARKS[axis], i, j, g.describe()))
 
 
 # -- the core invariant -----------------------------------------------------
@@ -322,15 +333,8 @@ def core_homology(x, bidegree):
     with HypothesisViolated otherwise.
     """
     i, j = bidegree
-    key, inside = x._site(i, j)
-    if inside:
-        got = x._cores.get(key)
-        if got is not None:
-            return got
-    got = _core(x, i, j, key if inside else (i, j), PRIME, "core_homology")
-    if inside:
-        x._cores[key] = got
-    return got
+    return _at_site(x, i, j, "core", lambda label: _core(
+        x, i, j, label, PRIME, "core_homology"))
 
 
 def core_equality_check(x, bidegree):
@@ -355,30 +359,23 @@ def diagonal_shift(cls, direction):
     direction "+": solve d''(y) = x and return the class of d'(y) at
     (i+1, j-1); direction "-" swaps the roles and lands at (i-1, j+1).
     """
-    x = cls.homology.owner
-    i, j = cls.homology.index
-    rep = cls.representative
-    if direction == "+":
-        _require_exact(x, [(SECOND, i, j), (SECOND, i - 1, j)],
-                       "diagonal_shift(+)")
-        down = x.dsecond(i, j - 1)
-        y = preimage_element(down, rep)
-        if y is None:
-            raise InternalChaseFailure(
-                "certified-exact column has no preimage at (%d, %d)" % (i, j))
-        out = x.dprime(i, j - 1)(y)
-        return core_homology(x, (i + 1, j - 1)).class_of(out)
-    if direction == "-":
-        _require_exact(x, [(PRIME, i, j), (PRIME, i, j - 1)],
-                       "diagonal_shift(-)")
-        left = x.dprime(i - 1, j)
-        y = preimage_element(left, rep)
-        if y is None:
-            raise InternalChaseFailure(
-                "certified-exact row has no preimage at (%d, %d)" % (i, j))
-        out = x.dsecond(i - 1, j)(y)
-        return core_homology(x, (i - 1, j + 1)).class_of(out)
-    raise ValueError("direction must be '+' or '-'")
+    if direction not in _SOLVE_AXIS:
+        raise ValueError("direction must be '+' or '-'")
+    axis = _SOLVE_AXIS[direction]
+    other = _OTHER[axis]
+    x, (i, j) = cls.homology.owner, cls.homology.index
+    (ai, aj), (oi, oj) = _STEP[axis], _STEP[other]
+    _require_exact(x, [(axis, i, j), (axis, i - oi, j - oj)],
+                   "diagonal_shift(%s)" % direction)
+    a, b = i - ai, j - aj  # y's site: one step back along the solve axis
+    y = preimage_element(getattr(x, _DIFF_NAME[axis])(a, b),
+                         cls.representative)
+    if y is None:
+        raise InternalChaseFailure(
+            "certified-exact %s has no preimage at (%d, %d)"
+            % (_LINE[axis], i, j))
+    out = getattr(x, _DIFF_NAME[other])(a, b)(y)
+    return core_homology(x, (a + oi, b + oj)).class_of(out)
 
 
 # -- iterated (E2) homology -------------------------------------------------

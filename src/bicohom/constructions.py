@@ -293,12 +293,12 @@ def zprime_witness(c, d, bidegree):
     if any(w is None for w in preimages):
         raise InternalChaseFailure(
             "no differential preimage for a cycle at degree %d" % (i - 1,))
-    gens = c.cell(i).generators()
+    classes = [cyc_side.project(c.diff(i)(b)) for b in c.cell(i).generators()]
     at, dprime, _ = _lazy_functor(hom_group, induced_hom_map, c, d, 1)
     return _hom_witness(
         at(i, j), dprime(i, j), hom_group(cyc_side.group, d.cell(j)),
         lambda f: [f(w).coords for w in preimages],
-        lambda g: [g(cyc_side.project(c.diff(i)(b))).coords for b in gens],
+        lambda g: [g(z).coords for z in classes],
         "zprime_witness")
 
 

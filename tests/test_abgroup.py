@@ -20,19 +20,20 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicohom import abgroup
+from bicohom import abgroup, suites
 from bicohom.abgroup import (Element, FpGroup, Morphism, Subgroup, direct_sum,
                              hom_group, induced_hom_map, induced_tensor_map,
                              intersect, invert_isomorphism, kernel_image,
                              make_morphism, preimage_element, subquotient,
                              tensor_group)
+from bicohom.bicomplexes import PRIME, SECOND, directional_homology
 from bicohom.cli import main
 from bicohom.errors import (IllDefined, InternalChaseFailure, NotAnIsomorphism,
                             NotContained, ParentMismatch)
 from bicohom.snf import IntMatrix, smith_normal_form
 from helpers import (invariant_factors_oracle, random_factor_group,
-                     random_morphism, random_unimodular, reference_tensor_map,
-                     scrambled_group, seeded)
+                     random_matrix, random_morphism, random_unimodular,
+                     reference_tensor_map, scrambled_group, seeded)
 
 
 # ---------------------------------------------------------------- oracles
@@ -702,3 +703,45 @@ def test_direct_sum_shape_and_maps():
     assert proj_g.compose(inj_h).is_zero()
     x = Element(g, (3,))
     assert proj_g(inj_g(x)) == x
+
+
+# ------------------------------------------ triviality read off the echelon
+
+
+def triviality_cases(rng):
+    """Seeded groups over Z and over Z/4, 8, 9, 12: scrambled presentations
+    (unit factors included, so that some are trivial), rank 0, free
+    modules, wide and tall relation matrices, subquotients, and over Z/m
+    the H' and H'' of grids broken by suites._zero_first_diff."""
+    for m in (0, 4, 8, 9, 12):
+        yield FpGroup(m, 0)
+        yield FpGroup.free(m, rng.randint(1, 3))
+        for _ in range(12):
+            yield scrambled_group(rng, m, [rng.choice([1, 1, 2, 3, 4, 5, 9])
+                                           for _ in range(rng.randint(0, 3))])
+            rows = rng.randint(1, 3)
+            yield FpGroup(m, rows, random_matrix(rng, rows,
+                                                 rng.randint(0, 4)))
+            g = random_factor_group(rng, m)
+            num = Subgroup(g, [[rng.randint(-9, 9)
+                                for _ in range(g.ambient_rank)]
+                               for _ in range(rng.randint(1, 3))])
+            den = Subgroup(g, [num.matrix.mul_vector(
+                [rng.randint(-3, 3) for _ in range(num.matrix.cols)])
+                for _ in range(rng.randint(0, 2))])
+            yield subquotient(g, num, den).group
+        if m:
+            for _ in range(2):
+                _, x, (i, j) = suites._random_pair(rng, m, True)
+                for a, b in ((i, j), (i - 1, j), (i, j - 1), (i + 1, j)):
+                    for axis in (PRIME, SECOND):
+                        yield directional_homology(x, (a, b), axis)
+
+
+def test_is_trivial_agrees_with_the_smith_form():
+    verdicts = []
+    for g in triviality_cases(seeded(20261018)):
+        trivial = g.is_trivial()
+        assert trivial == (not g.cyclic_decomposition().orders), g
+        verdicts.append(trivial)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
