@@ -22,9 +22,9 @@ from .constructions import (complete_injective_resolution,
                             complete_projective_resolution, hom_bicomplex,
                             random_exact_complex, tensor_bicomplex,
                             zprime_witness, zsecond_witness)
-from .errors import (BicohomError, ConventionViolation, HypothesisViolated,
-                     IllDefined, InternalChaseFailure, NotAModule,
-                     NotAnIsomorphism, NotContained, OutOfWindow,
+from .errors import (BadArgument, BicohomError, ConventionViolation,
+                     HypothesisViolated, IllDefined, InternalChaseFailure,
+                     NotAModule, NotAnIsomorphism, NotContained, OutOfWindow,
                      ParentMismatch, ParseError)
 from .formats import load_complex, parse_complex, serialize_complex
 from .snf import (IntMatrix, SnfResult, hermite_normal_form, kernel_basis,
@@ -36,7 +36,7 @@ from .tate import (EXT, RESOLVE_LEFT, RESOLVE_RIGHT, TOR, VIA_INJECTIVE,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bicomplex", "BicohomError", "BoundaryData",
+    "BadArgument", "Bicomplex", "BicohomError", "BoundaryData",
     "COHOMOLOGICAL", "Complex", "ConventionViolation",
     "DoubleComplex", "EXT", "Element", "FpGroup", "HClass", "HOMOLOGICAL",
     "HomGroup", "Homology", "HypothesisViolated", "I_THEN_II", "II_THEN_I",

@@ -20,6 +20,12 @@ each group caches decides every yes/no question (zero, well defined,
 contained, trivial) in `FpGroup._kills` and `is_trivial`; the Smith form
 only describes a group: its invariant factors, order, cyclic coordinates
 and `describe`.
+
+Over Z/m a group presented by a Howell basis keeps that basis as its
+echelon (`_seed`): the group of a subquotient, parent / (s1 ∩ s2) after
+`intersect`, and source / kernel after `kernel_image` once every source
+relation reduces to zero against the kernel basis, which a raw Morphism
+that is not well defined fails.
 """
 
 from collections import namedtuple
@@ -28,8 +34,8 @@ from math import gcd, prod
 from operator import index as _as_int
 
 from . import backend
-from .errors import (IllDefined, InternalChaseFailure, NotAnIsomorphism,
-                     NotContained, ParentMismatch)
+from .errors import (BadArgument, IllDefined, InternalChaseFailure,
+                     NotAnIsomorphism, NotContained, ParentMismatch)
 from .snf import (IntMatrix, kernel_basis, lattice_intersect,
                   smith_normal_form, solve_mod)
 
@@ -42,7 +48,7 @@ CyclicForm = namedtuple("CyclicForm", ["orders", "to_cyclic", "from_cyclic"])
 def _check_group_modulus(m):
     m = _as_int(m)
     if m < 0 or m == 1:
-        raise ValueError("modulus must be 0 (meaning Z) or at least 2")
+        raise BadArgument("modulus must be 0 (meaning Z) or at least 2")
     return m
 
 
@@ -50,8 +56,8 @@ def _shared_modulus(g, h):
     # 0 mixes freely with one positive modulus; two distinct positive
     # moduli have no common coefficient ring in scope.
     if g.modulus and h.modulus and g.modulus != h.modulus:
-        raise ValueError("incompatible moduli %d and %d"
-                         % (g.modulus, h.modulus))
+        raise BadArgument("incompatible moduli %d and %d"
+                          % (g.modulus, h.modulus))
     return max(g.modulus, h.modulus)
 
 
@@ -106,11 +112,8 @@ class FpGroup:
                 if d != 1:
                     kept.append(i)
                     orders.append(d)
-            to_c = IntMatrix([list(res.U.row(i)) for i in kept],
-                             cols=self.ambient_rank)
-            from_c = IntMatrix.from_columns(
-                [res.Uinv.column(i) for i in kept], rows=self.ambient_rank)
-            self._cyclic = CyclicForm(tuple(orders), to_c, from_c)
+            self._cyclic = CyclicForm(tuple(orders), res.U.take(rows=kept),
+                                      res.Uinv.take(cols=kept))
         return self._cyclic
 
     @property
@@ -333,24 +336,29 @@ def morphism_from_images(source, target, images):
 
 class Subgroup:
     """A subgroup of an FpGroup, stored as the IntMatrix of its generator
-    columns.  The constructor takes Elements of the parent or coordinate
-    tuples; `generators` builds the Elements on demand.  Membership
-    reduces modulo the relations of the quotient parent / self, whose
-    relation matrix (the generators beside the parent relations) is the
-    subgroup's lattice lifted to Z^r."""
+    columns.  The constructor takes that IntMatrix, or Elements of the
+    parent or coordinate tuples; `generators` builds the Elements on
+    demand.  Membership reduces modulo the relations of the quotient
+    parent / self, whose relation matrix (the generators beside the parent
+    relations) is the subgroup's lattice lifted to Z^r."""
 
     __slots__ = ("parent", "matrix", "_quotient")
 
     def __init__(self, parent, generators=()):
-        cols = []
-        for g in generators:
-            if isinstance(g, Element):
-                if g.parent != parent:
-                    raise ParentMismatch("generator is not in the parent")
-                g = g.coords
-            cols.append(g)
+        if not isinstance(generators, IntMatrix):
+            cols = []
+            for g in generators:
+                if isinstance(g, Element):
+                    if g.parent != parent:
+                        raise ParentMismatch("generator is not in the parent")
+                    g = g.coords
+                cols.append(g)
+            generators = IntMatrix.from_columns(cols,
+                                                rows=parent.ambient_rank)
+        elif generators.rows != parent.ambient_rank:
+            raise ValueError("rows mismatch")
         self.parent = parent
-        self.matrix = IntMatrix.from_columns(cols, rows=parent.ambient_rank)
+        self.matrix = generators
         self._quotient = None
 
     @classmethod
@@ -359,24 +367,24 @@ class Subgroup:
 
     @classmethod
     def full(cls, parent):
-        return cls(parent, IntMatrix.identity(parent.ambient_rank).columns())
+        return cls(parent, IntMatrix.identity(parent.ambient_rank))
 
     @property
     def generators(self):
         return tuple(Element(self.parent, c) for c in self.matrix.columns())
 
-    def _holds(self, columns):
-        # every column zero in parent / self, the quotient built once
+    def _quotient_group(self):
+        # parent / self, built once
         if self._quotient is None:
             p = self.parent
             self._quotient = FpGroup(p.modulus, p.ambient_rank,
                                      self.matrix.hstack(p.relations))
-        return self._quotient._kills(columns)
+        return self._quotient
 
     def contains(self, elt):
         if elt.parent != self.parent:
             raise ParentMismatch("element is not in the parent group")
-        return self._holds([elt.coords])
+        return self._quotient_group()._kills([elt.coords])
 
     def __contains__(self, elt):
         return self.contains(elt)
@@ -385,7 +393,7 @@ class Subgroup:
         """Whether other is a subgroup of self (generator by generator)."""
         if other.parent != self.parent:
             raise ParentMismatch("subgroups of different groups")
-        return self._holds(other.matrix.columns())
+        return self._quotient_group()._kills(other.matrix.columns())
 
     def is_zero(self):
         return self.parent._kills(self.matrix.columns())
@@ -403,14 +411,26 @@ class Subgroup:
         return "Subgroup(%d generators)" % self.matrix.cols
 
 
-def _span(parent, columns):
-    """The subgroup of parent generated by the columns nonzero in it."""
-    return Subgroup(parent, [c for c in columns if any(parent.reduce(c))])
+def _span(parent, matrix):
+    """The subgroup of parent generated by the columns of matrix that are
+    nonzero in it."""
+    return Subgroup(parent, matrix.take(cols=[
+        j for j, c in enumerate(matrix.columns()) if any(parent.reduce(c))]))
+
+
+def _seed(group, basis):
+    """Keep `basis`, a Howell basis modulo group's modulus m of the lattice
+    that group's relations and m*Z^r span, as group's echelon; over Z
+    (m = 0) the echelon stays lazy."""
+    if group.modulus:
+        group._echelon = (basis.to_lists(),
+                          [(i, i) for i in range(basis.cols)])
+    return group
 
 
 def _push(subgroup, f):
     """Image of a subgroup under a morphism, as a subgroup of the target."""
-    return _span(f.target, (f.matrix @ subgroup.matrix).columns())
+    return _span(f.target, f.matrix @ subgroup.matrix)
 
 
 def kernel_image(f):
@@ -424,10 +444,15 @@ def kernel_image(f):
     must not be changed once its pair has been asked for.
     """
     if f._kernel_image is None:
-        ker = kernel_basis(f.matrix, f.target.modulus, f.target.relations)
-        f._kernel_image = (
-            _span(f.source, ker.columns()),
-            _span(f.target, f.matrix.columns()))
+        m = f.target.modulus
+        ker = kernel_basis(f.matrix, m, f.target.relations)
+        kernel = _span(f.source, ker)
+        if m and m == f.source.modulus:
+            q = _seed(kernel._quotient_group(), ker)
+            # ker spans q's relations only if f kills the source relations
+            if not q._kills(f.source.relations.columns()):
+                q._echelon = None
+        f._kernel_image = (kernel, _span(f.target, f.matrix))
     return f._kernel_image
 
 
@@ -551,9 +576,8 @@ def subquotient(parent, num, den, owner=None, index=None):
     m = parent.modulus
     rels = kernel_basis(num.matrix, m, den.matrix.hstack(parent.relations))
     # a Howell pivot m marks the column m*e_j, which the modulus imposes
-    kept = [rels.column(j) for j in range(rels.cols)
-            if not (m and rels[(j, j)] == m)]
-    group = FpGroup(m, t, IntMatrix.from_columns(kept, rows=t))
+    group = _seed(FpGroup(m, t, rels.take(cols=[
+        j for j in range(rels.cols) if not (m and rels[(j, j)] == m)])), rels)
     return Homology(owner, index, num, den, group)
 
 
@@ -722,10 +746,11 @@ def intersect(s1, s2):
     """The subgroup s1 ∩ s2 of their shared parent."""
     if s1.parent != s2.parent:
         raise ParentMismatch("subgroups of different groups")
-    rel = s1.parent.relations
-    meet = lattice_intersect(s1.matrix.hstack(rel),
-                             s2.matrix.hstack(rel), s1.parent.modulus)
-    return _span(s1.parent, meet.columns())
+    rel, m = s1.parent.relations, s1.parent.modulus
+    meet = lattice_intersect(s1.matrix.hstack(rel), s2.matrix.hstack(rel), m)
+    both = _span(s1.parent, meet)
+    _seed(both._quotient_group(), meet)
+    return both
 
 
 def preimage_element(f, target_elt):

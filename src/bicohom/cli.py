@@ -17,9 +17,9 @@ from .bicomplexes import (I_THEN_II, II_THEN_I, PRIME, SECOND,
                           core_equality_check, core_homology,
                           directional_homology, iterated_homology)
 from .constructions import hom_bicomplex, tensor_bicomplex
-from .errors import (ConventionViolation, HypothesisViolated, IllDefined,
-                     NotAModule, NotContained, OutOfWindow, ParentMismatch,
-                     ParseError)
+from .errors import (BadArgument, ConventionViolation, HypothesisViolated,
+                     IllDefined, NotAModule, NotContained, OutOfWindow,
+                     ParentMismatch, ParseError)
 from .abgroup import FpGroup
 from .complexes import homology
 from .formats import load_complex
@@ -28,7 +28,7 @@ from .tate import ROUTES, balance_report, tate_groups
 
 _INPUT_ERRORS = (ParseError, NotAModule, OutOfWindow, ConventionViolation,
                  HypothesisViolated, NotContained, ParentMismatch,
-                 IllDefined, ValueError)
+                 IllDefined, BadArgument)
 
 # E2-I runs the first-direction homology last, E2-II runs it first
 _E2_ORDERS = {"E2-I": II_THEN_I, "E2-II": I_THEN_II}
@@ -53,32 +53,32 @@ def _parse_range(text):
             return range(n, n + 1)
         a, b = int(lo), int(hi)
     except ValueError:
-        raise ValueError("range %r is not lo..hi" % text)
+        raise ParseError("range %r is not lo..hi" % text)
     if a > b:
-        raise ValueError("range %r runs backwards" % text)
+        raise ParseError("range %r runs backwards" % text)
     return range(a, b + 1)
 
 
 def _parse_cell(text):
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError("cell %r is not i,j" % text)
+        raise ParseError("cell %r is not i,j" % text)
     try:
         return int(parts[0]), int(parts[1])
     except ValueError:
-        raise ValueError("cell %r is not a pair of integers" % text)
+        raise ParseError("cell %r is not a pair of integers" % text)
 
 
 def _parse_module(ring, text):
     try:
         factors = [int(p) for p in text.split(",")]
     except ValueError:
-        raise ValueError("module spec %r is not a comma list of orders"
+        raise ParseError("module spec %r is not a comma list of orders"
                          % text)
     for d in factors:
         # Z/d is a Z/ring-module only for d | ring; mod ring it would collapse
         if d < 1 or ring % d:
-            raise ValueError("module order %d is not a positive divisor of "
+            raise ParseError("module order %d is not a positive divisor of "
                              "the ring order %d" % (d, ring))
     return FpGroup.from_factors(ring, factors)
 

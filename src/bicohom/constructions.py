@@ -20,7 +20,7 @@ from .abgroup import (FpGroup, Morphism, Subgroup, _shared_modulus,
 from .bicomplexes import Bicomplex
 from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex, _lazy_functor,
                         cycles, degree_step, homology, is_exact)
-from .errors import (ConventionViolation, HypothesisViolated,
+from .errors import (BadArgument, ConventionViolation, HypothesisViolated,
                      InternalChaseFailure, NotAModule)
 from .snf import IntMatrix
 
@@ -45,10 +45,10 @@ def hom_bicomplex(c, d):
     differentials raise their index, so no reindexing is needed.
     """
     if c.convention != HOMOLOGICAL:
-        raise ValueError("hom_bicomplex expects a homological first factor")
+        raise BadArgument("hom_bicomplex expects a homological first factor")
     if d.convention != COHOMOLOGICAL:
-        raise ValueError("hom_bicomplex expects a cohomological second "
-                         "factor")
+        raise BadArgument("hom_bicomplex expects a cohomological second "
+                          "factor")
     return _functor_grid(hom_group, induced_hom_map, c, d, 1)
 
 
@@ -60,7 +60,7 @@ def tensor_bicomplex(c, d):
     d' (x) id and id (x) d'' act on disjoint factors.
     """
     if c.convention != HOMOLOGICAL or d.convention != HOMOLOGICAL:
-        raise ValueError("tensor_bicomplex expects homological factors")
+        raise BadArgument("tensor_bicomplex expects homological factors")
     return _functor_grid(tensor_group, induced_tensor_map, c, d, -1)
 
 

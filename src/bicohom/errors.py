@@ -46,4 +46,10 @@ class NotAModule(BicohomError):
 
 
 class ParseError(BicohomError):
-    """A serialized complex is malformed; message names the location."""
+    """A serialized complex or a command-line value is malformed; the
+    message names the location."""
+
+
+class BadArgument(BicohomError, ValueError):
+    """An argument outside what a function takes, such as clashing moduli
+    or a factor of the wrong convention; the command line exits 2 on it."""

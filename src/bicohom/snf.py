@@ -15,6 +15,11 @@ lattice vectors with zero top part.  kernel_basis(a, m, R) is the preimage
 a@x - b in that lattice, both from [[a, R], [I, 0]], whose lattice vectors
 are the pairs (a@x + R@y + m*z; x + m*w).  solve_mod keeps its echelon on
 the IntMatrix a, so solves against one long-lived matrix build it once.
+
+The public IntMatrix constructor checks every entry and row length; the
+results this module computes from IntMatrix data or backend output
+(products, sums, stacks, submatrices, normal forms, lattice bases) skip
+that scan through IntMatrix._trusted.
 """
 
 from operator import index as _as_int
@@ -48,6 +53,18 @@ class IntMatrix:
                 raise ValueError("cols mismatch")
         else:
             self.cols = 0 if cols is None else _dimension(cols, "column")
+
+    @classmethod
+    def _trusted(cls, rows, cols):
+        """The matrix on `rows`, sequences of `cols` ints each, taken as
+        they are (each row becomes a tuple): no entry scan, no ragged check.
+        Only for results built from IntMatrix data or backend output."""
+        self = object.__new__(cls)
+        self._data = tuple(map(tuple, rows))
+        self._solver = None
+        self.rows = len(self._data)
+        self.cols = cols
+        return self
 
     @classmethod
     def identity(cls, n):
@@ -96,7 +113,17 @@ class IntMatrix:
         return tuple(row[j] for row in self._data)
 
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self._data)) if self.rows else [()] * self.cols
+
+    def take(self, rows=None, cols=None):
+        """The submatrix on the given row and column indices, in the order
+        given; None keeps every row or every column."""
+        data = self._data if rows is None else [self._data[i] for i in rows]
+        if cols is None:
+            return IntMatrix._trusted(data, self.cols)
+        cols = list(cols)
+        return IntMatrix._trusted([[row[j] for j in cols] for row in data],
+                                  len(cols))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -115,33 +142,34 @@ class IntMatrix:
                              % (self.rows, self.cols, other.rows, other.cols))
         if self.cols == 0 or other.cols == 0:
             return IntMatrix.zeros(self.rows, other.cols)
-        return IntMatrix(backend.mat_mul(self.to_lists(), other.to_lists()),
-                         cols=other.cols)
+        return IntMatrix._trusted(backend.mat_mul(self._data, other._data),
+                                  other.cols)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(
+        return IntMatrix._trusted(
             [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self._data, other._data)], cols=self.cols)
+             for ra, rb in zip(self._data, other._data)], self.cols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return IntMatrix([[-e for e in row] for row in self._data],
-                         cols=self.cols)
+        return IntMatrix._trusted([[-e for e in row] for row in self._data],
+                                  self.cols)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return IntMatrix([ra + rb for ra, rb in zip(self._data, other._data)],
-                         cols=self.cols + other.cols)
+        return IntMatrix._trusted(
+            [ra + rb for ra, rb in zip(self._data, other._data)],
+            self.cols + other.cols)
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        return IntMatrix(self._data + other._data, cols=self.cols)
+        return IntMatrix._trusted(self._data + other._data, self.cols)
 
     def mul_vector(self, vec):
         vec = list(vec)
@@ -203,9 +231,10 @@ def smith_normal_form(a):
         eye_c = IntMatrix.identity(a.cols)
         return SnfResult(eye_r, a, eye_c, eye_r, eye_c)
     u, d, v, uinv, vinv = backend.snf_transforms(a.to_lists())
-    return SnfResult(IntMatrix(u, cols=a.rows), IntMatrix(d, cols=a.cols),
-                     IntMatrix(v, cols=a.cols), IntMatrix(uinv, cols=a.rows),
-                     IntMatrix(vinv, cols=a.cols))
+    trusted = IntMatrix._trusted
+    return SnfResult(trusted(u, a.rows), trusted(d, a.cols),
+                     trusted(v, a.cols), trusted(uinv, a.rows),
+                     trusted(vinv, a.cols))
 
 
 def hermite_normal_form(a):
@@ -218,8 +247,8 @@ def hermite_normal_form(a):
     column echelon form.
     """
     h, _ = backend.col_echelon(a.to_lists() + backend.identity(a.cols))
-    return (IntMatrix(h[:a.rows], cols=a.cols),
-            IntMatrix(h[a.rows:], cols=a.cols))
+    return (IntMatrix._trusted(h[:a.rows], a.cols),
+            IntMatrix._trusted(h[a.rows:], a.cols))
 
 
 def _check_modulus(m):
@@ -253,8 +282,8 @@ def _preimage_echelon(a, m, relations):
 
 def _bottom_block(h, pivots, k, ntop):
     """Bottom rows of the basis columns k .. len(pivots)-1 of h."""
-    return IntMatrix([row[k:len(pivots)] for row in h[ntop:]],
-                     cols=len(pivots) - k)
+    return IntMatrix._trusted([row[k:len(pivots)] for row in h[ntop:]],
+                              len(pivots) - k)
 
 
 def kernel_basis(a, m=0, relations=None):

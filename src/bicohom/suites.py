@@ -29,7 +29,7 @@ from .constructions import (_packaged, complete_injective_resolution,
                             complete_projective_resolution, hom_bicomplex,
                             random_exact_complex, tensor_bicomplex,
                             zprime_witness, zsecond_witness)
-from .errors import BicohomError
+from .errors import BadArgument, BicohomError
 from .snf import IntMatrix, smith_normal_form
 from .tate import ROUTES, balance_grid, balance_report, tate_groups
 
@@ -45,7 +45,7 @@ FIXED_GROUPS = (
 
 def _no_fault(inject_fault):
     if inject_fault:
-        raise ValueError("this suite has no differential to corrupt")
+        raise BadArgument("this suite has no differential to corrupt")
 
 
 def _zero_first_diff(c):
@@ -358,14 +358,14 @@ SUITES = {
 
 
 def run_suite(name, seed, cases, inject_fault=False):
-    """Rows for one named suite; ValueError for an unknown name or for
-    fewer than one case, which would pass with nothing checked."""
+    """Rows for one named suite; BadArgument (a ValueError) for an unknown
+    name or for fewer than one case, which would pass with nothing checked."""
     fn = SUITES.get(name)
     if fn is None:
-        raise ValueError("unknown suite %r (choose from %s)"
-                         % (name, ", ".join(sorted(SUITES))))
+        raise BadArgument("unknown suite %r (choose from %s)"
+                          % (name, ", ".join(sorted(SUITES))))
     if cases < 1:
-        raise ValueError("case count %d is not positive" % cases)
+        raise BadArgument("case count %d is not positive" % cases)
     rng = random.Random(seed)
     return [_guarded("%s[%d]" % (name, k), fn(rng, inject_fault))
             for k in range(cases)]

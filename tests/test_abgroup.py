@@ -273,6 +273,9 @@ def test_subgroup_checks_its_generators():
         Subgroup(g, [(1, 0, 0)])
     with pytest.raises(TypeError):
         Subgroup(g, [(1.5, 0)])
+    with pytest.raises(ValueError, match="rows mismatch"):
+        Subgroup(g, IntMatrix([[1, 0, 0]]))
+    assert Subgroup(g, IntMatrix([[2], [0]])) == Subgroup(g, [(2, 0)])
     empty = Subgroup(g, [])
     assert empty.is_zero()
     assert empty == Subgroup.zero(g)

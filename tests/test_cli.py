@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bicohom import abgroup
 from bicohom.cli import main, render_group_factors
 
 STRAND4 = ('{"modulus": 4, "convention": "homological",'
@@ -155,6 +156,18 @@ def test_tate_input_errors(capsys):
                 in capsys.readouterr().err)
     assert main(["tate", "--ring", "4", "--module", "2", "--other", "2,3",
                  "--kind", "ext", "--range", "0"]) == 2
+
+
+def test_internal_value_errors_are_not_input_errors(monkeypatch):
+    # a ValueError from inside the package is a bug, not bad input: it
+    # must propagate instead of exiting 2
+    def planted(*args, **kwargs):
+        raise ValueError("planted internal fault")
+
+    monkeypatch.setattr(abgroup, "kernel_basis", planted)
+    with pytest.raises(ValueError, match="planted internal fault"):
+        main(["tate", "--ring", "4", "--module", "2", "--other", "2",
+              "--kind", "ext", "--range", "-1..1", "--both-ways"])
 
 
 def test_verify_passes_and_reports(capsys):

@@ -12,6 +12,12 @@ re-exports.
 construction; `test_no_morphism_is_changed_after_construction` fails on any
 write to a morphism's attributes outside the places that set them.
 
+`snf.IntMatrix._trusted` builds a matrix with no check of its entries,
+which is safe only for results that snf itself computes from IntMatrix
+data or backend output; `test_only_snf_builds_unchecked_matrices` keeps
+every other module, and so every outside input, on the checked
+constructor.
+
 The benchmark's tracer (`perfbench/tracing.py`) wraps its target functions
 by attribute name wherever a module binds them.  A renamed target, or a
 module-level table holding a target function object (which the tracer
@@ -166,6 +172,31 @@ def test_the_frozen_check_sees_writes():
                          ids=lambda p: p.name)
 def test_no_morphism_is_changed_after_construction(path):
     assert frozen_writes(path.read_text(encoding="utf-8")) == []
+
+
+def trusted_uses(source):
+    """Line numbers of every reference to an attribute named `_trusted` in
+    `source`, called or not."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "_trusted")
+
+
+def test_the_trusted_check_sees_planted_calls():
+    source = (
+        "from .snf import IntMatrix\n"
+        "def f(rows):\n"
+        "    return IntMatrix._trusted(rows, 2)\n"
+        "build = IntMatrix._trusted\n"
+        "trusted = 1\n")
+    assert trusted_uses(source) == [3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_snf_builds_unchecked_matrices(path):
+    uses = trusted_uses(path.read_text(encoding="utf-8"))
+    assert (uses != []) == (path.name == "snf.py")
 
 
 def tracer_targets():

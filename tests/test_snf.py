@@ -299,3 +299,44 @@ def test_entries_stay_exact_on_large_inputs():
     assert_snf_invariants(a, res)
     assert res.diagonal[0] == 1  # det = big^2 - (big^2 - 1) = 1
     assert res.diagonal[1] == 1
+
+
+# -- internal results against checked copies ---------------------------------
+
+
+def assert_like_a_checked_copy(r):
+    """r is what the checked constructor builds from r's own entries: equal,
+    with an equal hash, and stored as a tuple of int tuples (a list row
+    would compare and hash differently without raising)."""
+    copy = IntMatrix(r.to_lists(), cols=r.cols)
+    assert r == copy and copy == r
+    assert hash(r) == hash(copy)
+    assert (r.rows, r.cols) == (copy.rows, copy.cols)
+    assert type(r._data) is tuple
+    assert all(type(row) is tuple and len(row) == r.cols
+               and all(type(e) is int for e in row) for row in r._data)
+
+
+def internal_results(rng, rows, cols):
+    """Every internal result built from seeded rows x cols matrices."""
+    a, b = random_matrix(rng, rows, cols), random_matrix(rng, rows, cols)
+    c = random_matrix(rng, cols, rng.randint(0, 3))
+    m = rng.choice([0, 4, 9, 12])
+    res = smith_normal_form(a)
+    yield from (a @ c, a + b, a - b, -a, a.hstack(b), a.vstack(b),
+                res.U, res.D, res.V, res.Uinv, res.Vinv)
+    yield from hermite_normal_form(a)
+    yield kernel_basis(a, m)
+    yield kernel_basis(a, m, random_matrix(rng, rows, rng.randint(0, 2)))
+    yield lattice_intersect(a, b, m)
+    yield a.take(cols=[j for j in range(cols) if rng.random() < 0.5])
+    yield a.take(rows=[i for i in range(rows) if rng.random() < 0.5])
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5),
+                                   (5, 2), (4, 4)])
+def test_internal_results_equal_checked_copies(shape):
+    rng = seeded(sum(shape) * 7 + shape[0])
+    for _ in range(5):
+        for r in internal_results(rng, *shape):
+            assert_like_a_checked_copy(r)
