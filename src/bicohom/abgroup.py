@@ -19,7 +19,7 @@ attached, and `HClass` is its class type.  The relation echelon that
 each group caches decides every yes/no question (zero, well defined,
 contained, trivial) in `FpGroup._kills` and `is_trivial`; the Smith form
 only describes a group: its invariant factors, order, cyclic coordinates
-and `describe`.
+and `describe`.  Maps are solved in column batches by `_solve`.
 
 Over Z/m a group presented by a Howell basis keeps that basis as its
 echelon (`_seed`): the group of a subquotient, parent / (s1 ∩ s2) after
@@ -486,10 +486,14 @@ class Homology:
         """The class in `group` of a parent element lying in the numerator."""
         if elt.parent != self.parent:
             raise ParentMismatch("element is not in the ambient group")
-        cls = _solve(self.numerator.matrix, elt, self.group, "class")
-        if cls is None:
+        return Element(self.group, self._classes([elt.coords])[0])
+
+    def _classes(self, columns):
+        """`project` on coordinate columns: their class coordinates."""
+        classes = _solve(self.numerator.matrix, columns, self.parent, "class")
+        if classes is None:
             raise NotContained("element is outside the numerator subgroup")
-        return cls
+        return classes
 
     def representative(self, class_elt):
         """A numerator element representing an element of `group`."""
@@ -757,20 +761,22 @@ def preimage_element(f, target_elt):
     """Some x with f(x) == target_elt, or None when none exists."""
     if target_elt.parent != f.target:
         raise ParentMismatch("element is not in the morphism's target")
-    return _solve(f.matrix, target_elt, f.source, "preimage")
+    sol = _solve(f.matrix, [target_elt.coords], f.target, "preimage")
+    return None if sol is None else Element(f.source, sol[0])
 
 
-def _solve(matrix, elt, source, what):
-    """An x in `source` with matrix @ x == elt in elt's group, or None."""
-    target = elt.parent
-    sol = solve_mod(matrix, elt.coords, target.modulus, target.relations)
-    if sol is None:
+def _solve(matrix, columns, group, what):
+    """One x per coordinate column c with matrix @ x == c in `group`, as a
+    list of coordinate tuples, or None when some column has no solution."""
+    sols = [solve_mod(matrix, c, group.modulus, group.relations)
+            for c in columns]
+    if None in sols:
         return None
-    # the only check on the solver's witness that does not share its code
-    if not target._kills([tuple(a - b for a, b in
-                                zip(matrix.mul_vector(sol), elt.coords))]):
+    # the only check on the solver's witnesses that does not share its code
+    if not group._kills([tuple(a - b for a, b in zip(matrix.mul_vector(x), c))
+                         for x, c in zip(sols, columns)]):
         raise InternalChaseFailure("solve_mod returned a wrong " + what)
-    return Element(source, sol)
+    return sols
 
 
 def direct_sum(g, h):
@@ -792,12 +798,10 @@ def direct_sum(g, h):
 
 def invert_isomorphism(f):
     """The two-sided inverse of an isomorphism; NotAnIsomorphism otherwise."""
-    cols = []
-    for e in f.target.generators():
-        x = preimage_element(f, e)
-        if x is None:
-            raise NotAnIsomorphism("morphism is not surjective")
-        cols.append(x.coords)
+    cols = _solve(f.matrix, backend.identity(f.target.ambient_rank), f.target,
+                  "preimage")
+    if cols is None:
+        raise NotAnIsomorphism("morphism is not surjective")
     back = IntMatrix.from_columns(cols, rows=f.source.ambient_rank)
     g = Morphism(f.target, f.source, back)
     if not g.is_well_defined():

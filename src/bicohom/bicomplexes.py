@@ -383,9 +383,8 @@ def diagonal_shift(cls, direction):
 
 def _induced_between_subs(sq_from, sq_to, f):
     """The map on subquotients induced by f on representatives."""
-    return morphism_from_images(sq_from.group, sq_to.group, [
-        sq_to.project(f(sq_from.representative(g))).coords
-        for g in sq_from.group.generators()])
+    return morphism_from_images(sq_from.group, sq_to.group, sq_to._classes(
+        (f.matrix @ sq_from.numerator.matrix).columns()))
 
 
 def iterated_homology(x, bidegree, order):

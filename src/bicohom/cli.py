@@ -181,11 +181,17 @@ def cmd_tate(args):
     return 0
 
 
+def _env_int(name, default):
+    try:
+        return int(os.environ.get(name, default))
+    except ValueError:
+        raise ParseError("environment variable %s=%r is not an integer"
+                         % (name, os.environ[name]))
+
+
 def cmd_verify(args):
-    seed = args.seed if args.seed is not None else \
-        int(os.environ.get("SEED", "0"))
-    cases = args.cases if args.cases is not None else \
-        int(os.environ.get("CASES", "25"))
+    seed = _env_int("SEED", "0") if args.seed is None else args.seed
+    cases = _env_int("CASES", "25") if args.cases is None else args.cases
     rows = run_suite(args.suite, seed, cases, inject_fault=args.inject_fault)
     passed = sum(1 for r in rows if r["pass"])
     ok = passed == len(rows)
@@ -262,15 +268,9 @@ def _stitch_negative_values(argv):
     """Join "--range -3..3" into "--range=-3..3" so argparse does not read
     the value as an option."""
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) \
-                and argv[i + 1].startswith("-"):
-            out.append(tok + "=" + argv[i + 1])
-            skip = True
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and tok.startswith("-"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out

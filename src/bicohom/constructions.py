@@ -13,10 +13,10 @@ in the seed and re-checked for exactness before being returned.
 
 from random import Random
 
-from .abgroup import (FpGroup, Morphism, Subgroup, _shared_modulus,
-                      hom_group, induced_hom_map, induced_tensor_map,
+from .abgroup import (Element, FpGroup, Morphism, Subgroup, _shared_modulus,
+                      _solve, hom_group, induced_hom_map, induced_tensor_map,
                       kernel_image, make_morphism, morphism_from_images,
-                      preimage_element, subquotient, tensor_group)
+                      subquotient, tensor_group)
 from .bicomplexes import Bicomplex
 from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex, _lazy_functor,
                         cycles, degree_step, homology, is_exact)
@@ -107,12 +107,9 @@ def _cycle_witness(complex_, degree, module, factors, m):
     """
     packaged = _packaged(complex_.cell(degree), cycles(complex_, degree))
     basis = module.cyclic_decomposition().from_cyclic
-    cols = []
-    for g in packaged.group.generators():
-        lifted = packaged.parent.reduce(packaged.representative(g).coords)
-        weights = [lifted[i] // (m // f) for i, f in enumerate(factors)]
-        cols.append(basis.mul_vector(weights))
-    return morphism_from_images(packaged.group, module, cols)
+    lifted = map(packaged.parent.reduce, packaged.numerator.matrix.columns())
+    return morphism_from_images(packaged.group, module, [basis.mul_vector(
+        [z[i] // (m // f) for i, f in enumerate(factors)]) for z in lifted])
 
 
 def _checked_exact(c, what):
@@ -256,13 +253,13 @@ def _hom_witness(hom_cell, diff, target_hom, restrict, extend, name):
     z_side = _packaged(hom_cell.group, kernel_image(diff)[0])
     fwd_cols = [target_hom.element_of(morphism_from_images(
         target_hom.source, target_hom.target,
-        restrict(hom_cell.realize(z_side.representative(g))))).coords
-        for g in z_side.group.generators()]
+        restrict(hom_cell.realize(Element(hom_cell.group, z))))).coords
+        for z in z_side.numerator.matrix.columns()]
     forward = morphism_from_images(z_side.group, target_hom.group, fwd_cols)
-    bwd_cols = [z_side.project(hom_cell.element_of(morphism_from_images(
+    bwd_cols = z_side._classes([hom_cell.element_of(morphism_from_images(
         hom_cell.source, hom_cell.target,
-        extend(target_hom.realize(e))))).coords
-        for e in target_hom.group.generators()]
+        extend(target_hom.realize(e)))).coords
+        for e in target_hom.group.generators()])
     backward = morphism_from_images(target_hom.group, z_side.group, bwd_cols)
     if backward.compose(forward) != Morphism.identity(forward.source) or \
             forward.compose(backward) != Morphism.identity(forward.target):
@@ -288,17 +285,18 @@ def zprime_witness(c, d, bidegree):
                 "the first factor must be exact at degree %d; found %s"
                 % (n, h.group.describe()))
     cyc_side = _packaged(c.cell(i - 1), cycles(c, i - 1))
-    preimages = [preimage_element(c.diff(i), cyc_side.representative(z))
-                 for z in cyc_side.group.generators()]
-    if any(w is None for w in preimages):
+    d_i = c.diff(i).matrix
+    preimages = _solve(d_i, cyc_side.numerator.matrix.columns(),
+                       cyc_side.parent, "preimage")
+    if preimages is None:
         raise InternalChaseFailure(
             "no differential preimage for a cycle at degree %d" % (i - 1,))
-    classes = [cyc_side.project(c.diff(i)(b)) for b in c.cell(i).generators()]
+    classes = cyc_side._classes(d_i.columns())
     at, dprime, _ = _lazy_functor(hom_group, induced_hom_map, c, d, 1)
     return _hom_witness(
         at(i, j), dprime(i, j), hom_group(cyc_side.group, d.cell(j)),
-        lambda f: [f(w).coords for w in preimages],
-        lambda g: [g(z).coords for z in classes],
+        lambda f: [f.matrix.mul_vector(w) for w in preimages],
+        lambda g: [g.matrix.mul_vector(z) for z in classes],
         "zprime_witness")
 
 
@@ -311,10 +309,9 @@ def zsecond_witness(c, d, bidegree):
     """
     i, j = bidegree
     cyc_side = _packaged(d.cell(j), cycles(d, j))
-    gens = c.cell(i).generators()
     at, _, dsecond = _lazy_functor(hom_group, induced_hom_map, c, d, 1)
     return _hom_witness(
         at(i, j), dsecond(i, j), hom_group(c.cell(i), cyc_side.group),
-        lambda f: [cyc_side.project(f(b)).coords for b in gens],
-        lambda g: [cyc_side.representative(g(b)).coords for b in gens],
+        lambda f: cyc_side._classes(f.matrix.columns()),
+        lambda g: (cyc_side.numerator.matrix @ g.matrix).columns(),
         "zsecond_witness")

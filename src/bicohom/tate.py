@@ -21,7 +21,7 @@ walk, which exercises the explicit chase.  Degree rows are sorted and
 unique, so the report is deterministic.
 """
 
-from .abgroup import invert_isomorphism, morphism_from_images
+from .abgroup import Element, invert_isomorphism, morphism_from_images
 from .bicomplexes import core_homology, diagonal_shift
 from .complexes import (hom_from_module, hom_into_module, homology,
                         module_tensor_with, tensor_with_module)
@@ -113,13 +113,13 @@ def _walk_is_isomorphism(x, corner):
     direction = "-" if corner >= 0 else "+"
     src = core_homology(x, (corner, 0))
     dst = core_homology(x, (0, corner))
-    cols = []
-    for g in src.group.generators():
-        cls = src.class_of(src.representative(g))
+    reps = []
+    for col in src.numerator.matrix.columns():
+        cls = src.class_of(Element(src.parent, col))
         for _ in range(abs(corner)):
             cls = diagonal_shift(cls, direction)
-        cols.append(dst.project(cls.representative).coords)
-    walk = morphism_from_images(src.group, dst.group, cols)
+        reps.append(cls.representative.coords)
+    walk = morphism_from_images(src.group, dst.group, dst._classes(reps))
     try:
         invert_isomorphism(walk)
     except NotAnIsomorphism:

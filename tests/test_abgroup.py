@@ -14,7 +14,7 @@ Oracles, written before the implementations they check:
     remerging them largest-first.
 """
 
-from itertools import product
+from itertools import count, product
 from math import gcd
 
 import pytest
@@ -26,8 +26,11 @@ from bicohom.abgroup import (Element, FpGroup, Morphism, Subgroup, direct_sum,
                              intersect, invert_isomorphism, kernel_image,
                              make_morphism, preimage_element, subquotient,
                              tensor_group)
-from bicohom.bicomplexes import PRIME, SECOND, directional_homology
+from bicohom.bicomplexes import (I_THEN_II, PRIME, SECOND, directional_homology,
+                                 iterated_homology)
 from bicohom.cli import main
+from bicohom.complexes import COHOMOLOGICAL
+from bicohom.constructions import hom_bicomplex, random_exact_complex
 from bicohom.errors import (IllDefined, InternalChaseFailure, NotAnIsomorphism,
                             NotContained, ParentMismatch)
 from bicohom.snf import IntMatrix, smith_normal_form
@@ -622,15 +625,18 @@ def test_preimage_matches_enumeration():
                 assert f(got) == y
 
 
-def _solver_with_wrong_witness(monkeypatch):
-    """Make the lattice solver shift each witness by a basis vector that
-    changes its image, so every returned preimage is wrong."""
+def _solver_with_wrong_witness(monkeypatch, only=None):
+    """Make the lattice solver shift a witness by a basis vector that
+    changes its image, so the returned preimage is wrong: every witness,
+    or only the one of call number `only` (counted from 0)."""
     real = abgroup.solve_mod
+    calls = count()
 
     def wrong(a, b, m=0, relations=None):
+        call = next(calls)
         x = real(a, b, m, relations)
-        if x is None:
-            return None
+        if x is None or only not in (None, call):
+            return x
         for k in range(a.cols):
             # column k outside the target lattice moves the image
             if real(IntMatrix.zeros(a.rows, 0), a.column(k), m,
@@ -660,6 +666,67 @@ def test_project_rejects_a_wrong_witness(monkeypatch):
     _solver_with_wrong_witness(monkeypatch)
     with pytest.raises(InternalChaseFailure, match="wrong class"):
         q.project(Element(z4, (1,)))
+
+
+def _rank4_grid():
+    """Hom of two seeded rank-2 exact complexes over Z/4: its E2 maps at
+    (0, 0), first direction first, solve two batches of four columns."""
+    return hom_bicomplex(random_exact_complex(4, 0, blocks=2),
+                         random_exact_complex(4, 10, blocks=2,
+                                              convention=COHOMOLOGICAL))
+
+
+def _calls_made(monkeypatch, owner, name, run):
+    """How many times run() calls owner.name."""
+    calls = count()
+    real = getattr(owner, name)
+
+    def counted(*args):
+        next(calls)
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, counted)
+        run()
+    return next(calls)
+
+
+def test_invert_isomorphism_checks_every_column(monkeypatch):
+    z3 = FpGroup(0, 3)
+    f = make_morphism(z3, z3, IntMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+    assert _calls_made(monkeypatch, abgroup, "solve_mod",
+                       lambda: invert_isomorphism(f)) == 3
+    for k in range(3):
+        with monkeypatch.context() as patch:
+            _solver_with_wrong_witness(patch, only=k)
+            with pytest.raises(InternalChaseFailure, match="wrong preimage"):
+                invert_isomorphism(f)
+
+
+def test_induced_maps_check_every_column(monkeypatch):
+    x = _rank4_grid()
+    calls = _calls_made(monkeypatch, abgroup, "solve_mod",
+                        lambda: iterated_homology(x, (0, 0), I_THEN_II))
+    assert calls == 8
+    for k in range(calls):
+        with monkeypatch.context() as patch:
+            _solver_with_wrong_witness(patch, only=k)
+            with pytest.raises(InternalChaseFailure, match="wrong class"):
+                iterated_homology(x, (0, 0), I_THEN_II)
+
+
+def test_invert_isomorphism_makes_no_elements(monkeypatch):
+    # the inverse is solved as coordinate columns, not generator by generator
+    z3 = FpGroup(0, 3)
+    f = make_morphism(z3, z3, IntMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+    assert _calls_made(monkeypatch, Element, "__init__",
+                       lambda: invert_isomorphism(f)) == 0
+
+
+def test_induced_maps_make_no_elements(monkeypatch):
+    x = _rank4_grid()
+    assert _calls_made(monkeypatch, Element, "__init__",
+                       lambda: iterated_homology(x, (0, 0), I_THEN_II)) == 0
 
 
 def test_invert_isomorphism():

@@ -189,6 +189,19 @@ def test_verify_seed_env_override(capsys, monkeypatch):
     assert report["cases"] == 3
 
 
+@pytest.mark.parametrize("name", ["SEED", "CASES"])
+def test_verify_refuses_a_non_integer_environment(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    assert main(["verify", "--suite", "snf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: environment variable %s='abc' is not an integer\n" % name)
+    assert captured.out == ""
+    # an explicit flag does not read the variable
+    assert main(["verify", "--suite", "snf", "--seed", "1",
+                 "--cases", "1"]) == 0
+
+
 def test_verify_refuses_nonpositive_case_counts(capsys, monkeypatch):
     assert main(["verify", "--suite", "snf", "--cases", "-1"]) == 2
     captured = capsys.readouterr()

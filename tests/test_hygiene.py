@@ -18,6 +18,10 @@ data or backend output; `test_only_snf_builds_unchecked_matrices` keeps
 every other module, and so every outside input, on the checked
 constructor.
 
+`abgroup._solve` is the one place that solves against a matrix and checks
+the answers by substitution; `test_only_abgroup_solve_calls_solve_mod`
+keeps a second, unchecked solve path from coming back.
+
 The benchmark's tracer (`perfbench/tracing.py`) wraps its target functions
 by attribute name wherever a module binds them.  A renamed target, or a
 module-level table holding a target function object (which the tracer
@@ -197,6 +201,52 @@ def test_the_trusted_check_sees_planted_calls():
 def test_only_snf_builds_unchecked_matrices(path):
     uses = trusted_uses(path.read_text(encoding="utf-8"))
     assert (uses != []) == (path.name == "snf.py")
+
+
+def solve_mod_uses(source):
+    """(qualified name of the innermost enclosing function or None, line)
+    of every reference to a name or attribute `solve_mod` in `source`,
+    called or not."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = child.name if owner is None else \
+                    owner + "." + child.name
+            elif getattr(child, "id", getattr(child, "attr", None)) \
+                    == "solve_mod":
+                found.append((owner, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_solve_mod_check_sees_planted_calls():
+    source = (
+        "from . import snf\n"
+        "from .snf import solve_mod\n"
+        "def _solve(a, b):\n"
+        "    return solve_mod(a, b)\n"
+        "def project(a, b):\n"
+        "    return snf.solve_mod(a, b)\n"
+        "class Homology:\n"
+        "    def project(self, b):\n"
+        "        return [solve_mod(self.a, c) for c in b]\n"
+        "solver = solve_mod\n")
+    assert solve_mod_uses(source) == [("_solve", 4), ("project", 6),
+                                      ("Homology.project", 9), (None, 10)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_abgroup_solve_calls_solve_mod(path):
+    owners = {owner for owner, _ in
+              solve_mod_uses(path.read_text(encoding="utf-8"))}
+    assert owners == ({"_solve"} if path.name == "abgroup.py" else set())
 
 
 def tracer_targets():

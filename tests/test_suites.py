@@ -4,8 +4,10 @@ from math import gcd
 
 import pytest
 
+from bicohom import suites
 from bicohom.complexes import is_exact
 from bicohom.constructions import random_exact_complex
+from bicohom.errors import HypothesisViolated
 from bicohom.suites import (SUITES, _hom_count, _invariants_of_cyclics,
                             _zero_first_diff, run_suite)
 from helpers import invariant_factors_oracle, seeded
@@ -74,3 +76,25 @@ def test_fault_injection_is_deterministically_red(name):
 def test_fault_injection_rejected_without_differentials(name):
     with pytest.raises(ValueError):
         run_suite(name, seed=1, cases=1, inject_fault=True)
+
+
+def _planted(exc):
+    def fail(_a):
+        raise exc
+    return fail
+
+
+def test_a_package_error_in_a_check_is_a_red_row(monkeypatch):
+    monkeypatch.setattr(suites, "smith_normal_form",
+                        _planted(HypothesisViolated("planted")))
+    rows = run_suite("snf", 0, 2)
+    assert [r["pass"] for r in rows] == [False, False]
+    assert rows[0]["detail"] == "HypothesisViolated: planted"
+
+
+def test_an_internal_value_error_in_a_check_propagates(monkeypatch):
+    # a bug in a check must crash, not read as a red case
+    monkeypatch.setattr(suites, "smith_normal_form",
+                        _planted(ValueError("planted")))
+    with pytest.raises(ValueError, match="planted"):
+        run_suite("snf", 0, 2)
