@@ -126,7 +126,8 @@ def test_provider_output_is_validated():
         lambda i, j: z4,
         lambda i, j: Morphism.identity(half),
         lambda i, j: None)
-    with pytest.raises(ConventionViolation):
+    with pytest.raises(ConventionViolation,
+                       match=r"^d' at \(0, 0\) has wrong endpoints$"):
         wrong_endpoints.dprime(0, 0)
     # x -> x from Z/2 to Z/4 sends the relation 2e to 2 != 0: ill-defined
     cells = {(0, 0): half, (1, 0): z4}
@@ -136,8 +137,18 @@ def test_provider_output_is_validated():
         lambda i, j: Morphism(half, z4, IntMatrix([[1]]))
         if (i, j) == (0, 0) else None,
         lambda i, j: None)
-    with pytest.raises(ConventionViolation):
+    with pytest.raises(ConventionViolation,
+                       match=r"^d' at \(0, 0\) ignores relations$"):
         leaky.dprime(0, 0)
+    leaky_up = Bicomplex(
+        4, Window(0, 0), Window(0, 1),
+        lambda i, j: cells[(j, i)],
+        lambda i, j: None,
+        lambda i, j: Morphism(half, z4, IntMatrix([[1]]))
+        if (i, j) == (0, 0) else None)
+    with pytest.raises(ConventionViolation,
+                       match=r"^d'' at \(0, 0\) ignores relations$"):
+        leaky_up.dsecond(0, 0)
     wrong_modulus = Bicomplex(
         4, Window(0, 0), Window(0, 0),
         lambda i, j: FpGroup.from_factors(2, [2]),

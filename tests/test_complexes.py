@@ -48,11 +48,18 @@ def test_construction_validation():
     with pytest.raises(ConventionViolation):
         # differential outside the representable range
         Complex.window("homological", 0, 0, 1, [z, z], {0: ident})
-    with pytest.raises(ConventionViolation):
-        # endpoint mismatch
-        z4 = FpGroup.from_factors(4, [4])
+    z4 = FpGroup.from_factors(4, [4])
+    with pytest.raises(ConventionViolation,
+                       match="^differential at degree 1 has wrong "
+                             "endpoints$"):
         Complex.window("homological", 0, 0, 1, [z, z],
                        {1: Morphism.identity(z4)})
+    # x -> x from Z/2 to Z/4 sends the relation 2e to 2 != 0: ill-defined
+    half = FpGroup(4, 1, IntMatrix([[2]]))
+    with pytest.raises(ConventionViolation,
+                       match="^differential at degree 1 ignores relations$"):
+        Complex.window("homological", 4, 0, 1, [z4, half],
+                       {1: Morphism(half, z4, IntMatrix([[1]]))})
     with pytest.raises(ValueError):
         Complex.window("sideways", 0, 0, 0, [z])
     with pytest.raises(ValueError):

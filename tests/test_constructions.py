@@ -374,6 +374,23 @@ def test_zprime_witness_requires_exactness():
         zprime_witness(lump, point, (0, 0))
 
 
+@pytest.mark.parametrize("bidegree, degree, found", [
+    ((0, 0), 0, "Z/2"),   # i inexact, i - 1 exact
+    ((2, 0), 1, "Z/4"),   # i exact, i - 1 inexact
+    ((1, 0), 1, "Z/4"),   # both inexact: degree i is checked first
+])
+def test_zprime_witness_names_the_inexact_degree(bidegree, degree, found):
+    # zero differentials: H_0 = Z/2 and H_1 = Z/4, exact elsewhere
+    c = Complex.window(HOMOLOGICAL, 4, 0, 1,
+                       [FpGroup.from_factors(4, [2]),
+                        FpGroup.from_factors(4, [4])])
+    point = Complex.window(COHOMOLOGICAL, 4, 0, 0, [FpGroup.free(4, 1)])
+    with pytest.raises(HypothesisViolated,
+                       match="^the first factor must be exact at degree "
+                             "%d; found %s$" % (degree, found)):
+        zprime_witness(c, point, bidegree)
+
+
 def test_zsecond_witness_on_strands():
     c, d = strand_pair(9, [3, 3])
     for bidegree in ((0, 0), (1, 1), (2, -1)):
