@@ -663,8 +663,7 @@ class HomGroup(_PairGroup):
         return Element(self.group, coords)
 
 
-def hom_group(source, target):
-    return HomGroup(source, target)
+hom_group = HomGroup
 
 
 def _induced_map(src, dst, left, right):
@@ -732,8 +731,7 @@ class TensorGroup(_PairGroup):
         return Element(self.group, [xc[i] * yc[j] for (i, j) in self._pairs])
 
 
-def tensor_group(source, target):
-    return TensorGroup(source, target)
+tensor_group = TensorGroup
 
 
 def induced_tensor_map(src_tensor, dst_tensor, f, g):

@@ -29,7 +29,7 @@ from collections import namedtuple
 from .abgroup import (Morphism, _push, intersect, kernel_image,
                       morphism_from_images, preimage_element, subquotient,
                       FpGroup)
-from .complexes import Periodic, Window
+from .complexes import Periodic, Window, _check_differential
 from .errors import (ConventionViolation, HypothesisViolated,
                      InternalChaseFailure, OutOfWindow)
 
@@ -101,13 +101,8 @@ class _Grid(object):
         if got is None:
             raw = self._diff_fns[axis](*key)
             got = raw if raw is not None else Morphism.zero(src, tgt)
-            name = "d" + _MARKS[axis]
-            if got.source != src or got.target != tgt:
-                raise ConventionViolation("%s at %r has wrong endpoints"
-                                          % (name, key))
-            if not got.is_well_defined():
-                raise ConventionViolation("%s at %r ignores relations"
-                                          % (name, key))
+            _check_differential(got, src, tgt,
+                                "d%s at %r" % (_MARKS[axis], key))
             memo[key] = got
         return got
 

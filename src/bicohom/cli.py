@@ -163,12 +163,9 @@ def cmd_tate(args):
                 "pass" if row["pass"] else "FAIL"))
         lines.append("balance: %s"
                      % ("all pass" if report["all_pass"] else "FAILED"))
-        out = _report(args, report["degrees"], all_pass=report["all_pass"],
-                      kind=report["kind"], modulus=report["modulus"],
-                      module=report["module"], other=report["other"],
-                      index_bridge=report["index_bridge"])
-        _emit(args, out, lines)
-        return 0 if report["all_pass"] else 1
+        items, ok = report.pop("degrees"), report.pop("all_pass")
+        _emit(args, _report(args, items, all_pass=ok, **report), lines)
+        return 0 if ok else 1
     groups = tate_groups(args.ring, module, other, degrees, args.kind,
                          routes[0])
     items, lines = [], []

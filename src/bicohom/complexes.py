@@ -106,6 +106,15 @@ class Periodic:
         return "Periodic(%d)" % self.period
 
 
+def _check_differential(f, source, target, where):
+    """ConventionViolation naming `where` unless f runs source -> target
+    and respects the relations; complexes and grids check each map so."""
+    if f.source != source or f.target != target:
+        raise ConventionViolation("%s has wrong endpoints" % where)
+    if not f.is_well_defined():
+        raise ConventionViolation("%s ignores relations" % where)
+
+
 class Complex:
     """Immutable graded complex; construct via Complex.window/periodic."""
 
@@ -168,13 +177,9 @@ class Complex:
             raise ConventionViolation("differential at an unrepresentable "
                                       "degree")
         for n in allowed:
-            f = self.diff(n)
-            if f.source != self.cell(n) or f.target != self.cell(n + self.step):
-                raise ConventionViolation(
-                    "differential at degree %d has wrong endpoints" % n)
-            if not f.is_well_defined():
-                raise ConventionViolation(
-                    "differential at degree %d ignores relations" % n)
+            _check_differential(self.diff(n), self.cell(n),
+                                self.cell(n + self.step),
+                                "differential at degree %d" % n)
         for n in allowed:
             m = n + self.step
             if m + self.step in s:

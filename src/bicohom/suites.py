@@ -25,7 +25,8 @@ from .bicomplexes import (core_equality_check, core_homology,
                           core_homology_alt, diagonal_shift)
 from .complexes import (COHOMOLOGICAL, Complex, cycles, homology,
                         hom_from_module, hom_into_module)
-from .constructions import (_packaged, complete_injective_resolution,
+from .constructions import (_packaged, _transvection,
+                            complete_injective_resolution,
                             complete_projective_resolution, hom_bicomplex,
                             random_exact_complex, tensor_bicomplex,
                             zprime_witness, zsecond_witness)
@@ -74,9 +75,7 @@ def _random_unimodular(n, rng, steps=6):
         return u
     for _ in range(steps):
         i, j = rng.sample(range(n), 2)
-        t = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        t[i][j] = rng.randint(-2, 2)
-        u = u @ IntMatrix(t)
+        u = u @ _transvection(n, i, j, rng.randint(-2, 2))
     return u
 
 
@@ -332,9 +331,9 @@ def suite_balance(rng, inject_fault):
             p, _ = complete_projective_resolution(m, mod_a)
             grid, _ = balance_grid(m, mod_a, mod_b, kind,
                                    first=_zero_first_diff(p)[0])
+            corner = core_homology(grid, (0, 0)).group
             route, = tate_groups(m, mod_a, mod_b, [0], kind,
                                  ROUTES[kind][0])
-            corner = core_homology(grid, (0, 0)).group
             ok = corner.invariant_factors == route.invariant_factors
             return ok, "corner %s route %s" % (
                 corner.invariant_factors, route.invariant_factors)

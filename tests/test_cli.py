@@ -108,6 +108,55 @@ def test_bicomplex_bad_cell(files, capsys):
                  "--kind", "hom", "--cell", "zero", "--op", "H"]) == 2
 
 
+def test_homology_single_degree_and_bad_ranges(files, capsys):
+    assert main(["homology", files["strand4"], "--degrees", "2"]) == 0
+    assert capsys.readouterr().out.strip().splitlines() == ["H[2] = 0"]
+    for text in ("a..b", "1..x", "two"):
+        assert main(["homology", files["strand4"], "--degrees", text]) == 2
+        assert ("range %r is not lo..hi" % text
+                in capsys.readouterr().err)
+
+
+def test_bicomplex_non_integer_cell(files, capsys):
+    assert main(["bicomplex", files["strand4"], files["strand4_co"],
+                 "--kind", "hom", "--cell", "a,1", "--op", "H"]) == 2
+    assert "cell 'a,1' is not a pair of integers" in capsys.readouterr().err
+
+
+def _file(cells='{"0": {"rank": 1}}', diffs="{}",
+          support='{"window": {"lo": 0, "hi": 0}}'):
+    return ('{"modulus": 4, "convention": "homological", "support": %s, '
+            '"cells": %s, "diffs": %s}' % (support, cells, diffs))
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("[1, 2]", "complex file must be a JSON object"),
+    (_file(support="[0, 1]"), "support must be a JSON object"),
+    (_file(cells="[1]"), "cells must be a JSON object"),
+    (_file(cells='{"0": {"rank": -1}}'), "cells[0].rank must not be negative"),
+    (_file(cells='{"0": {"factors": 2}}'), "cells[0].factors must be a list"),
+    (_file(cells='{"0": {"size": 2}}'), 'cells[0] must use "factors" or '
+                                        '"rank"'),
+    (_file(cells='{"0": {"rank": 1}, "1": {"rank": 1}}',
+           support='{"window": {"lo": 0, "hi": 1}}', diffs='{"1": [1]}'),
+     "diffs[1] must be a list of rows"),
+    (_file(cells='{"1": {"rank": 1}, "01": {"rank": 1}}'),
+     "cells[1] appears twice"),
+    (_file(cells='{"0": {"rank": 1}, "1": {"rank": 1}}',
+           support='{"window": {"lo": 0, "hi": 1}}',
+           diffs='{"1": [[1]], "01": [[1]]}'), "diffs[1] appears twice"),
+    (_file(diffs='{"5": [[1]]}'), "diffs[5] has no source cell"),
+])
+def test_homology_file_errors_name_their_place(tmp_path, capsys, text,
+                                               fragment):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["homology", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % path), err
+    assert fragment in err, err
+
+
 def test_tate_balance_table(capsys):
     assert main(["tate", "--ring", "4", "--module", "2", "--other", "2",
                  "--kind", "ext", "--range", "-3..3", "--both-ways"]) == 0

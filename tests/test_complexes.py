@@ -392,3 +392,33 @@ def test_direct_sum_rejects_mismatches():
     c = disc_complex(4, [4], 0)
     with pytest.raises(ValueError):
         direct_sum(a, c)
+
+
+def truncated_zero_maps(lo, hi):
+    """Z/4 at every degree of lo..hi with zero maps, truncated there."""
+    z4 = FpGroup.from_factors(4, [4])
+    return Complex.window("homological", 4, lo, hi, [z4] * (hi - lo + 1),
+                          zero_outside=False)
+
+
+def test_truncated_window_is_exact_only_inside():
+    t = truncated_zero_maps(0, 2)
+    # the edge degrees need cells beyond the window, so the default
+    # report covers degree 1 alone
+    assert is_exact(t) == [(1, "Z/4")]
+    with pytest.raises(OutOfWindow):
+        is_exact(t, 0, 0)
+
+
+def test_direct_sum_of_truncated_windows():
+    t = truncated_zero_maps(0, 2)
+    total = direct_sum(t, t)
+    assert total.support == Window(0, 2, zero_outside=False)
+    assert is_exact(total) == [(1, "Z/4 (+) Z/4")]
+    for other in (truncated_zero_maps(0, 1),
+                  disc_complex(4, [4], 0)):
+        for pair in ((t, other), (other, t)):
+            with pytest.raises(ValueError,
+                               match="^truncated windows must match "
+                                     "exactly$"):
+                direct_sum(*pair)

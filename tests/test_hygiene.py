@@ -1,11 +1,13 @@
-"""Package hygiene: the public name list, the imports and the locals of
-each module.
+"""Package hygiene: the public name list, the imports, the locals and the
+private functions of each module.
 
-No other test reads `__all__`, so a name left there after its object was
-deleted would pass every behavioural test; so would an import that
-nothing uses any more, or a local that is assigned and never read.
-`__init__.py` is left out of the import check because its imports are the
-re-exports.
+`__all__` is read off the package namespace, so it cannot name a deleted
+object; the first two tests check that it holds no submodule and no
+private name, and that a star import binds all of it.  An import that
+nothing uses any more, a local that is assigned and never read, or a
+private module-level function that nothing calls would pass every
+behavioural test, so the checks below catch them.  `__init__.py` is left
+out of the import check because its imports are the re-exports.
 
 `abgroup.kernel_image` memoises a morphism's kernel and image on the
 `Morphism` object, which is only sound while no morphism is changed after
@@ -33,6 +35,7 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import types
 
 import pytest
 
@@ -84,6 +87,8 @@ def unused_locals(source):
 def test_every_public_name_resolves():
     assert [n for n in bicohom.__all__ if not hasattr(bicohom, n)] == []
     assert len(set(bicohom.__all__)) == len(bicohom.__all__)
+    assert [n for n in bicohom.__all__ if n.startswith("_") or isinstance(
+        getattr(bicohom, n), types.ModuleType)] == []
 
 
 def test_star_import_binds_every_public_name():
@@ -123,6 +128,51 @@ def test_the_locals_check_sees_unused_locals():
                          ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_functions(sources):
+    """(module, name) for each private module-level function in `sources`,
+    a dict module -> text, that no code in any of them names outside the
+    function's own body: by a name, an attribute or an import."""
+    defined, named = [], []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            names = set()
+            for child in ast.walk(node):
+                names.add(getattr(child, "id", getattr(child, "attr", None)))
+                if isinstance(child, ast.alias):
+                    names.add(child.asname or child.name)
+            named.append(names)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name.startswith("_") \
+                    and not node.name.startswith("__"):
+                defined.append((module, node.name, names))
+    return sorted((module, name) for module, name, own in defined
+                  if not any(name in names for names in named
+                             if names is not own))
+
+
+def test_the_private_function_check_sees_dead_functions():
+    sources = {
+        "a": "def _dead():\n    pass\n"
+             "def _loop(n):\n    return _loop(n - 1)\n"
+             "def _helper():\n    pass\n"
+             "def public():\n    return _helper()\n"
+             "def _called():\n    pass\n"
+             "def _imported():\n    pass\n"
+             "def __getattr__(name):\n    pass\n"
+             "class C:\n    def _method(self):\n        pass\n",
+        "b": "from .a import _imported\n"
+             "import a\n"
+             "TABLE = {'k': a._called}\n"}
+    assert unreferenced_private_functions(sources) == [("a", "_dead"),
+                                                       ("a", "_loop")]
+
+
+def test_every_private_function_is_referenced():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []
 
 
 # the attributes of a Morphism, which kernel_image's memo relies on
