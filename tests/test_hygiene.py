@@ -141,7 +141,7 @@ def unreferenced_private_functions(sources):
             for child in ast.walk(node):
                 names.add(getattr(child, "id", getattr(child, "attr", None)))
                 if isinstance(child, ast.alias):
-                    names.add(child.asname or child.name)
+                    names.add(child.name)
             named.append(names)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and node.name.startswith("_") \
@@ -162,7 +162,7 @@ def test_the_private_function_check_sees_dead_functions():
              "def _imported():\n    pass\n"
              "def __getattr__(name):\n    pass\n"
              "class C:\n    def _method(self):\n        pass\n",
-        "b": "from .a import _imported\n"
+        "b": "from .a import _imported as imported\n"
              "import a\n"
              "TABLE = {'k': a._called}\n"}
     assert unreferenced_private_functions(sources) == [("a", "_dead"),
