@@ -201,9 +201,6 @@ class Element:
         self.parent = parent
         self.coords = coords
 
-    def reduced(self):
-        return Element(self.parent, self.parent.reduce(self.coords))
-
     def is_zero(self):
         return self.parent._kills([self.coords])
 

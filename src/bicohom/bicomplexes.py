@@ -18,10 +18,11 @@ and the E2 pages are the same type without a site.
 
 Z', B', Z'', B'' and both core denominators d'(Z'') and d''(Z') are read
 through three helpers that take the axis as a parameter, over kernels and
-images that `abgroup.kernel_image` builds once per differential.  H', H''
-and the core share one memo per grid, keyed by canonical site, and the
-diagonal shift is one chase for both directions: it solves along one axis
-and pushes along the other.
+images that `abgroup.kernel_image` builds once per differential.  The two
+core routes share one numerator Z' ∩ Z'' and divide it by their own
+denominator.  H', H'' and the core share one memo per grid, keyed by
+canonical site, and the diagonal shift is one chase for both directions: it
+solves along one axis and pushes along the other.
 """
 
 from collections import namedtuple
@@ -311,14 +312,6 @@ def _require_core_exact(x, i, j, op_name):
     _require_exact(x, [(SECOND, i - 1, j), (PRIME, i, j - 1)], op_name)
 
 
-def _core(x, i, j, label, axis, op_name):
-    """(Z' ∩ Z'') / _pushed_cycles(x, i, j, axis), reported at label."""
-    _require_core_exact(x, i, j, op_name)
-    numerator = intersect(_cycles(x, i, j, PRIME), _cycles(x, i, j, SECOND))
-    return subquotient(x.cell(i, j), numerator,
-                       _pushed_cycles(x, i, j, axis), x, label)
-
-
 def core_homology(x, bidegree):
     """The core invariant at a bidegree; memoized per canonical site.
 
@@ -328,8 +321,14 @@ def core_homology(x, bidegree):
     with HypothesisViolated otherwise.
     """
     i, j = bidegree
-    return _at_site(x, i, j, "core", lambda label: _core(
-        x, i, j, label, PRIME, "core_homology"))
+
+    def build(label):
+        _require_core_exact(x, i, j, "core_homology")
+        numerator = intersect(_cycles(x, i, j, PRIME),
+                              _cycles(x, i, j, SECOND))
+        return subquotient(x.cell(i, j), numerator,
+                           _pushed_cycles(x, i, j, PRIME), x, label)
+    return _at_site(x, i, j, "core", build)
 
 
 def core_equality_check(x, bidegree):
@@ -342,10 +341,12 @@ def core_equality_check(x, bidegree):
 def core_homology_alt(x, bidegree):
     """The core invariant with d''(Z') as the denominator.
 
-    A second route to the same group; tests compare the two.
+    A second route on core_homology's numerator; tests compare the two.
     """
     i, j = bidegree
-    return _core(x, i, j, (i, j), SECOND, "core_homology_alt")
+    _require_core_exact(x, i, j, "core_homology_alt")
+    return subquotient(x.cell(i, j), core_homology(x, bidegree).numerator,
+                       _pushed_cycles(x, i, j, SECOND), x, (i, j))
 
 
 def diagonal_shift(cls, direction):

@@ -32,6 +32,7 @@ _INPUT_ERRORS = (ParseError, NotAModule, OutOfWindow, ConventionViolation,
 
 # E2-I runs the first-direction homology last, E2-II runs it first
 _E2_ORDERS = {"E2-I": II_THEN_I, "E2-II": I_THEN_II}
+_AXES = {"Hprime": PRIME, "Hsecond": SECOND}
 
 
 def render_group_factors(factors, free_rank=0):
@@ -43,6 +44,12 @@ def render_group_factors(factors, free_rank=0):
 
 def render_group(g):
     return render_group_factors(g.invariant_factors, g.free_rank)
+
+
+def _group_fields(g):
+    return {"factors": list(g.invariant_factors),
+            "free_rank": g.free_rank,
+            "group": render_group(g)}
 
 
 def _parse_range(text):
@@ -108,10 +115,7 @@ def cmd_homology(args):
     items, lines = [], []
     for n in degrees:
         g = homology(c, n).group
-        items.append({"degree": n,
-                      "factors": list(g.invariant_factors),
-                      "free_rank": g.free_rank,
-                      "group": render_group(g)})
+        items.append({"degree": n, **_group_fields(g)})
         lines.append("H[%d] = %s" % (n, render_group(g)))
     _emit(args, _report(args, items), lines)
     return 0
@@ -132,16 +136,11 @@ def cmd_bicomplex(args):
         return 0 if ok else 1
     if op == "H":
         g = core_homology(x, cell).group
-    elif op == "Hprime":
-        g = directional_homology(x, cell, PRIME)
-    elif op == "Hsecond":
-        g = directional_homology(x, cell, SECOND)
+    elif op in _AXES:
+        g = directional_homology(x, cell, _AXES[op])
     else:
         g = iterated_homology(x, cell, _E2_ORDERS[op])
-    items = [{"cell": list(cell), "op": op,
-              "factors": list(g.invariant_factors),
-              "free_rank": g.free_rank,
-              "group": render_group(g)}]
+    items = [{"cell": list(cell), "op": op, **_group_fields(g)}]
     _emit(args, _report(args, items),
           ["%s at (%d,%d) = %s" % (op, cell[0], cell[1], render_group(g))])
     return 0

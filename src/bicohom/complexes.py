@@ -23,7 +23,7 @@ from .abgroup import (FpGroup, Homology, Morphism, _shared_modulus,
                       hom_group, induced_hom_map, induced_tensor_map,
                       kernel_image, subquotient, tensor_group)
 from .abgroup import direct_sum as group_direct_sum
-from .errors import ConventionViolation, OutOfWindow
+from .errors import BadArgument, ConventionViolation, OutOfWindow
 
 HOMOLOGICAL = "homological"
 COHOMOLOGICAL = "cohomological"
@@ -251,6 +251,8 @@ def is_exact(c, lo=None, hi=None):
         d_lo, d_hi = s.lo + 1, s.hi - 1
     lo = d_lo if lo is None else lo
     hi = d_hi if hi is None else hi
+    if lo > hi:
+        raise BadArgument("empty degree range %d..%d" % (lo, hi))
     report = []
     for n in range(lo, hi + 1):
         h = homology(c, n)

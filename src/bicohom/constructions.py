@@ -74,12 +74,9 @@ def _zm_factors(m, module):
     if module.modulus != m:
         raise NotAModule("the group's modulus context is %d, expected %d"
                          % (module.modulus, m))
-    factors = module.invariant_factors
-    for f in factors:
-        if m % f:
-            raise NotAModule("invariant factor %d does not divide %d"
-                             % (f, m))
-    return factors
+    # the relations hold m*e_i for every generator, so each invariant
+    # factor divides m
+    return module.invariant_factors
 
 
 def _strand_complex(m, factors, convention):

@@ -106,9 +106,6 @@ class IntMatrix:
     def to_lists(self):
         return [list(row) for row in self._data]
 
-    def row(self, i):
-        return self._data[i]
-
     def column(self, j):
         return tuple(row[j] for row in self._data)
 
@@ -246,7 +243,7 @@ def hermite_normal_form(a):
     matching columns of W form a basis of the integer kernel of a, itself in
     column echelon form.
     """
-    h, _ = backend.col_echelon(a.to_lists() + backend.identity(a.cols))
+    h, _, _ = _preimage_echelon(a, 0, None)
     return (IntMatrix._trusted(h[:a.rows], a.cols),
             IntMatrix._trusted(h[a.rows:], a.cols))
 

@@ -202,6 +202,47 @@ def test_make_morphism_examples():
     assert not inj.is_zero()
 
 
+def test_raw_ill_defined_maps_are_refused():
+    # x -> x from Z/2 to Z/4, built raw, sends the relation 2e to 2 != 0
+    z2 = FpGroup.from_factors(4, [2])
+    z4 = FpGroup.from_factors(4, [4])
+    raw = Morphism(z2, z4, IntMatrix([[1]]))
+    assert not raw.is_well_defined()
+    message = "^morphism does not respect the relations$"
+    with pytest.raises(IllDefined, match=message):
+        hom_group(z2, z4).element_of(raw)
+    with pytest.raises(IllDefined, match=message):
+        induced_hom_map(hom_group(z4, z4), hom_group(z2, z4), precompose=raw)
+
+
+def _mismatched_parents():
+    z2 = FpGroup.from_factors(4, [2])
+    z4 = FpGroup.from_factors(4, [4])
+    one = Element(z2, (1,))
+    whole = subquotient(z4, Subgroup.full(z4), Subgroup.zero(z4))
+    return [
+        (lambda: Morphism.identity(z4)(one),
+         "element is not in the morphism's source"),
+        (lambda: preimage_element(Morphism.identity(z4), one),
+         "element is not in the morphism's target"),
+        (lambda: intersect(Subgroup.full(z4), Subgroup.full(z2)),
+         "subgroups of different groups"),
+        (lambda: subquotient(z4, Subgroup.full(z2), Subgroup.zero(z2)),
+         "subgroups of a different group"),
+        (lambda: whole.project(one), "element is not in the ambient group"),
+        (lambda: tensor_group(z4, z4).pure(one, Element(z4, (1,))),
+         "factors are not in the tensor's factors"),
+    ]
+
+
+@pytest.mark.parametrize("call, message", _mismatched_parents(),
+                         ids=["call", "preimage_element", "intersect",
+                              "subquotient", "project", "pure"])
+def test_parent_mismatches_are_named(call, message):
+    with pytest.raises(ParentMismatch, match="^%s$" % message):
+        call()
+
+
 def test_morphism_algebra():
     g = FpGroup.from_factors(0, [4])
     f = make_morphism(g, g, IntMatrix([[2]]))

@@ -84,6 +84,8 @@ def z_cell():
 def test_from_grid_validation():
     z2 = FpGroup.from_factors(2, [2])
     ident = Morphism.identity(z2)
+    with pytest.raises(ValueError, match="^need at least one cell$"):
+        Bicomplex.from_grid(2, {})
     with pytest.raises(ValueError):
         Bicomplex.from_grid(2, {(0, 0): z2, (1, 1): z2})  # not a rectangle
     with pytest.raises(ConventionViolation,

@@ -89,6 +89,14 @@ def test_bicomplex_directional_on_window(files, capsys):
     assert main(["bicomplex", files["z_mul2"], files["point4_co"],
                  "--kind", "hom", "--cell", "1,0", "--op", "Hprime"]) == 0
     assert "Z/2" in capsys.readouterr().out
+    # the point has zero d'', so H'' at (1, 0) is the whole cell Hom(Z, Z/4)
+    assert main(["bicomplex", files["z_mul2"], files["point4_co"],
+                 "--kind", "hom", "--cell", "1,0", "--op", "Hsecond",
+                 "--json"]) == 0
+    item, = json.loads(capsys.readouterr().out)["items"]
+    assert list(item.items()) == [("cell", [1, 0]), ("op", "Hsecond"),
+                                  ("factors", [4]), ("free_rank", 0),
+                                  ("group", "Z/4")]
 
 
 def test_bicomplex_hypothesis_errors_are_input_errors(files, capsys):

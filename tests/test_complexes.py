@@ -16,8 +16,8 @@ from bicohom.complexes import (Complex, Periodic, Window, boundaries,
                                hom_into_module, homology, is_exact,
                                module_tensor_with, reindex,
                                tensor_with_module)
-from bicohom.errors import (ConventionViolation, NotContained, OutOfWindow,
-                            ParentMismatch)
+from bicohom.errors import (BadArgument, ConventionViolation, NotContained,
+                            OutOfWindow, ParentMismatch)
 from bicohom.snf import IntMatrix
 from helpers import (disc_complex, invariant_factors_oracle, periodic_strand,
                      seeded)
@@ -60,10 +60,16 @@ def test_construction_validation():
                        match="^differential at degree 1 ignores relations$"):
         Complex.window("homological", 4, 0, 1, [z4, half],
                        {1: Morphism(half, z4, IntMatrix([[1]]))})
+    with pytest.raises(ConventionViolation,
+                       match="^cell modulus differs from complex$"):
+        Complex.window("homological", 4, 0, 0,
+                       [FpGroup.from_factors(8, [8])])
     with pytest.raises(ValueError):
         Complex.window("sideways", 0, 0, 0, [z])
     with pytest.raises(ValueError):
         Periodic(0)
+    with pytest.raises(ValueError, match="^empty window$"):
+        Window(1, 0)
 
 
 def test_window_access_rules():
@@ -286,6 +292,17 @@ def test_hom_requires_matching_convention():
 # --------------------------------------------------------- tensor functors
 
 
+def test_tensor_requires_a_homological_complex():
+    d = periodic_strand(4, [2], convention="cohomological")
+    z2 = FpGroup.from_factors(4, [2])
+    with pytest.raises(ValueError, match="^tensor_with_module expects a "
+                                         "homological complex$"):
+        tensor_with_module(d, z2)
+    with pytest.raises(ValueError, match="^module_tensor_with expects a "
+                                         "homological complex$"):
+        module_tensor_with(z2, d)
+
+
 def test_tensor_with_module_examples():
     c = periodic_strand(4, [2])
     z = FpGroup(0, 1)
@@ -392,6 +409,10 @@ def test_direct_sum_rejects_mismatches():
     c = disc_complex(4, [4], 0)
     with pytest.raises(ValueError):
         direct_sum(a, c)
+    co = periodic_strand(4, [2], convention="cohomological")
+    with pytest.raises(ValueError,
+                       match="^direct summands use different conventions$"):
+        direct_sum(a, co)
 
 
 def truncated_zero_maps(lo, hi):
@@ -408,6 +429,18 @@ def test_truncated_window_is_exact_only_inside():
     assert is_exact(t) == [(1, "Z/4")]
     with pytest.raises(OutOfWindow):
         is_exact(t, 0, 0)
+
+
+@pytest.mark.parametrize("hi", [0, 1])
+def test_is_exact_refuses_an_empty_range(hi):
+    # a truncated window of one or two degrees has no interior degree, so
+    # the default range is empty; it must not read as exact
+    t = truncated_zero_maps(0, hi)
+    with pytest.raises(BadArgument,
+                       match=r"^empty degree range 1\.\.%d$" % (hi - 1)):
+        is_exact(t)
+    with pytest.raises(BadArgument, match=r"^empty degree range 2\.\.1$"):
+        is_exact(periodic_strand(4, [2]), 2, 1)
 
 
 def test_direct_sum_of_truncated_windows():

@@ -7,7 +7,10 @@ private name, and that a star import binds all of it.  An import that
 nothing uses any more, a local that is assigned and never read, or a
 private module-level function that nothing calls would pass every
 behavioural test, so the checks below catch them.  `__init__.py` is left
-out of the import check because its imports are the re-exports.
+out of the import check because its imports are the re-exports.  Likewise
+a function or method of the package that no code in `src/`, `tests/` or
+`perfbench/` reads is dead weight: a method is read when some attribute
+access names it, a function when some name or attribute does.
 
 `abgroup.kernel_image` memoises a morphism's kernel and image on the
 `Morphism` object, which is only sound while no morphism is changed after
@@ -43,7 +46,8 @@ import bicohom
 
 PACKAGE = pathlib.Path(bicohom.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+REPO = pathlib.Path(__file__).parents[1]
+TRACING = REPO / "perfbench" / "tracing.py"
 
 
 def unused_imports(source):
@@ -173,6 +177,62 @@ def test_every_private_function_is_referenced():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_functions(sources) == []
+
+
+def unread_definitions(sources, readers):
+    """(module, name) for each function and method in `sources`, a dict
+    module -> text, that no text in `readers` reads; a method, named
+    "Class.method", is read when some attribute access names it, a function
+    when some name or attribute does.  Dunder methods are exempt."""
+    names, attrs = set(), set()
+    for text in readers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        owner = {child: node for node in ast.walk(tree)
+                 for child in ast.iter_child_nodes(node)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or (fn.name.startswith("__") and fn.name.endswith("__")):
+                continue
+            if isinstance(owner[fn], ast.ClassDef):
+                if fn.name not in attrs:
+                    found.append((module, owner[fn].name + "." + fn.name))
+            elif fn.name not in names | attrs:
+                found.append((module, fn.name))
+    return sorted(found)
+
+
+def test_the_unread_check_sees_dead_definitions():
+    source = ("def dead():\n    pass\n"
+              "def by_name():\n    pass\n"
+              "def by_attribute():\n    pass\n"
+              "def __getattr__(name):\n    pass\n"
+              "class C:\n"
+              "    def gone(self):\n        pass\n"
+              "    def named_bare(self):\n        pass\n"
+              "    def called(self):\n"
+              "        def inner():\n            pass\n"
+              "        return inner\n"
+              "    def __len__(self):\n        return 0\n")
+    readers = [source, "by_name()\nmod.by_attribute\nC().called()\n"
+                       "named_bare\n"]
+    assert unread_definitions({"a": source}, readers) == [
+        ("a", "C.gone"), ("a", "C.named_bare"), ("a", "dead")]
+
+
+def test_every_function_and_method_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8")
+               for folder in ("src", "tests", "perfbench")
+               for p in sorted((REPO / folder).rglob("*.py"))]
+    assert unread_definitions(sources, readers) == []
 
 
 # the attributes of a Morphism, which kernel_image's memo relies on

@@ -146,6 +146,13 @@ def test_snf_hypothesis(rows):
     assert_gcd_of_minors(a, res)
 
 
+def test_det_of_a_singular_matrix_with_a_zero_pivot_column():
+    # no row can supply the first pivot, so the elimination stops at once
+    assert backend.det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+    assert IntMatrix([[0, 1], [0, 2]]).det() == 0
+    assert backend.det([[0, 1], [1, 0]]) == -1  # a swap finds the pivot
+
+
 def test_hermite_properties():
     rng = seeded(77)
     for _ in range(80):

@@ -1,13 +1,16 @@
 """The verification suites and their internal oracles."""
 
+import re
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
-from bicohom import suites
+from bicohom import abgroup, cli, suites
 from bicohom.complexes import is_exact
 from bicohom.constructions import random_exact_complex
 from bicohom.errors import HypothesisViolated
+from bicohom.snf import IntMatrix, SnfResult
 from bicohom.suites import (SUITES, _hom_count, _invariants_of_cyclics,
                             _zero_first_diff, run_suite)
 from helpers import invariant_factors_oracle, seeded
@@ -98,3 +101,89 @@ def test_an_internal_value_error_in_a_check_propagates(monkeypatch):
                         _planted(ValueError("planted")))
     with pytest.raises(ValueError, match="planted"):
         run_suite("snf", 0, 2)
+
+
+# Each wrong_* takes the function that `suites` binds and returns a stand-in
+# that gives one wrong answer; a case whose check cannot see it stays green.
+def wrong_snf(snf):
+    def smith_normal_form(a):
+        r = snf(a)
+        if 0 in (a.rows, a.cols):
+            return r
+        bump = IntMatrix.diagonal([1], rows=a.rows, cols=a.cols)
+        return SnfResult(r.U, r.D + bump, r.V, r.Uinv, r.Vinv)
+    return smith_normal_form
+
+
+def wrong_hom(hom):
+    def hom_group(g, h):
+        order = hom(g, h).group.order() + 1
+        return SimpleNamespace(group=SimpleNamespace(order=lambda: order))
+    return hom_group
+
+
+def _with_factors(factors):
+    return SimpleNamespace(group=SimpleNamespace(invariant_factors=factors))
+
+
+def wrong_alt(alt):
+    def core_homology_alt(x, bidegree):
+        return _with_factors(alt(x, bidegree).group.invariant_factors + (2,))
+    return core_homology_alt
+
+
+def wrong_witness(witness):
+    def zprime_witness(c, d, bidegree):
+        f, b = witness(c, d, bidegree)
+        return f, b + b
+    return zprime_witness
+
+
+def wrong_hom_from(hom):
+    def hom_from_module(z, e):
+        return hom(abgroup.direct_sum(z, z)[0], e)
+    return hom_from_module
+
+
+def wrong_report(balance):
+    def balance_report(*args):
+        report = balance(*args)
+        report["degrees"][0]["pass"] = False
+        return report
+    return balance_report
+
+
+def computed_corner(_core):
+    def core_homology(grid, bidegree):
+        return _with_factors((2,))
+    return core_homology
+
+
+# (suite, name in suites, stand-in, red detail, inject_fault)
+PLANTED = [
+    ("snf", "smith_normal_form", wrong_snf,
+     r"U\*A\*V is not the stated diagonal", False),
+    ("abgroup", "hom_group", wrong_hom, r"\|Hom\| \d+ != \d+", False),
+    ("thm21", "core_homology_alt", wrong_alt,
+     r"route mismatch at \(-?\d+, -?\d+\)", False),
+    ("prop31", "zprime_witness", wrong_witness,
+     r"zprime_witness not left-inverse at \(-?\d+, -?\d+\)", False),
+    ("thm33", "hom_from_module", wrong_hom_from,
+     r"triple \(.*\) \(.*\) \(.*\) at \(-?\d+, -?\d+\)", False),
+    ("balance", "balance_report", wrong_report, r"degrees \[-2\] fail",
+     False),
+    ("balance", "core_homology", computed_corner, r"corner \(2,\)", True),
+]
+
+
+@pytest.mark.parametrize("suite, name, plant, detail, inject_fault", PLANTED,
+                         ids=[name for _, name, _, _, _ in PLANTED])
+def test_each_suite_names_its_planted_wrong_answer(
+        monkeypatch, capsys, suite, name, plant, detail, inject_fault):
+    monkeypatch.setattr(suites, name, plant(getattr(suites, name)))
+    rows = run_suite(suite, seed=11, cases=4, inject_fault=inject_fault)
+    red = [r["detail"] for r in rows if not r["pass"]]
+    assert red and all(re.fullmatch(detail, d) for d in red), rows
+    argv = ["verify", "--suite", suite, "--seed", "11", "--cases", "4"]
+    assert cli.main(argv + ["--inject-fault"] * inject_fault) == 1
+    assert "FAIL" in capsys.readouterr().out
