@@ -15,11 +15,14 @@ reduces modulo the relations of the quotient parent / subgroup.  A
 subquotient is one `Homology`: numerator over denominator with its group,
 `project` and `representative`.  `complexes.homology` and
 `bicomplexes.core_homology` return the same type with their site
-attached, and `HClass` is its class type.  The relation echelon that
-each group caches decides every yes/no question (zero, well defined,
-contained, trivial) in `FpGroup._kills` and `is_trivial`; the Smith form
-only describes a group: its invariant factors, order, cyclic coordinates
-and `describe`.  Maps are solved in column batches by `_solve`.
+attached, and `HClass` is its class type.  `ker_mod_im` builds every
+ker(out) / im(into) of a complex or a grid; over Z/m it reads a zero
+group off the orders of Howell forms already built (`_howell_order`) and
+leaves `subquotient` to the others.  The relation echelon that each group
+caches decides every yes/no question (zero, well defined, contained,
+trivial) in `FpGroup._kills` and `is_trivial`; the Smith form only
+describes a group: its invariant factors, order, cyclic coordinates and
+`describe`.  Maps are solved in column batches by `_solve`.
 
 Over Z/m a group presented by a Howell basis keeps that basis as its
 echelon (`_seed`): the group of a subquotient, parent / (s1 ∩ s2) after
@@ -569,10 +572,7 @@ def subquotient(parent, num, den, owner=None, index=None):
     relations.  project/representative invert one another up to den, and
     representative(project(x)) == x holds in the parent.
     """
-    if num.parent != parent or den.parent != parent:
-        raise ParentMismatch("subgroups of a different group")
-    if not num.includes(den):
-        raise NotContained("denominator is not inside the numerator")
+    _check_nested(parent, num, den)
     t = num.matrix.cols
     m = parent.modulus
     rels = kernel_basis(num.matrix, m, den.matrix.hstack(parent.relations))
@@ -580,6 +580,46 @@ def subquotient(parent, num, den, owner=None, index=None):
     group = _seed(FpGroup(m, t, rels.take(cols=[
         j for j in range(rels.cols) if not (m and rels[(j, j)] == m)])), rels)
     return Homology(owner, index, num, den, group)
+
+
+def _check_nested(parent, num, den):
+    if num.parent != parent or den.parent != parent:
+        raise ParentMismatch("subgroups of a different group")
+    if not num.includes(den):
+        raise NotContained("denominator is not inside the numerator")
+
+
+def _howell_order(group):
+    """|group| for a modulus m > 0: the product of the pivots of its
+    relation Howell form, whose unreached rows carry the pivot m."""
+    h, pivots = group._reduction()
+    return prod(h[r][c] for r, c in pivots)
+
+
+def ker_mod_im(out, into, owner=None, index=None):
+    """The Homology ker(out) / im(into) at the cell out leaves and into
+    enters, at the site (owner, index) when one is given.
+
+    Over Z/m it first counts: im(into) is src(into) / ker(into), so with
+    B = im(into) inside Z = ker(out) the quotient vanishes exactly when
+    |cell| == |cell / Z| * |src(into) / ker(into)|.  All three orders are
+    read off echelons that `kernel_image` has cached or seeded.  A
+    vanishing quotient gets the zero group on Z's generators, relations
+    and echelon the identity, with no kernel basis built; B <= Z is still
+    checked.  Any other quotient, and every one over Z, is built by
+    `subquotient`.
+    """
+    cell = out.source
+    (z, _), (into_ker, b) = kernel_image(out), kernel_image(into)
+    m = cell.modulus
+    if m and into.source.modulus == m and _howell_order(cell) == (
+            _howell_order(z._quotient_group())
+            * _howell_order(into_ker._quotient_group())):
+        _check_nested(cell, z, b)
+        eye = IntMatrix.identity(z.matrix.cols)
+        return Homology(owner, index, z, b,
+                        _seed(FpGroup(m, eye.cols, eye), eye))
+    return subquotient(cell, z, b, owner, index)
 
 
 def _cyclic_matrix(f):

@@ -14,7 +14,10 @@ verified by the callers' tests rather than re-proved per call.  It is a
 homology group of the grid, and it is returned as one: the
 `abgroup.Homology` that `abgroup.subquotient` builds with the grid as
 owner and the bidegree as index, with `abgroup.HClass` classes.  H', H''
-and the E2 pages are the same type without a site.
+and the E2 pages are the same type without a site, built by
+`abgroup.ker_mod_im` like `complexes.homology`: over Z/m it proves H' or
+H'' = 0 by counting orders, so the exactness that core_homology and
+diagonal_shift require costs no subquotient.
 
 Z', B', Z'', B'' and both core denominators d'(Z'') and d''(Z') are read
 through three helpers that take the axis as a parameter, over kernels and
@@ -27,7 +30,7 @@ solves along one axis and pushes along the other.
 
 from collections import namedtuple
 
-from .abgroup import (Morphism, _push, intersect, kernel_image,
+from .abgroup import (Morphism, _push, intersect, ker_mod_im, kernel_image,
                       morphism_from_images, preimage_element, subquotient,
                       FpGroup)
 from .complexes import Periodic, Window, _check_differential
@@ -258,9 +261,11 @@ def _at_site(x, i, j, tag, build):
 
 
 def _directional_sub(x, i, j, axis):
-    """H' or H'' at (i, j) as a subquotient, memoized per canonical site."""
-    return _at_site(x, i, j, axis, lambda _label: subquotient(
-        x.cell(i, j), _cycles(x, i, j, axis), _boundaries(x, i, j, axis)))
+    """H' or H'' at (i, j), memoized per canonical site: ker/im of the
+    axis's differentials out of and into (i, j), by `ker_mod_im`."""
+    di, dj = _STEP[axis]
+    return _at_site(x, i, j, axis, lambda _label: ker_mod_im(
+        x._diff(i, j, axis), x._diff(i - di, j - dj, axis)))
 
 
 def directional_homology(x, bidegree, axis):
@@ -399,5 +404,4 @@ def iterated_homology(x, bidegree, order):
     prev, mid, nxt = [_directional_sub(x, a, b, inner) for a, b in sites]
     into = _induced_between_subs(prev, mid, x._diff(i - di, j - dj, outer))
     outof = _induced_between_subs(mid, nxt, x._diff(i, j, outer))
-    return subquotient(mid.group, kernel_image(outof)[0],
-                       kernel_image(into)[1]).group
+    return ker_mod_im(outof, into).group

@@ -12,16 +12,17 @@ reading one line with the group as a one-cell complex, the four functors
 with a group below are built by it.
 
 `homology(c, n)` returns the package's one subquotient type,
-`abgroup.Homology` with its `abgroup.HClass` classes, built by
-`abgroup.subquotient` at the site (c, n); the same type serves, through
-`bicomplexes.core_homology`, a grid's core invariant at a bidegree.
+`abgroup.Homology` with its `abgroup.HClass` classes, built at the site
+(c, n) by `abgroup.ker_mod_im`, the one ker/im builder of complexes and
+grids, which certifies a zero group over Z/m by counting orders; the same
+type serves, through `bicomplexes.core_homology`, a grid's core invariant.
 """
 
 from math import gcd
 
 from .abgroup import (FpGroup, Homology, Morphism, _shared_modulus,
                       hom_group, induced_hom_map, induced_tensor_map,
-                      kernel_image, subquotient, tensor_group)
+                      ker_mod_im, kernel_image, tensor_group)
 from .abgroup import direct_sum as group_direct_sum
 from .errors import BadArgument, ConventionViolation, OutOfWindow
 
@@ -220,7 +221,8 @@ def boundaries(c, n):
 
 
 def homology(c, n):
-    """Homology of c at degree n, memoized per complex.
+    """Homology of c at degree n, memoized per complex: ker(d out of n)
+    over im(d into n), by `ker_mod_im`.
 
     Only canonical degrees are stored; any other degree of a periodic
     complex gets its own object that reports n and shares the groups.
@@ -228,8 +230,8 @@ def homology(c, n):
     key, _ = c.support.canonical(n)
     got = c._homology.get(key)
     if got is None:
-        z, b = cycles(c, key), boundaries(c, key)
-        got = c._homology[key] = subquotient(c.cell(key), z, b, c, key)
+        got = c._homology[key] = ker_mod_im(c.diff(key), c.diff(key - c.step),
+                                            c, key)
     if key == n:
         return got
     return Homology(c, n, got.numerator, got.denominator, got.group)

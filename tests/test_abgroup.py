@@ -220,6 +220,8 @@ def _mismatched_parents():
     z4 = FpGroup.from_factors(4, [4])
     one = Element(z2, (1,))
     whole = subquotient(z4, Subgroup.full(z4), Subgroup.zero(z4))
+    id2, id4 = Morphism.identity(z2), Morphism.identity(z4)
+    hom44, ten44 = hom_group(z4, z4), tensor_group(z4, z4)
     return [
         (lambda: Morphism.identity(z4)(one),
          "element is not in the morphism's source"),
@@ -232,12 +234,31 @@ def _mismatched_parents():
         (lambda: whole.project(one), "element is not in the ambient group"),
         (lambda: tensor_group(z4, z4).pure(one, Element(z4, (1,))),
          "factors are not in the tensor's factors"),
+        (lambda: Element(z4, (1,)) + one, "elements live in different groups"),
+        (lambda: id4 + id2, "morphism sum endpoints do not match"),
+        (lambda: one in Subgroup.full(z4),
+         "element is not in the parent group"),
+        (lambda: whole.representative(one),
+         "element is not a class of this subquotient"),
+        (lambda: hom44.realize(one), "element is not in this hom group"),
+        (lambda: hom44.element_of(id2), "morphism endpoints do not match"),
+        (lambda: induced_hom_map(hom44, hom44, precompose=id2),
+         "precomposition map endpoints do not match"),
+        (lambda: induced_hom_map(hom44, hom44, postcompose=id2),
+         "postcomposition map endpoints do not match"),
+        (lambda: induced_tensor_map(ten44, ten44, id2, id4),
+         "left factor map endpoints do not match"),
+        (lambda: induced_tensor_map(ten44, ten44, id4, id2),
+         "right factor map endpoints do not match"),
     ]
 
 
 @pytest.mark.parametrize("call, message", _mismatched_parents(),
                          ids=["call", "preimage_element", "intersect",
-                              "subquotient", "project", "pure"])
+                              "subquotient", "project", "pure", "element_sum",
+                              "morphism_sum", "contains", "representative",
+                              "realize", "element_of", "precompose",
+                              "postcompose", "tensor_left", "tensor_right"])
 def test_parent_mismatches_are_named(call, message):
     with pytest.raises(ParentMismatch, match="^%s$" % message):
         call()

@@ -13,8 +13,11 @@ Oracles, written before the implementations they check:
     Hom(Z_1, D) = 0, so any off-by-one dies loudly.
 """
 
+import re
+
 import pytest
 
+from bicohom import constructions
 from bicohom.abgroup import (FpGroup, Morphism, Subgroup, invert_isomorphism,
                              make_morphism, subquotient)
 from bicohom.bicomplexes import (PRIME, SECOND, check_exact_grid,
@@ -28,8 +31,9 @@ from bicohom.constructions import (complete_injective_resolution,
                                    hom_bicomplex, random_exact_complex,
                                    tensor_bicomplex, zprime_witness,
                                    zsecond_witness)
-from bicohom.errors import HypothesisViolated, NotAModule
+from bicohom.errors import ConventionViolation, HypothesisViolated, NotAModule
 from bicohom.snf import IntMatrix
+from bicohom.suites import _zero_first_diff
 from helpers import periodic_strand, reference_functor_complex
 
 
@@ -333,6 +337,16 @@ def test_random_exact_complex_shapes():
         random_exact_complex(1, 0)
     with pytest.raises(ValueError):
         random_exact_complex(4, 0, kind="spiral")
+
+
+def test_an_inexact_construction_is_refused():
+    # the guard every built complex passes: its is_exact report, named
+    c, _ = _zero_first_diff(random_exact_complex(4, 4, blocks=2,
+                                                 kind="window"))
+    with pytest.raises(ConventionViolation, match=re.escape(
+            "random exact complex failed its exactness check: "
+            "[(1, 'Z/4'), (2, 'Z/4')]")):
+        constructions._checked_exact(c, "random exact complex")
 
 
 # ----------------------------------------------------------- Z' / Z'' maps
