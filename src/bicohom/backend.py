@@ -76,10 +76,16 @@ def mat_mul(a, b):
 
 
 def _rows(mat, i, k, a, b, c, e):
-    """Rows (i, k) of mat become (a*r_i + b*r_k, c*r_i + e*r_k)."""
+    """Rows (i, k) of mat become (a*r_i + b*r_k, c*r_i + e*r_k).  A swap
+    exchanges the two row lists, and a row the move keeps stays as it is."""
     ri, rk = mat[i], mat[k]
-    mat[i] = [a * x + b * y for x, y in zip(ri, rk)]
-    mat[k] = [c * x + e * y for x, y in zip(ri, rk)]
+    if (a, b, c, e) == (0, 1, 1, 0):
+        mat[i], mat[k] = rk, ri
+        return
+    if (a, b) != (1, 0):
+        mat[i] = [a * x + b * y for x, y in zip(ri, rk)]
+    if (c, e) != (0, 1):
+        mat[k] = [c * x + e * y for x, y in zip(ri, rk)]
 
 
 def _cols(mat, j, k, a, b, c, e):
@@ -362,37 +368,47 @@ def minor_gcds(a):
     Minor determinants are built one size at a time by Laplace expansion
     along the last row of each row set, reusing the previous level instead of
     recomputing determinants from scratch.  Once some level is identically
-    zero all larger levels are too.
+    zero all larger levels are too.  A level is a list of (last row, minors
+    over the column sets in combinations order), each row set extending its
+    prefix's entry; the cofactor indices of every column set are computed
+    once per level.  As the snf suite's independent route, it calls no
+    elimination code and no det.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     kmax = min(m, n)
+    # row r, then its negation: a cofactor of sign -1 reads column c + n
+    signed = [row + [-e for e in row] for row in a]
     out = []
-    prev = {((), ()): 1}
+    prev = [(-1, [1])]
+    index = {(): 0}
     for k in range(1, kmax + 1):
-        cur = {}
+        colsets = list(_combinations(range(n), k))
+        terms = [[(c + n * ((k - 1 + t) % 2), index[cols[:t] + cols[t + 1:]])
+                  for t, c in enumerate(cols)] for cols in colsets]
+        cur = []
         g = 0
-        for rows in _combinations(range(m), k):
-            sub = rows[:-1]
-            r = rows[-1]
-            ar = a[r]
-            for cols in _combinations(range(n), k):
-                total = 0
-                for t in range(k):
-                    e = ar[cols[t]]
-                    if e:
-                        minor = prev[(sub, cols[:t] + cols[t + 1:])]
-                        if minor:
-                            if (k - 1 + t) % 2:
-                                total -= e * minor
-                            else:
-                                total += e * minor
-                cur[(rows, cols)] = total
-                if total:
-                    g = _gcd(g, total)
+        for last, minors in prev:
+            for r in range(last + 1, m):
+                sr = signed[r]
+                row = []
+                for tl in terms:
+                    total = 0
+                    for c, i in tl:
+                        e = sr[c]
+                        if e:
+                            p = minors[i]
+                            if p:
+                                total += e * p
+                    row.append(total)
+                # every minor is kept for the next level; the gcd stops at 1
+                if g != 1:
+                    g = _gcd(g, *row)
+                cur.append((r, row))
         out.append(g)
         if g == 0:
             out.extend([0] * (kmax - k))
             return out
         prev = cur
+        index = {cols: i for i, cols in enumerate(colsets)}
     return out

@@ -19,7 +19,8 @@ the IntMatrix a, so solves against one long-lived matrix build it once.
 The public IntMatrix constructor checks every entry and row length; the
 results this module computes from IntMatrix data or backend output
 (products, sums, stacks, submatrices, normal forms, lattice bases) skip
-that scan through IntMatrix._trusted.
+that scan through IntMatrix._trusted, as do identity and zeros, and
+diagonal, which checks only its entries.
 """
 
 from operator import index as _as_int
@@ -68,13 +69,13 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(backend.identity(n), cols=n)
+        n = _dimension(n, "column")
+        return cls._trusted(backend.identity(n), n)
 
     @classmethod
     def zeros(cls, rows, cols):
         cols = _dimension(cols, "column")
-        return cls([[0] * cols for _ in range(_dimension(rows, "row"))],
-                   cols=cols)
+        return cls._trusted([[0] * cols] * _dimension(rows, "row"), cols)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
@@ -100,8 +101,8 @@ class IntMatrix:
                              % (nr, nc))
         data = [[0] * nc for _ in range(nr)]
         for i, e in enumerate(entries):
-            data[i][i] = e
-        return cls(data, cols=nc)
+            data[i][i] = _as_int(e)
+        return cls._trusted(data, nc)
 
     def to_lists(self):
         return [list(row) for row in self._data]

@@ -3,8 +3,9 @@
 Oracles, written before the implementations they check:
   * gcd-of-minors: the product d_1*...*d_k of the first k diagonal entries of
     a Smith form equals gcd of all k-by-k minors of the input, up to sign.
-    Computed here by direct minor enumeration (memoized Laplace in the
-    backend, a separate code path from the reduction itself).
+    Computed by backend.minor_gcds, a level-by-level Laplace expansion
+    over indexed minor tables that shares no code with the reduction, and
+    checked here against the gcd of det over every k-by-k submatrix.
   * substitution: any witness returned by solve_mod must satisfy the system
     exactly; insolubility is cross-checked against the Smith-form criterion
     (d_i must divide the transformed right-hand side), a second code path.
@@ -13,7 +14,7 @@ Oracles, written before the implementations they check:
 """
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from bicohom import backend
 from bicohom.snf import (IntMatrix, hermite_normal_form, kernel_basis,
                          lattice_intersect, smith_normal_form, solve_mod)
 from helpers import random_dims_matrix, random_matrix, seeded
+from test_kernel_frozen import FAMILIES, inputs
 
 
 def assert_snf_invariants(a, res):
@@ -144,6 +146,50 @@ def test_snf_hypothesis(rows):
     res = smith_normal_form(a)
     assert_snf_invariants(a, res)
     assert_gcd_of_minors(a, res)
+
+
+def brute_force_minor_gcds(a):
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    return [math.gcd(*[backend.det([[a[i][j] for j in cs] for i in rs])
+                       for rs in combinations(range(rows), k)
+                       for cs in combinations(range(cols), k)])
+            for k in range(1, min(rows, cols) + 1)]
+
+
+def test_minor_gcds_match_brute_force_on_the_frozen_kernel_families():
+    shapes = set()
+    for family in FAMILIES:
+        for a in inputs(family):
+            rows = len(a)
+            cols = len(a[0]) if rows else 0
+            if rows > 6 or cols > 6:
+                continue
+            assert backend.minor_gcds(a) == brute_force_minor_gcds(a), a
+            lines = a + list(zip(*a))
+            shapes.add((rows == 0, rows > 0 and cols == 0,
+                        cols > 0 and any(not any(x) for x in lines)))
+    # an empty, a columnless and a zero-line input are among them
+    assert {(True, False, False), (False, True, False),
+            (False, False, True)} <= shapes
+
+
+def _names(code):
+    """Every global or attribute name read by code and the code nested in
+    it (comprehensions and inner functions)."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names(const)
+    return names
+
+
+def test_minor_gcds_stays_off_the_elimination_kernel():
+    # the snf suite checks the kernel against minor_gcds; sharing code with
+    # it would let one bug pass both routes
+    kernel = {"col_echelon", "_howell", "snf_transforms", "_rows", "_cols",
+              "_pair_step", "det"}
+    assert not _names(backend.minor_gcds.__code__) & kernel
 
 
 def test_det_of_a_singular_matrix_with_a_zero_pivot_column():
@@ -332,6 +378,8 @@ def internal_results(rng, rows, cols):
     res = smith_normal_form(a)
     yield from (a @ c, a + b, a - b, -a, a.hstack(b), a.vstack(b),
                 res.U, res.D, res.V, res.Uinv, res.Vinv)
+    yield from (IntMatrix.identity(rows), IntMatrix.zeros(rows, cols),
+                IntMatrix.diagonal(res.diagonal, rows=rows, cols=cols))
     yield from hermite_normal_form(a)
     yield kernel_basis(a, m)
     yield kernel_basis(a, m, random_matrix(rng, rows, rng.randint(0, 2)))

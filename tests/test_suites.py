@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from bicohom import abgroup, cli, suites
+from bicohom import abgroup, backend, cli, suites
 from bicohom.complexes import is_exact
 from bicohom.constructions import random_exact_complex
 from bicohom.errors import HypothesisViolated
@@ -115,6 +115,35 @@ def wrong_snf(snf):
     return smith_normal_form
 
 
+def doubled_snf(snf):
+    def smith_normal_form(a):
+        r = snf(a)
+        return SnfResult(r.U + r.U, r.D + r.D, r.V, r.Uinv, r.Vinv)
+    return smith_normal_form
+
+
+def reversed_snf(snf):
+    # P*U*A*V*Q with P, Q reversing the first k rows and columns: still a
+    # unimodular diagonalisation, with the factors in reverse order
+    def smith_normal_form(a):
+        r = snf(a)
+        diag = r.diagonal
+        k = len(diag)
+        rows = list(range(k))[::-1] + list(range(k, a.rows))
+        cols = list(range(k))[::-1] + list(range(k, a.cols))
+        d = IntMatrix.diagonal(diag[::-1], rows=a.rows, cols=a.cols)
+        return SnfResult(r.U.take(rows=rows), d, r.V.take(cols=cols),
+                         r.Uinv.take(cols=rows), r.Vinv.take(rows=cols))
+    return smith_normal_form
+
+
+def bumped_minor_gcds(minor_gcds):
+    def bumped(a):
+        chain = minor_gcds(a)
+        return chain[:-1] + [chain[-1] + 1] if chain else chain
+    return bumped
+
+
 def wrong_hom(hom):
     def hom_group(g, h):
         order = hom(g, h).group.order() + 1
@@ -181,6 +210,31 @@ PLANTED = [
 def test_each_suite_names_its_planted_wrong_answer(
         monkeypatch, capsys, suite, name, plant, detail, inject_fault):
     monkeypatch.setattr(suites, name, plant(getattr(suites, name)))
+    _assert_named_red(capsys, suite, detail, inject_fault)
+
+
+# The snf suite's other red details.  Its gcd-of-minors oracle is read as
+# backend.minor_gcds, so that stand-in is set on backend.
+SNF_PLANTED = [
+    ("unimodular", suites, "smith_normal_form", doubled_snf,
+     r"transform is not unimodular"),
+    ("chain", suites, "smith_normal_form", reversed_snf,
+     r"divisibility chain broken|zero precedes a nonzero factor"),
+    ("minors", backend, "minor_gcds", bumped_minor_gcds,
+     r"gcd of \d+-minors disagrees"),
+]
+
+
+@pytest.mark.parametrize("module, name, plant, detail",
+                         [row[1:] for row in SNF_PLANTED],
+                         ids=[row[0] for row in SNF_PLANTED])
+def test_snf_suite_names_its_other_planted_wrong_answers(
+        monkeypatch, capsys, module, name, plant, detail):
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    _assert_named_red(capsys, "snf", detail, False)
+
+
+def _assert_named_red(capsys, suite, detail, inject_fault):
     rows = run_suite(suite, seed=11, cases=4, inject_fault=inject_fault)
     red = [r["detail"] for r in rows if not r["pass"]]
     assert red and all(re.fullmatch(detail, d) for d in red), rows
