@@ -17,12 +17,13 @@ subquotient is one `Homology`: numerator over denominator with its group,
 `bicomplexes.core_homology` return the same type with their site
 attached, and `HClass` is its class type.  `ker_mod_im` builds every
 ker(out) / im(into) of a complex or a grid; over Z/m it reads a zero
-group off the orders of Howell forms already built (`_howell_order`) and
-leaves `subquotient` to the others.  The relation echelon that each group
-caches decides every yes/no question (zero, well defined, contained,
-trivial) in `FpGroup._kills` and `is_trivial`; the Smith form only
-describes a group: its invariant factors, order, cyclic coordinates and
-`describe`.  Maps are solved in column batches by `_solve`.
+group off the orders of Howell forms already built and leaves
+`subquotient` to the others.  The relation echelon that each group
+caches counts it (`FpGroup.order`, the product of its pivots) and decides
+every yes/no question (zero, well defined, contained, trivial) in
+`FpGroup._kills` and `is_trivial`; the Smith form only describes a group:
+its invariant factors, free rank, cyclic coordinates and `describe`.
+Maps are solved in column batches by `_solve`.
 
 Over Z/m a group presented by a Howell basis keeps that basis as its
 echelon (`_seed`): the group of a subquotient, parent / (s1 ∩ s2) after
@@ -128,12 +129,16 @@ class FpGroup:
         return self.cyclic_decomposition().orders.count(0)
 
     def is_trivial(self):
-        h, pivots = self._reduction()  # a unit pivot on every row
-        return sum(h[r][c] == 1 for r, c in pivots) == self.ambient_rank
+        return self.order() == 1
 
     def order(self):
-        """Number of elements, or None when the group is infinite."""
-        return None if self.free_rank else prod(self.invariant_factors)
+        """Number of elements, or None when the group is infinite: the
+        product of the pivots of the relation echelon, which is finite
+        exactly when every row has a pivot (always, over Z/m)."""
+        h, pivots = self._reduction()
+        if len(pivots) < self.ambient_rank:
+            return None
+        return prod(h[r][c] for r, c in pivots)
 
     def describe(self):
         parts = ["Z/%d" % d for d in self.invariant_factors]
@@ -307,8 +312,7 @@ class Morphism:
             return False
         return (self - other).is_zero()
 
-    def __hash__(self):
-        raise TypeError("morphisms compare semantically; not hashable")
+    __hash__ = None
 
     def __repr__(self):
         return "Morphism(%r)" % (self.matrix,)
@@ -589,13 +593,6 @@ def _check_nested(parent, num, den):
         raise NotContained("denominator is not inside the numerator")
 
 
-def _howell_order(group):
-    """|group| for a modulus m > 0: the product of the pivots of its
-    relation Howell form, whose unreached rows carry the pivot m."""
-    h, pivots = group._reduction()
-    return prod(h[r][c] for r, c in pivots)
-
-
 def ker_mod_im(out, into, owner=None, index=None):
     """The Homology ker(out) / im(into) at the cell out leaves and into
     enters, at the site (owner, index) when one is given.
@@ -612,9 +609,8 @@ def ker_mod_im(out, into, owner=None, index=None):
     cell = out.source
     (z, _), (into_ker, b) = kernel_image(out), kernel_image(into)
     m = cell.modulus
-    if m and into.source.modulus == m and _howell_order(cell) == (
-            _howell_order(z._quotient_group())
-            * _howell_order(into_ker._quotient_group())):
+    if m and into.source.modulus == m and cell.order() == (
+            z._quotient_group().order() * into_ker._quotient_group().order()):
         _check_nested(cell, z, b)
         eye = IntMatrix.identity(z.matrix.cols)
         return Homology(owner, index, z, b,

@@ -125,9 +125,6 @@ class _Grid(object):
 
     # -- axioms ------------------------------------------------------------
 
-    def _square_holds(self, down_then_right, right_then_down):
-        raise NotImplementedError
-
     def check_axioms(self, i_lo, i_hi, j_lo, j_hi):
         """Verify both squares of differentials and the mixed square on
         every bidegree of the rectangle where the composites exist."""

@@ -1,9 +1,10 @@
 """Builders on top of the grid machinery.
 
 Hom and tensor bicomplexes, and the hom cells and differentials of the
-kernel witnesses, are read off the lazy grid of `complexes._lazy_functor`.
-The Hom squares commute on the nose (both composites send f to
-d_D . f . d_C), which is the reason the grid convention carries no signs.
+kernel witnesses, are read off the lazy grid of `complexes._lazy_functor`;
+each witness's backward map is one `induced_hom_map`.  The Hom squares
+commute on the nose (both composites send f to d_D . f . d_C), which is
+the reason the grid convention carries no signs.
 Complete resolutions over Z/m are 2-periodic strand sums read off the
 canonical cyclic decomposition, together with an explicit isomorphism
 witness from the degree-0 cycles back to the module.  Randomized exact
@@ -237,12 +238,12 @@ def random_exact_complex(m, seed, blocks=3, kind="periodic",
 # -- kernel identification witnesses ----------------------------------------
 
 
-def _hom_witness(hom_cell, diff, target_hom, restrict, extend, name):
+def _hom_witness(hom_cell, diff, target_hom, restrict, lift, name):
     """The inverse pair between Z = ker diff, a subgroup of the hom cell
     Hom(C_i, D^j), and target_hom.  forward realizes a class of Z as f and
     reads the images restrict(f) of target_hom.source's generators;
-    backward realizes e in target_hom as g and projects the morphism with
-    images extend(g) of C_i's generators into Z.  The two directions are
+    backward projects into Z the columns of lift: target_hom -> hom_cell,
+    an induced map built by `induced_hom_map`.  The two directions are
     built independently and verified to compose to the identity both ways.
     """
     z_side = _packaged(hom_cell.group, kernel_image(diff)[0])
@@ -251,11 +252,8 @@ def _hom_witness(hom_cell, diff, target_hom, restrict, extend, name):
         restrict(hom_cell.realize(Element(hom_cell.group, z))))).coords
         for z in z_side.numerator.matrix.columns()]
     forward = morphism_from_images(z_side.group, target_hom.group, fwd_cols)
-    bwd_cols = z_side._classes([hom_cell.element_of(morphism_from_images(
-        hom_cell.source, hom_cell.target,
-        extend(target_hom.realize(e)))).coords
-        for e in target_hom.group.generators()])
-    backward = morphism_from_images(target_hom.group, z_side.group, bwd_cols)
+    backward = morphism_from_images(target_hom.group, z_side.group,
+                                    z_side._classes(lift.matrix.columns()))
     if backward.compose(forward) != Morphism.identity(forward.source) or \
             forward.compose(backward) != Morphism.identity(forward.target):
         raise InternalChaseFailure(
@@ -270,7 +268,7 @@ def zprime_witness(c, d, bidegree):
     A d'-cocycle kills B_i(C), and exactness at i and i-1 lets d_i identify
     C_i/B_i(C) with Z_{i-1}(C); note the cycle degree really is i-1 --
     restricting along the differential lowers the degree by one, which
-    periodic examples cannot see.
+    periodic examples cannot see.  The backward map precomposes with d_i.
     """
     i, j = bidegree
     report = is_exact(c, i, i) or is_exact(c, i - 1, i - 1)
@@ -285,12 +283,14 @@ def zprime_witness(c, d, bidegree):
     if preimages is None:
         raise InternalChaseFailure(
             "no differential preimage for a cycle at degree %d" % (i - 1,))
-    classes = cyc_side._classes(d_i.columns())
+    onto_cycles = morphism_from_images(c.cell(i), cyc_side.group,
+                                       cyc_side._classes(d_i.columns()))
     at, dprime, _ = _lazy_functor(hom_group, induced_hom_map, c, d, 1)
+    target_hom = hom_group(cyc_side.group, d.cell(j))
     return _hom_witness(
-        at(i, j), dprime(i, j), hom_group(cyc_side.group, d.cell(j)),
+        at(i, j), dprime(i, j), target_hom,
         lambda f: [f.matrix.mul_vector(w) for w in preimages],
-        lambda g: [g.matrix.mul_vector(z) for z in classes],
+        induced_hom_map(target_hom, at(i, j), precompose=onto_cycles),
         "zprime_witness")
 
 
@@ -299,13 +299,16 @@ def zsecond_witness(c, d, bidegree):
     Hom(C_i, Z^j(D)).
 
     A d''-cocycle is exactly a morphism landing inside ker d^j, so this is
-    a corestriction: no exactness hypothesis and no degree shift.
+    a corestriction: no exactness hypothesis and no degree shift.  The
+    backward map postcomposes with the inclusion of Z^j(D) into D^j.
     """
     i, j = bidegree
     cyc_side = _packaged(d.cell(j), cycles(d, j))
+    inclusion = Morphism(cyc_side.group, d.cell(j), cyc_side.numerator.matrix)
     at, _, dsecond = _lazy_functor(hom_group, induced_hom_map, c, d, 1)
+    target_hom = hom_group(c.cell(i), cyc_side.group)
     return _hom_witness(
-        at(i, j), dsecond(i, j), hom_group(c.cell(i), cyc_side.group),
+        at(i, j), dsecond(i, j), target_hom,
         lambda f: cyc_side._classes(f.matrix.columns()),
-        lambda g: (cyc_side.numerator.matrix @ g.matrix).columns(),
+        induced_hom_map(target_hom, at(i, j), postcompose=inclusion),
         "zsecond_witness")

@@ -23,6 +23,7 @@ that scan through IntMatrix._trusted, as do identity and zeros, and
 diagonal, which checks only its entries.
 """
 
+from collections import namedtuple
 from operator import index as _as_int
 
 from . import backend
@@ -197,24 +198,14 @@ class IntMatrix:
         return "IntMatrix[%s]" % body
 
 
-class SnfResult:
+class SnfResult(namedtuple("SnfResult", ["U", "D", "V", "Uinv", "Vinv"])):
     """D = U*A*V with U, V unimodular and D in Smith normal form."""
 
-    __slots__ = ("U", "D", "V", "Uinv", "Vinv")
-
-    def __init__(self, U, D, V, Uinv, Vinv):
-        self.U = U
-        self.D = D
-        self.V = V
-        self.Uinv = Uinv
-        self.Vinv = Vinv
+    __slots__ = ()
 
     @property
     def diagonal(self):
         return self.D.diagonal_entries()
-
-    def __repr__(self):
-        return "SnfResult(diagonal=%r)" % (self.diagonal,)
 
 
 def smith_normal_form(a):

@@ -15,7 +15,7 @@ Oracles, written before the implementations they check:
 """
 
 from itertools import count, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +112,21 @@ def test_modulus_validation():
         FpGroup(-4, 1)
     with pytest.raises(ValueError):
         FpGroup(0, 2, IntMatrix([[1, 0]]))  # wrong row count
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FpGroup(4, -1), "ambient rank must be nonnegative"),
+    (lambda: Element(FpGroup.free(4, 2), (1,)),
+     "coordinate length differs from ambient rank"),
+    (lambda: Morphism(FpGroup.free(4, 2), FpGroup.free(4, 1),
+                      IntMatrix.identity(2)),
+     "matrix shape 2x2 does not map rank 2 to 1"),
+    (lambda: direct_sum(FpGroup.free(4, 1), FpGroup.free(8, 1)),
+     "direct summands must share a modulus"),
+], ids=["rank", "element", "morphism", "direct_sum"])
+def test_abgroup_refuses_inputs_that_do_not_fit(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
 
 
 def test_describe_and_factors():
@@ -868,6 +883,42 @@ def triviality_cases(rng):
                 for a, b in ((i, j), (i - 1, j), (i, j - 1), (i + 1, j)):
                     for axis in (PRIME, SECOND):
                         yield directional_homology(x, (a, b), axis)
+
+
+def order_cases(rng, m):
+    """Seeded groups over Z/m (Z for m = 0): rank 0 with and without
+    relation columns, free modules, scrambled presentations with unit and
+    Z factors, and random relations with a zero column and a zero row
+    spliced in; a zero row is a generator that over Z/m only the pivot m
+    reaches, and over Z a Z summand."""
+    yield FpGroup(m, 0)
+    yield FpGroup(m, 0, IntMatrix.zeros(0, 2))
+    yield FpGroup.free(m, rng.randint(1, 3))
+    for _ in range(12):
+        yield scrambled_group(rng, m, [rng.choice([0, 1, 1, 2, 3, 4, 6, 9])
+                                       for _ in range(rng.randint(1, 3))])
+        rows, cols = rng.randint(1, 3), rng.randint(0, 4)
+        body = random_matrix(rng, rows, cols, bound=12).to_lists()
+        for row in body:
+            row.insert(rng.randint(0, cols), 0)
+        body.insert(rng.randint(0, rows), [0] * (cols + 1))
+        yield FpGroup(m, rows + 1, IntMatrix(body, cols=cols + 1))
+        yield FpGroup(m, rows, random_matrix(rng, rows, rows + cols))
+
+
+@pytest.mark.parametrize("m", [0, 2, 4, 8, 9, 12, 36])
+def test_order_agrees_with_the_smith_form(m):
+    # the echelon counts; the Smith form, an independent route, describes
+    orders = []
+    for g in order_cases(seeded(20261019 + m), m):
+        want = None if g.free_rank else prod(g.invariant_factors)
+        assert g.order() == want, g
+        assert g.is_trivial() == (not g.cyclic_decomposition().orders), g
+        orders.append(want)
+    assert 1 in orders
+    assert any(o is None if m == 0 else o > 1 for o in orders)
+    if m == 0:
+        assert any(o and o > 1 for o in orders)
 
 
 def test_is_trivial_agrees_with_the_smith_form():

@@ -18,7 +18,8 @@ import re
 import pytest
 
 from bicohom import constructions
-from bicohom.abgroup import (FpGroup, Morphism, Subgroup, invert_isomorphism,
+from bicohom.abgroup import (FpGroup, HomGroup, Morphism, Subgroup,
+                             induced_hom_map, invert_isomorphism,
                              make_morphism, subquotient)
 from bicohom.bicomplexes import (PRIME, SECOND, check_exact_grid,
                                  core_homology, directional_homology)
@@ -425,6 +426,34 @@ def test_zsecond_witness_needs_no_exactness():
     forward, _ = zsecond_witness(disc, point, (1, 0))
     assert forward.source.invariant_factors == (4,)
     assert forward.target.invariant_factors == (4,)
+
+
+@pytest.mark.parametrize("witness", [zprime_witness, zsecond_witness])
+def test_witness_backward_map_is_one_induced_map(monkeypatch, witness):
+    # forward realizes and reads back each generator of Z; backward is one
+    # induced_hom_map out of the target Hom group, with no per-generator
+    # realize or element_of of its own
+    calls = []
+    for name in ("realize", "element_of"):
+        def counted(self, x, _name=name, _orig=getattr(HomGroup, name)):
+            calls.append(_name)
+            return _orig(self, x)
+        monkeypatch.setattr(HomGroup, name, counted)
+
+    def induced(src_hom, dst_hom, *maps, **named):
+        calls.append(src_hom)
+        return induced_hom_map(src_hom, dst_hom, *maps, **named)
+    monkeypatch.setattr(constructions, "induced_hom_map", induced)
+    c = random_exact_complex(12, 5, blocks=2)
+    d = random_exact_complex(12, 6, blocks=2, convention=COHOMOLOGICAL)
+    forward, backward = witness(c, d, (1, 0))
+    n = forward.source.ambient_rank
+    assert n and forward.target.ambient_rank
+    assert calls.count("realize") == calls.count("element_of") == n
+    # the grid's own differential is built out of a hom cell, not out of it
+    assert len([h for h in calls if isinstance(h, HomGroup)
+                and h.group is forward.target]) == 1
+    assert backward.compose(forward) == Morphism.identity(forward.source)
 
 
 # ------------------------------------------------- the three descriptions

@@ -345,6 +345,41 @@ def test_constructors_refuse_inputs_that_do_not_fit():
         IntMatrix.diagonal([], rows=-1, cols=2)
 
 
+_M23 = IntMatrix([[1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: IntMatrix([[1, 2]], cols=3), "cols mismatch"),
+    (lambda: _M23 @ _M23, r"dimension mismatch: 2x3 @ 2x3"),
+    (lambda: _M23 + IntMatrix.identity(2), "shape mismatch"),
+    (lambda: _M23.hstack(IntMatrix.identity(3)),
+     "row count mismatch in hstack"),
+    (lambda: _M23.vstack(IntMatrix.identity(2)),
+     "column count mismatch in vstack"),
+    (lambda: _M23.mul_vector([1, 2]), "vector length mismatch"),
+    (lambda: _M23.det(), "det of a non-square matrix"),
+    (lambda: kernel_basis(_M23, 4, IntMatrix.identity(3)),
+     "relations need one row per row of the matrix"),
+    (lambda: solve_mod(_M23, [1, 2, 3], 4), "right-hand side has wrong length"),
+    (lambda: lattice_intersect(_M23, IntMatrix.identity(3), 4),
+     "lattices live in different ambient ranks"),
+], ids=["cols", "matmul", "add", "hstack", "vstack", "mul_vector", "det",
+        "relations", "rhs", "intersect"])
+def test_snf_refuses_inputs_that_do_not_fit(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: backend.mat_mul([[1, 2]], [[1, 2]]),
+     "dimension mismatch in mat_mul"),
+    (lambda: backend.det([[1, 2]]), "det of a non-square matrix"),
+], ids=["mat_mul", "det"])
+def test_backend_refuses_inputs_that_do_not_fit(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
+
+
 def test_entries_stay_exact_on_large_inputs():
     # arbitrary precision end to end: entries far beyond 64-bit
     big = 10 ** 40

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from bicohom import abgroup, backend, cli, suites
-from bicohom.complexes import is_exact
+from bicohom.abgroup import FpGroup
+from bicohom.complexes import HOMOLOGICAL, Complex, is_exact
 from bicohom.constructions import random_exact_complex
 from bicohom.errors import HypothesisViolated
 from bicohom.snf import IntMatrix, SnfResult
@@ -42,6 +43,17 @@ def test_zero_first_diff_breaks_exactness():
     broken, victim = _zero_first_diff(c)
     assert broken.diff(victim).is_zero()
     assert is_exact(broken) != []
+
+
+@pytest.mark.parametrize("helper, message", [
+    (_zero_first_diff, "complex has no nonzero differential"),
+    (suites._first_filled_degree, "complex has no nonzero cell"),
+], ids=["zero_first_diff", "first_filled_degree"])
+def test_fault_helpers_refuse_a_zero_complex(helper, message):
+    zero = Complex.window(HOMOLOGICAL, 4, 0, 1,
+                          [FpGroup.from_factors(4, [1]), FpGroup(4, 0)])
+    with pytest.raises(ValueError, match="^%s$" % message):
+        helper(zero)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -137,6 +149,17 @@ def reversed_snf(snf):
     return smith_normal_form
 
 
+def rank_deficient_reversed_snf(snf):
+    # reversed_snf where a zero factor can come first: on inputs of rank
+    # below min(rows, cols) only, so a full-rank case stays green
+    reverse = reversed_snf(snf)
+
+    def smith_normal_form(a):
+        r = snf(a)
+        return reverse(a) if 0 in r.diagonal else r
+    return smith_normal_form
+
+
 def bumped_minor_gcds(minor_gcds):
     def bumped(a):
         chain = minor_gcds(a)
@@ -155,6 +178,53 @@ def _with_factors(factors):
     return SimpleNamespace(group=SimpleNamespace(invariant_factors=factors))
 
 
+def wrong_tensor(tensor):
+    def tensor_group(g, h):
+        return _with_factors(tensor(g, h).group.invariant_factors + (2,))
+    return tensor_group
+
+
+def refused_equality(_check):
+    def core_equality_check(x, bidegree):
+        return False
+    return core_equality_check
+
+
+def moving_shift(shift):
+    # sends a zero class to the first nonzero class of its target site
+    def diagonal_shift(cls, direction):
+        got = shift(cls, direction)
+        if cls.is_zero():
+            h = got.homology
+            for z in h.numerator.matrix.columns():
+                moved = h.class_of(abgroup.Element(h.parent, z))
+                if not moved.is_zero():
+                    return moved
+        return got
+    return diagonal_shift
+
+
+def doubling_shift(shift):
+    # "+" doubles: additive and zero-preserving, but not inverse to "-"
+    def diagonal_shift(cls, direction):
+        got = shift(cls, direction)
+        return got + got if direction == "+" else got
+    return diagonal_shift
+
+
+def sum_doubling_shift(shift):
+    # doubles the class of the sum of a site's first two numerator columns
+    # and shifts every other class correctly
+    def diagonal_shift(cls, direction):
+        got = shift(cls, direction)
+        cols = cls.homology.numerator.matrix.columns()[:2]
+        if len(cols) == 2 and cls.representative.coords == tuple(
+                a + b for a, b in zip(*cols)):
+            return got + got
+        return got
+    return diagonal_shift
+
+
 def wrong_alt(alt):
     def core_homology_alt(x, bidegree):
         return _with_factors(alt(x, bidegree).group.invariant_factors + (2,))
@@ -165,6 +235,16 @@ def wrong_witness(witness):
     def zprime_witness(c, d, bidegree):
         f, b = witness(c, d, bidegree)
         return f, b + b
+    return zprime_witness
+
+
+def one_sided_witness(witness):
+    # through A (+) A: the inclusion after f and b after the projection
+    # still compose to the identity on Z, but not on A (+) A
+    def zprime_witness(c, d, bidegree):
+        f, b = witness(c, d, bidegree)
+        _, (inject, _), (project, _) = abgroup.direct_sum(f.target, f.target)
+        return inject.compose(f), b.compose(project)
     return zprime_witness
 
 
@@ -214,30 +294,64 @@ def test_each_suite_names_its_planted_wrong_answer(
 
 
 # The snf suite's other red details.  Its gcd-of-minors oracle is read as
-# backend.minor_gcds, so that stand-in is set on backend.
+# backend.minor_gcds, so that stand-in is set on backend.  A zero factor can
+# precede a nonzero one only for a rank-deficient input, which the first
+# four draws of seed 11 do not hold and the third draw of seed 207 does
+# (3x3 of rank 2).
 SNF_PLANTED = [
     ("unimodular", suites, "smith_normal_form", doubled_snf,
-     r"transform is not unimodular"),
+     r"transform is not unimodular", 11),
     ("chain", suites, "smith_normal_form", reversed_snf,
-     r"divisibility chain broken|zero precedes a nonzero factor"),
+     r"divisibility chain broken|zero precedes a nonzero factor", 11),
     ("minors", backend, "minor_gcds", bumped_minor_gcds,
-     r"gcd of \d+-minors disagrees"),
+     r"gcd of \d+-minors disagrees", 11),
+    ("zero_first", suites, "smith_normal_form", rank_deficient_reversed_snf,
+     r"zero precedes a nonzero factor", 207),
 ]
 
 
-@pytest.mark.parametrize("module, name, plant, detail",
+@pytest.mark.parametrize("module, name, plant, detail, seed",
                          [row[1:] for row in SNF_PLANTED],
                          ids=[row[0] for row in SNF_PLANTED])
 def test_snf_suite_names_its_other_planted_wrong_answers(
-        monkeypatch, capsys, module, name, plant, detail):
+        monkeypatch, capsys, module, name, plant, detail, seed):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
-    _assert_named_red(capsys, "snf", detail, False)
+    _assert_named_red(capsys, "snf", detail, False, seed)
 
 
-def _assert_named_red(capsys, suite, detail, inject_fault):
-    rows = run_suite(suite, seed=11, cases=4, inject_fault=inject_fault)
+# The other red details of the abgroup, thm21 and prop31 suites:
+# (id, suite, name in suites, stand-in, red detail, seed).  A wrong shift
+# shows only on a nonzero core, which no spot of the first four thm21
+# draws of seed 11 has and three draws of seed 23 do.
+DETAIL_PLANTED = [
+    ("tensor", "abgroup", "tensor_group", wrong_tensor,
+     r"tensor \(.*\) != \(.*\)", 11),
+    ("denominators", "thm21", "core_equality_check", refused_equality,
+     r"denominators differ at \(-?\d+, -?\d+\)", 11),
+    ("shift_zero", "thm21", "diagonal_shift", moving_shift,
+     r"shift moves zero at \(-?\d+, -?\d+\)", 23),
+    ("round_trip", "thm21", "diagonal_shift", doubling_shift,
+     r"round trip fails at \(-?\d+, -?\d+\)", 23),
+    ("additive", "thm21", "diagonal_shift", sum_doubling_shift,
+     r"shift is not additive at \(-?\d+, -?\d+\)", 23),
+    ("right_inverse", "prop31", "zprime_witness", one_sided_witness,
+     r"zprime_witness not right-inverse at \(-?\d+, -?\d+\)", 11),
+]
+
+
+@pytest.mark.parametrize("suite, name, plant, detail, seed",
+                         [row[1:] for row in DETAIL_PLANTED],
+                         ids=[row[0] for row in DETAIL_PLANTED])
+def test_each_suite_names_its_other_planted_wrong_answers(
+        monkeypatch, capsys, suite, name, plant, detail, seed):
+    monkeypatch.setattr(suites, name, plant(getattr(suites, name)))
+    _assert_named_red(capsys, suite, detail, False, seed)
+
+
+def _assert_named_red(capsys, suite, detail, inject_fault, seed=11):
+    rows = run_suite(suite, seed=seed, cases=4, inject_fault=inject_fault)
     red = [r["detail"] for r in rows if not r["pass"]]
     assert red and all(re.fullmatch(detail, d) for d in red), rows
-    argv = ["verify", "--suite", suite, "--seed", "11", "--cases", "4"]
+    argv = ["verify", "--suite", suite, "--seed", str(seed), "--cases", "4"]
     assert cli.main(argv + ["--inject-fault"] * inject_fault) == 1
     assert "FAIL" in capsys.readouterr().out
