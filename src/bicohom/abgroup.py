@@ -388,7 +388,7 @@ class Subgroup:
     def contains(self, elt):
         if elt.parent != self.parent:
             raise ParentMismatch("element is not in the parent group")
-        return self._quotient_group()._kills([elt.coords])
+        return self._holds([elt.coords])
 
     def __contains__(self, elt):
         return self.contains(elt)
@@ -397,7 +397,11 @@ class Subgroup:
         """Whether other is a subgroup of self (generator by generator)."""
         if other.parent != self.parent:
             raise ParentMismatch("subgroups of different groups")
-        return self._quotient_group()._kills(other.matrix.columns())
+        return self._holds(other.matrix.columns())
+
+    def _holds(self, columns):
+        """Whether every coordinate column of the parent lies in self."""
+        return self._quotient_group()._kills(columns)
 
     def is_zero(self):
         return self.parent._kills(self.matrix.columns())

@@ -24,18 +24,22 @@ through three helpers that take the axis as a parameter, over kernels and
 images that `abgroup.kernel_image` builds once per differential.  The two
 core routes share one numerator Z' ∩ Z'' and divide it by their own
 denominator.  H', H'' and the core share one memo per grid, keyed by
-canonical site, and the diagonal shift is one chase for both directions: it
-solves along one axis and pushes along the other.
+canonical site.  The diagonal shift is one chase body, `_chase`, for both
+directions and for any number of columns: it solves along one axis and
+pushes along the other, checking exactness, looking up the differentials
+and reading the landing core once per step, not once per column.
+`diagonal_shift` is its one-column case; the balance walk moves a whole
+numerator matrix through it.
 """
 
 from collections import namedtuple
 
-from .abgroup import (Morphism, _push, intersect, ker_mod_im, kernel_image,
-                      morphism_from_images, preimage_element, subquotient,
-                      FpGroup)
+from .abgroup import (Element, Morphism, _push, intersect, ker_mod_im,
+                      kernel_image, morphism_from_images, preimage_element,
+                      subquotient, FpGroup)
 from .complexes import Periodic, Window, _check_differential
 from .errors import (ConventionViolation, HypothesisViolated,
-                     InternalChaseFailure, OutOfWindow)
+                     InternalChaseFailure, NotContained, OutOfWindow)
 
 PRIME = "prime"     # the d' direction (first index)
 SECOND = "second"   # the d'' direction (second index)
@@ -351,29 +355,49 @@ def core_homology_alt(x, bidegree):
                        _pushed_cycles(x, i, j, SECOND), x, (i, j))
 
 
-def diagonal_shift(cls, direction):
-    """The (1, -1) isomorphism on core classes, chased through preimages.
+def _chase(core, columns, direction):
+    """The diagonal-shift chase of coordinate columns of core's numerator,
+    all at once: (landing core, pushed columns), one column per input.
 
-    direction "+": solve d''(y) = x and return the class of d'(y) at
-    (i+1, j-1); direction "-" swaps the roles and lands at (i-1, j+1).
+    Exactness is checked, both differentials are looked up and the landing
+    core is read once per call; each column is solved on its own and every
+    pushed column is checked to lie in the landing numerator.
     """
     if direction not in _SOLVE_AXIS:
         raise ValueError("direction must be '+' or '-'")
     axis = _SOLVE_AXIS[direction]
     other = _OTHER[axis]
-    x, (i, j) = cls.homology.owner, cls.homology.index
+    x, (i, j) = core.owner, core.index
     (ai, aj), (oi, oj) = _STEP[axis], _STEP[other]
     _require_exact(x, [(axis, i, j), (axis, i - oi, j - oj)],
                    "diagonal_shift(%s)" % direction)
     a, b = i - ai, j - aj  # y's site: one step back along the solve axis
-    y = preimage_element(getattr(x, _DIFF_NAME[axis])(a, b),
-                         cls.representative)
-    if y is None:
-        raise InternalChaseFailure(
-            "certified-exact %s has no preimage at (%d, %d)"
-            % (_LINE[axis], i, j))
-    out = getattr(x, _DIFF_NAME[other])(a, b)(y)
-    return core_homology(x, (a + oi, b + oj)).class_of(out)
+    solve = getattr(x, _DIFF_NAME[axis])(a, b)
+    push = getattr(x, _DIFF_NAME[other])(a, b)
+    pushed = []
+    for col in columns:
+        y = preimage_element(solve, Element(solve.target, col))
+        if y is None:
+            raise InternalChaseFailure(
+                "certified-exact %s has no preimage at (%d, %d)"
+                % (_LINE[axis], i, j))
+        pushed.append(push.matrix.mul_vector(y.coords))
+    landing = core_homology(x, (a + oi, b + oj))
+    if not landing.numerator._holds(pushed):
+        raise NotContained("representative is outside the numerator")
+    return landing, pushed
+
+
+def diagonal_shift(cls, direction):
+    """The (1, -1) isomorphism on core classes, chased through preimages.
+
+    direction "+": solve d''(y) = x and return the class of d'(y) at
+    (i+1, j-1); direction "-" swaps the roles and lands at (i-1, j+1).
+    The one-column case of `_chase`.
+    """
+    landing, (col,) = _chase(cls.homology, [cls.representative.coords],
+                             direction)
+    return landing.class_of(Element(landing.parent, col))
 
 
 # -- iterated (E2) homology -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten criteria, each one pass/fail line with runtime.
+"""Acceptance gate: eleven criteria, each one pass/fail line with runtime.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines; every
 criterion asserts both its mathematical claim and its runtime budget.
@@ -177,3 +177,24 @@ def test_criterion_10_core_at_rank_25_and_36():
         assert any(answers), "every core group trivial: the check is vacuous"
     _criterion(10, "core = core_alt on rank 25/36 Hom and tensor grids", 20,
                run)
+
+
+def test_criterion_11_balance_at_z72_with_six_summands():
+    # kernel-free closed form: stable Ext^n and Tor_n over Z/m of Z/a and
+    # Z/b (a, b | m) are cyclic of order gcd(a, b) * gcd(m/a, b) / b in
+    # every degree, and both functors are additive in each argument
+    m, fa, fb = 72, (2, 3, 4, 6, 8, 9), (12, 18, 24, 36, 72, 2)
+    want = list(invariant_factors_oracle(
+        [gcd(a, b) * gcd(m // a, b) // b for a in fa for b in fb]))
+    assert want == [2] * 8 + [6] * 4
+
+    def run():
+        a = FpGroup.from_factors(m, list(fa))
+        b = FpGroup.from_factors(m, list(fb))
+        for kind in (EXT, TOR):
+            report = balance_report(m, a, b, range(-3, 4), kind)
+            assert report["all_pass"], report
+            for row in report["degrees"]:
+                assert row["corner_n0"] == want, (kind, row)
+                assert row["corner_0n"] == want, (kind, row)
+    _criterion(11, "ext/tor balance over Z/72, six summands each", 10, run)

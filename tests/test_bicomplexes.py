@@ -367,6 +367,51 @@ def test_diagonal_shift_loud_without_preimage(monkeypatch, direction, line):
         "certified-exact %s has no preimage at (0, 0)" % line)
 
 
+def test_chase_refuses_a_push_outside_the_landing_numerator(monkeypatch):
+    # a planted "preimage" of (1,) whose d'' lands outside Z' ∩ Z'' at
+    # (-1, 1): the batched check names it as HClass would
+    x = strand_square(8, [2, 4])
+    core = core_homology(x, (0, 0))
+    monkeypatch.setattr(bicomplexes, "preimage_element",
+                        lambda f, elt: f.source.element((1,)))
+    with pytest.raises(NotContained) as err:
+        bicomplexes._chase(core, core.numerator.matrix.columns(), "-")
+    assert str(err.value) == "representative is outside the numerator"
+
+
+def exact_grids(m):
+    """A seeded Hom grid and a seeded tensor grid over Z/m, both with
+    exact rows and columns everywhere."""
+    c = random_exact_complex(m, m, blocks=2)
+    return (hom_bicomplex(c, random_exact_complex(
+                m, m + 1, blocks=2, convention=COHOMOLOGICAL)),
+            tensor_bicomplex(c, random_exact_complex(m, m + 1, blocks=2)))
+
+
+@pytest.mark.parametrize("m", [4, 8, 9, 12])
+def test_chase_of_a_numerator_matches_each_generators_shift(m):
+    moved = 0
+    for x in exact_grids(m):
+        for i in range(-1, 2):
+            for j in range(-1, 2):
+                core = core_homology(x, (i, j))
+                columns = core.numerator.matrix.columns()
+                for direction in "+-":
+                    landing, pushed = bicomplexes._chase(core, columns,
+                                                         direction)
+                    assert len(pushed) == len(columns)
+                    for col, out in zip(columns, pushed):
+                        one = diagonal_shift(core.class_of(
+                            core.parent.element(col)), direction)
+                        assert one.homology is landing
+                        assert one.representative.coords == out
+                        assert one == landing.class_of(
+                            landing.parent.element(out))
+                        moved += not one.is_zero()
+    # Z/4 and Z/8 grids carry nonzero core classes; Z/9 and Z/12 do not
+    assert (moved > 0) == (m in (4, 8))
+
+
 def test_diagonal_shift_rejects_a_bad_direction():
     x = strand_square(4, [2, 2])
     cls = core_homology(x, (0, 0)).class_of(x.cell(0, 0).element((2,)))

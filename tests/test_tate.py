@@ -16,8 +16,8 @@ from bicohom.bicomplexes import core_homology
 from bicohom.constructions import (complete_injective_resolution,
                                    complete_projective_resolution,
                                    hom_bicomplex)
-from bicohom.errors import NotAModule, NotAnIsomorphism
-from bicohom import abgroup, snf, tate
+from bicohom.errors import InternalChaseFailure, NotAModule
+from bicohom import abgroup, bicomplexes, snf, tate
 from bicohom.tate import (EXT, RESOLVE_LEFT, RESOLVE_RIGHT, TOR,
                           VIA_INJECTIVE, VIA_PROJECTIVE, balance_grid,
                           balance_report, tate_ext, tate_groups, tate_tor)
@@ -199,21 +199,70 @@ def test_balance_report_echelonizes_each_solve_matrix_once(monkeypatch):
 
 def test_walk_fails_only_on_a_non_isomorphism(monkeypatch):
     a = z(4, 2)
-
-    def not_iso(f):
-        raise NotAnIsomorphism("morphism is not injective")
-
-    monkeypatch.setattr(tate, "invert_isomorphism", not_iso)
     row, = balance_report(4, a, a, [1], EXT)["degrees"]
-    assert row["shift_walk"] == "failed" and row["pass"] is False
+    assert row["shift_walk"] == "isomorphism" and row["pass"] is True
+    real = tate._chase
 
-    def internal_fault(f):
+    def planted(scale):
+        def chase(core, columns, direction):
+            landing, pushed = real(core, columns, direction)
+            return landing, [tuple(scale * e for e in c) for c in pushed]
+        return chase
+
+    # the core is Z/2, so 0 and 2 times each pushed column miss its
+    # generator: the walk map is not onto
+    for scale in (0, 2):
+        monkeypatch.setattr(tate, "_chase", planted(scale))
+        row, = balance_report(4, a, a, [1], EXT)["degrees"]
+        assert row["shift_walk"] == "failed" and row["pass"] is False, scale
+
+    def internal_fault(core, columns, direction):
         raise ValueError("dimension mismatch: 1x2 @ 1x1")
 
     # an internal fault is not a failed walk: it must stay loud
-    monkeypatch.setattr(tate, "invert_isomorphism", internal_fault)
+    monkeypatch.setattr(tate, "_chase", internal_fault)
     with pytest.raises(ValueError, match="dimension mismatch"):
         balance_report(4, a, a, [1], EXT)
+
+
+def test_walk_needs_equal_finite_orders(monkeypatch):
+    # the walk map onto Z/2 is onto; a target of another order makes it no
+    # bijection, and an order of None (never so over Z/m) must stop the
+    # walk, not pass it
+    a = z(4, 2)
+    grid, _ = balance_grid(4, a, a, EXT)
+    assert tate._walk_is_isomorphism(grid, 1) is True
+    monkeypatch.setattr(core_homology(grid, (0, 1)).group, "order",
+                        lambda: 4)
+    assert tate._walk_is_isomorphism(grid, 1) is False
+    monkeypatch.setattr(core_homology(grid, (1, 0)).group, "order",
+                        lambda: None)
+    with pytest.raises(InternalChaseFailure,
+                       match=r"^core group at \(1, 0\) is infinite$"):
+        tate._walk_is_isomorphism(grid, 1)
+
+
+def test_walk_work_is_per_step_not_per_generator(monkeypatch):
+    counts = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counting(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counting)
+
+    for name in ("_require_exact", "preimage_element"):
+        count(bicomplexes, name)
+    count(abgroup, "invert_isomorphism")
+    report = balance_report(12, z(12, 2, 6, 4), z(12, 3, 4), DEGREES, TOR)
+    assert report["all_pass"] is True
+    # one exactness check per chase step and per core built, and one
+    # preimage per generator and step; shifting each generator on its own
+    # would make 32 checks, and inverting each walk map 7 inverses
+    assert counts == {"_require_exact": 16, "preimage_element": 28}
+    assert not hasattr(tate, "invert_isomorphism")
 
 
 def test_non_modules_rejected():
