@@ -258,9 +258,8 @@ def test_walk_work_is_per_step_not_per_generator(monkeypatch):
     count(abgroup, "invert_isomorphism")
     report = balance_report(12, z(12, 2, 6, 4), z(12, 3, 4), DEGREES, TOR)
     assert report["all_pass"] is True
-    # one exactness check per chase step and per core built, and one
-    # preimage per generator and step; shifting each generator on its own
-    # would make 32 checks, and inverting each walk map 7 inverses
+    # one exactness check per chase step and per core built, one preimage
+    # per generator and step, and no inverse of a walk map
     assert counts == {"_require_exact": 16, "preimage_element": 28}
     assert not hasattr(tate, "invert_isomorphism")
 
