@@ -251,10 +251,13 @@ class Morphism:
     The raw constructor does not verify well-definedness; make_morphism is
     the checked entry point for matrices from outside.  A morphism must not
     be changed after construction: `kernel_image` memoises its kernel and
-    image on it and hands the same two subgroups to every caller.
+    image on it and hands the same two subgroups to every caller, and
+    `is_well_defined` memoises its answer in `_well_defined`, so a
+    differential shared by many grid sites is checked once.
     """
 
-    __slots__ = ("source", "target", "matrix", "_kernel_image")
+    __slots__ = ("source", "target", "matrix", "_kernel_image",
+                 "_well_defined")
 
     def __init__(self, source, target, matrix):
         if matrix.rows != target.ambient_rank or \
@@ -266,6 +269,7 @@ class Morphism:
         self.target = target
         self.matrix = matrix
         self._kernel_image = None
+        self._well_defined = None
 
     @classmethod
     def identity(cls, group):
@@ -299,8 +303,10 @@ class Morphism:
         return Morphism(self.source, self.target, -self.matrix)
 
     def is_well_defined(self):
-        return self.target._kills(
-            (self.matrix @ self.source.full_relations).columns())
+        if self._well_defined is None:
+            self._well_defined = self.target._kills(
+                (self.matrix @ self.source.full_relations).columns())
+        return self._well_defined
 
     def is_zero(self):
         return self.target._kills(self.matrix.columns())

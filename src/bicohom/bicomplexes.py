@@ -24,7 +24,11 @@ through three helpers that take the axis as a parameter, over kernels and
 images that `abgroup.kernel_image` builds once per differential.  The two
 core routes share one numerator Z' ∩ Z'' and divide it by their own
 denominator.  H', H'' and the core share one memo per grid, keyed by
-canonical site.  The diagonal shift is one chase body, `_chase`, for both
+canonical site; the grid's cells and checked differentials are memoised
+the same way.  The providers of Hom and tensor grids (`complexes._lazy_functor`) hand many
+sites one shared pair group or differential, whose kernel, image and
+well-definedness are memoised on it, so a site after the first costs
+lookups.  The diagonal shift is one chase body, `_chase`, for both
 directions and for any number of columns: it solves along one axis and
 pushes along the other, checking exactness, looking up the differentials
 and reading the landing core once per step, not once per column.

@@ -9,7 +9,9 @@ Every degree lookup, here, in the grids and in the file format, goes
 through the support's `canonical(n)`.  One lazy builder,
 `_lazy_functor`, applies Hom or tensor to two complexes; both grids and,
 reading one line with the group as a one-cell complex, the four functors
-with a group below are built by it.
+with a group below are built by it.  It builds a pair group once per pair
+of factor-cell objects, not once per site, and each induced differential
+once per pair of pair groups and factor differential.
 
 `homology(c, n)` returns the package's one subquotient type,
 `abgroup.Homology` with its `abgroup.HClass` classes, built at the site
@@ -268,32 +270,46 @@ def is_exact(c, lo=None, hi=None):
 
 def _lazy_functor(cell_fn, map_fn, c, d, sign):
     """(at, dprime, dsecond) of the lazy grid whose cell (i, j) is the pair
-    group F(C_{sign i}, D_{sign j}), built once per canonical site, for the
-    bifunctor F with group constructor `cell_fn` and induced map
-    `map_fn(src, dst, f, g)`.  d' applies F to (c's differential, identity)
-    and d'' to (identity, d's differential), each run the way that raises
-    the index: against a contravariant slot, the map into i + 1 comes from
-    the differential out of i + 1.
+    group F(C_{sign i}, D_{sign j}) for the bifunctor F with group
+    constructor `cell_fn` and induced map `map_fn(src, dst, f, g)`.  d'
+    applies F to (c's differential, identity) and d'' to (identity, d's
+    differential), each run the way that raises the index: against a
+    contravariant slot, the map into i + 1 comes from the differential out
+    of i + 1.
+
+    A pair group is built once per pair of factor-cell objects, and an
+    induced map once per (source and target pair groups, axis, canonical
+    degree of the factor differential): the four sites of a 2-periodic
+    strand sum, whose two cells are one object, share one pair group, and
+    d'(i, 0) is d'(i, 1).  The memo keys on object identity and keeps its
+    key objects, so no id is reused while the grid lives.
     """
-    objs = {}
+    memo = {}
+
+    def once(objs, tail, build):
+        key = tuple(map(id, objs)) + tail
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = (objs, build())
+        return got[1]
 
     def at(i, j):
-        a, b = sign * i, sign * j
-        key = (c.support.canonical(a)[0], d.support.canonical(b)[0])
-        if key not in objs:
-            objs[key] = cell_fn(c.cell(a), d.cell(b))
-        return objs[key]
+        a, b = c.cell(sign * i), d.cell(sign * j)
+        return once((a, b), (), lambda: cell_fn(a, b))
 
     def joining(x, k):
-        return x.diff(sign * (k if x.step == sign else k + 1))
+        """The canonical degree of x's differential between k and k + 1."""
+        return x.support.canonical(sign * (k if x.step == sign else k + 1))[0]
 
     def dprime(i, j):
-        return map_fn(at(i, j), at(i + 1, j), joining(c, i),
-                      Morphism.identity(d.cell(sign * j)))
+        src, dst, n = at(i, j), at(i + 1, j), joining(c, i)
+        return once((src, dst), ("'", n), lambda: map_fn(
+            src, dst, c.diff(n), Morphism.identity(d.cell(sign * j))))
 
     def dsecond(i, j):
-        return map_fn(at(i, j), at(i, j + 1),
-                      Morphism.identity(c.cell(sign * i)), joining(d, j))
+        src, dst, n = at(i, j), at(i, j + 1), joining(d, j)
+        return once((src, dst), ("''", n), lambda: map_fn(
+            src, dst, Morphism.identity(c.cell(sign * i)), d.diff(n)))
 
     return at, dprime, dsecond
 

@@ -292,6 +292,26 @@ def test_morphism_algebra():
         f.compose(make_morphism(g, h, IntMatrix([[1]])))
 
 
+@pytest.mark.parametrize("source, target, defined",
+                         [(4, 2, True), (2, 4, False)])
+def test_is_well_defined_is_decided_once(monkeypatch, source, target,
+                                         defined):
+    # 1 -> 1 from Z/source to Z/target respects relations iff target | source
+    f = Morphism(FpGroup.from_factors(0, [source]),
+                 FpGroup.from_factors(0, [target]), IntMatrix([[1]]))
+    assert f.is_well_defined() is defined
+    calls = []
+    real = FpGroup._kills
+
+    def counting(self, columns):
+        calls.append(columns)
+        return real(self, columns)
+
+    monkeypatch.setattr(FpGroup, "_kills", counting)
+    assert f.is_well_defined() is defined
+    assert calls == []
+
+
 def test_kernel_image_examples():
     z4 = FpGroup.from_factors(0, [4])
     f = make_morphism(z4, z4, IntMatrix([[2]]))

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven criteria, each one pass/fail line with runtime.
+"""Acceptance gate: twelve criteria, each one pass/fail line with runtime.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines; every
 criterion asserts both its mathematical claim and its runtime budget.
@@ -156,27 +156,30 @@ def test_criterion_9_fault_injection_meta():
     _criterion(9, "fault injection turns suites red", 10, run)
 
 
+def _cores_agree_on_grids(cases):
+    """core = core_alt at the four ladder bidegrees of the Hom and the
+    tensor grid of each (blocks, s1, s2) over Z/12; some core nonzero."""
+    answers = []
+    for blocks, s1, s2 in cases:
+        c = random_exact_complex(12, s1, blocks=blocks)
+        grids = (
+            hom_bicomplex(c, random_exact_complex(
+                12, s2, blocks=blocks, convention=COHOMOLOGICAL)),
+            tensor_bicomplex(c, random_exact_complex(12, s2, blocks=blocks)))
+        for grid in grids:
+            assert grid.cell(0, 0).ambient_rank == blocks * blocks
+            for bd in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                got = core_homology(grid, bd).group
+                alt = core_homology_alt(grid, bd).group
+                assert (got.invariant_factors, got.free_rank) == \
+                    (alt.invariant_factors, alt.free_rank), (blocks, bd)
+                answers.append(got.invariant_factors)
+    assert any(answers), "every core group trivial: the check is vacuous"
+
+
 def test_criterion_10_core_at_rank_25_and_36():
-    def run():
-        answers = []
-        for blocks, s1, s2 in ((5, 11, 12), (6, 13, 14)):
-            c = random_exact_complex(12, s1, blocks=blocks)
-            grids = (
-                hom_bicomplex(c, random_exact_complex(
-                    12, s2, blocks=blocks, convention=COHOMOLOGICAL)),
-                tensor_bicomplex(c, random_exact_complex(12, s2,
-                                                         blocks=blocks)))
-            for grid in grids:
-                assert grid.cell(0, 0).ambient_rank == blocks * blocks
-                for bd in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                    got = core_homology(grid, bd).group
-                    alt = core_homology_alt(grid, bd).group
-                    assert (got.invariant_factors, got.free_rank) == \
-                        (alt.invariant_factors, alt.free_rank), (blocks, bd)
-                    answers.append(got.invariant_factors)
-        assert any(answers), "every core group trivial: the check is vacuous"
     _criterion(10, "core = core_alt on rank 25/36 Hom and tensor grids", 20,
-               run)
+               lambda: _cores_agree_on_grids(((5, 11, 12), (6, 13, 14))))
 
 
 def test_criterion_11_balance_at_z72_with_six_summands():
@@ -198,3 +201,8 @@ def test_criterion_11_balance_at_z72_with_six_summands():
                 assert row["corner_n0"] == want, (kind, row)
                 assert row["corner_0n"] == want, (kind, row)
     _criterion(11, "ext/tor balance over Z/72, six summands each", 10, run)
+
+
+def test_criterion_12_core_at_rank_64():
+    _criterion(12, "core = core_alt on rank 64 Hom and tensor grids", 10,
+               lambda: _cores_agree_on_grids(((8, 15, 16), (8, 17, 18))))

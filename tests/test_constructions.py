@@ -17,12 +17,13 @@ import re
 
 import pytest
 
-from bicohom import constructions
+from bicohom import backend, constructions
 from bicohom.abgroup import (FpGroup, HomGroup, Morphism, Subgroup,
                              induced_hom_map, invert_isomorphism,
                              make_morphism, subquotient)
 from bicohom.bicomplexes import (PRIME, SECOND, check_exact_grid,
-                                 core_homology, directional_homology)
+                                 core_homology, core_homology_alt,
+                                 directional_homology)
 from bicohom.complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex, Periodic,
                                Window, cycles, hom_from_module,
                                hom_into_module, homology, is_exact,
@@ -216,6 +217,68 @@ def test_tensor_bicomplex_of_random_exact_frees_is_exact():
     c = random_exact_complex(9, 5, blocks=2)
     d = random_exact_complex(9, 6, blocks=1)
     assert check_exact_grid(tensor_bicomplex(c, d), -1, 1, -1, 1) == []
+
+
+# ------------------------------------------------- sharing in the lazy grid
+
+
+def rank4_grid(kind, seed):
+    """A Hom or tensor grid of two rank-2 strand sums over Z/12: each
+    factor's two cells are one object, so every cell has rank 4."""
+    c = random_exact_complex(12, seed, blocks=2)
+    second = COHOMOLOGICAL if kind == "hom" else HOMOLOGICAL
+    d = random_exact_complex(12, seed + 1, blocks=2, convention=second)
+    return (hom_bicomplex if kind == "hom" else tensor_bicomplex)(c, d)
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_strand_sum_grids_share_cells_and_differentials(kind):
+    x = rank4_grid(kind, 3)
+    assert x.cell(0, 0) is x.cell(1, 1) is x.cell(1, 0)
+    assert x.dprime(0, 0) is x.dprime(0, 1)
+    assert x.dsecond(0, 0) is x.dsecond(1, 0)
+    # the two parities use different factor differentials
+    assert x.dprime(0, 0) is not x.dprime(1, 0)
+    assert x.dsecond(0, 0) is not x.dsecond(0, 1)
+
+
+def test_distinct_factor_cells_get_distinct_pair_groups():
+    c, d = strand_pair(4, [2, 2])
+    assert c.cell(0) is not c.cell(1) and c.cell(0) == c.cell(1)
+    x = hom_bicomplex(c, d)
+    cells = [x.cell(i, j) for i in range(2) for j in range(2)]
+    assert len({id(g) for g in cells}) == 4
+    assert all(g == cells[0] for g in cells)
+
+
+def test_a_grid_of_a_complex_with_itself_keeps_its_axes_apart():
+    # d' and d'' join the same pair groups here, so only the axis in the
+    # memo key tells them apart
+    c = random_exact_complex(12, 3, blocks=2)
+    x = tensor_bicomplex(c, c)
+    for i in range(2):
+        for j in range(2):
+            assert_same_map(x.dprime(i, j), reference_functor_complex(
+                "tensor", c, c.cell(-j)).diff(-i))
+            assert_same_map(x.dsecond(i, j), reference_functor_complex(
+                "tensor", c.cell(-i), c).diff(-j))
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_a_rank4_grid_core_makes_17_echelons(monkeypatch, kind):
+    x = rank4_grid(kind, 3)
+    calls = []
+    real = backend.col_echelon
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(backend, "col_echelon", counting)
+    for bidegree in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        core_homology(x, bidegree)
+        core_homology_alt(x, bidegree)
+    assert len(calls) == 17
 
 
 # -------------------------------------------------------------- resolutions

@@ -235,14 +235,17 @@ def test_every_function_and_method_is_read():
     assert unread_definitions(sources, readers) == []
 
 
-# the attributes of a Morphism, which kernel_image's memo relies on
-FROZEN = ("source", "target", "matrix", "_kernel_image")
+# the attributes of a Morphism, which its two memos rely on, and the one
+# function that may fill each memo
+FROZEN = ("source", "target", "matrix", "_kernel_image", "_well_defined")
+MEMO_WRITER = {"_kernel_image": "kernel_image",
+               "_well_defined": "is_well_defined"}
 
 
 def frozen_writes(source):
     """(function, attribute) for each assignment to or deletion of an
     attribute in FROZEN in `source`, except `self.<attr>` inside an
-    `__init__` and anything inside `kernel_image`."""
+    `__init__` and a memo inside its MEMO_WRITER function."""
     found = []
 
     def visit(node, fn):
@@ -254,7 +257,7 @@ def frozen_writes(source):
                     and isinstance(child.ctx, (ast.Store, ast.Del)):
                 on_self = isinstance(child.value, ast.Name) and \
                     child.value.id == "self"
-                if not (fn == "kernel_image"
+                if not (fn == MEMO_WRITER.get(child.attr)
                         or (fn == "__init__" and on_self)):
                     found.append((fn, child.attr))
             visit(child, fn)
@@ -274,12 +277,16 @@ def test_the_frozen_check_sees_writes():
         "        del self._kernel_image\n"
         "def kernel_image(f):\n"
         "    f._kernel_image = 3\n"
+        "    f._well_defined = True\n"
+        "def is_well_defined(self):\n"
+        "    self._well_defined = False\n"
         "def rewire(f, g):\n"
         "    f.target, g.width = g.target, 4\n"
         "h.matrix = 5\n")
     assert frozen_writes(source) == [
         ("<module>", "matrix"), ("__init__", "source"),
-        ("bump", "_kernel_image"), ("bump", "matrix"), ("rewire", "target")]
+        ("bump", "_kernel_image"), ("bump", "matrix"),
+        ("kernel_image", "_well_defined"), ("rewire", "target")]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
