@@ -27,9 +27,9 @@ Maps are solved in column batches by `_solve`.
 
 Over Z/m a group presented by a Howell basis keeps that basis as its
 echelon (`_seed`): the group of a subquotient, parent / (s1 ∩ s2) after
-`intersect`, and source / kernel after `kernel_image` once every source
-relation reduces to zero against the kernel basis, which a raw Morphism
-that is not well defined fails.
+`intersect`, and source / kernel after `kernel_image` when the morphism is
+well defined, which is exactly when the kernel basis spans the source
+relations too.
 """
 
 from collections import namedtuple
@@ -455,17 +455,16 @@ def kernel_image(f):
     themselves (which are then zero as elements).  The pair is built once
     per morphism and memoised on it, so every later call returns the same
     two subgroup objects: callers must not change them, and a morphism
-    must not be changed once its pair has been asked for.
+    must not be changed once its pair has been asked for.  Over Z/m the
+    kernel's quotient group is seeded with the kernel basis when f is well
+    defined, which is when the source relations lie in the kernel lattice.
     """
     if f._kernel_image is None:
         m = f.target.modulus
         ker = kernel_basis(f.matrix, m, f.target.relations)
         kernel = _span(f.source, ker)
-        if m and m == f.source.modulus:
-            q = _seed(kernel._quotient_group(), ker)
-            # ker spans q's relations only if f kills the source relations
-            if not q._kills(f.source.relations.columns()):
-                q._echelon = None
+        if m and m == f.source.modulus and f.is_well_defined():
+            _seed(kernel._quotient_group(), ker)
         f._kernel_image = (kernel, _span(f.target, f.matrix))
     return f._kernel_image
 

@@ -11,9 +11,9 @@ Conventions:
     (_rows) or columns (_cols): a swap is (0, 1, 1, 0), a negation is
     (-1, 0, 0, -1) on one line taken as both of the pair, and the move
     that clears an entry against a pivot comes from _pair_step.
-    snf_transforms undoes each move on uinv or vinv by s*(e, -c, -b, a);
-  * snf_transforms returns (u, d, v, uinv, vinv) with d = u*a*v,
-    u*uinv = I, v*vinv = I, d diagonal, nonnegative, d[i] | d[i+1];
+    snf_transforms undoes each row move on uinv by s*(e, -c, -b, a);
+  * snf_transforms returns (u, d, v, uinv) with d = u*a*v, u*uinv = I,
+    d diagonal, nonnegative, d[i] | d[i+1];
   * col_echelon(a, m) returns (h, pivots), pivots the (row, col) pairs of
     h's pivots at strictly increasing rows, each column zero above its
     pivot.  With m = 0, h is the column echelon form of the columns of a:
@@ -107,13 +107,12 @@ def _pair_step(p, e):
 
 
 def snf_transforms(a):
-    """Smith normal form with all four transforms.
+    """Smith normal form with its transforms and the inverse of u.
 
-    Returns (u, d, v, uinv, vinv) such that d == u*a*v with u, v unimodular,
-    uinv, vinv their exact integer inverses, and d diagonal with nonnegative
-    entries forming a divisibility chain.  A row move acts on d and u and,
-    inverted, on the columns of uinv; a column move on d and v and, inverted,
-    on the rows of vinv.
+    Returns (u, d, v, uinv) such that d == u*a*v with u, v unimodular, uinv
+    the exact integer inverse of u, and d diagonal with nonnegative entries
+    forming a divisibility chain.  A row move acts on d and u and, inverted,
+    on the columns of uinv; a column move acts on d and v.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -121,7 +120,6 @@ def snf_transforms(a):
     u = identity(m)
     uinv = identity(m)
     v = identity(n)
-    vinv = identity(n)
 
     def row_move(i, k, a, b, c, e):
         _rows(d, i, k, a, b, c, e)
@@ -132,8 +130,6 @@ def snf_transforms(a):
     def col_move(j, k, a, b, c, e):
         _cols(d, j, k, a, b, c, e)
         _cols(v, j, k, a, b, c, e)
-        s = a * e - b * c
-        _rows(vinv, j, k, s * e, -s * c, -s * b, s * a)
 
     kmax = min(m, n)
     t = 0
@@ -186,7 +182,7 @@ def snf_transforms(a):
         if d[t][t] < 0:
             row_move(t, t, -1, 0, 0, -1)
         t += 1
-    return u, d, v, uinv, vinv
+    return u, d, v, uinv
 
 
 def col_echelon(a, modulus=0):

@@ -154,13 +154,13 @@ def _transvection(n, i, j, k):
     return IntMatrix(rows, cols=n)
 
 
-def _unimodular_pair(rng, n, steps=8):
-    """(U, U^-1) accumulated from the same random elementary moves."""
+def _unimodular_pair(rng, n):
+    """(U, U^-1) accumulated from the same eight random elementary moves."""
     u = IntMatrix.identity(n)
     uinv = IntMatrix.identity(n)
     if n < 2:
         return u, uinv
-    for _ in range(steps):
+    for _ in range(8):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
         if j >= i:

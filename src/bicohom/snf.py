@@ -198,8 +198,8 @@ class IntMatrix:
         return "IntMatrix[%s]" % body
 
 
-class SnfResult(namedtuple("SnfResult", ["U", "D", "V", "Uinv", "Vinv"])):
-    """D = U*A*V with U, V unimodular and D in Smith normal form."""
+class SnfResult(namedtuple("SnfResult", ["U", "D", "V", "Uinv"])):
+    """D = U*A*V, U and V unimodular, D in Smith form, and Uinv = U^-1."""
 
     __slots__ = ()
 
@@ -212,18 +212,16 @@ def smith_normal_form(a):
     """Smith normal form of an IntMatrix.
 
     The diagonal of the returned D is nonnegative and each entry divides the
-    next; U and V are unimodular with D = U @ a @ V, and their exact integer
-    inverses ride along as Uinv/Vinv.
+    next; U and V are unimodular with D = U @ a @ V, and the exact integer
+    inverse of U rides along as Uinv.
     """
     if a.rows == 0 or a.cols == 0:
         eye_r = IntMatrix.identity(a.rows)
-        eye_c = IntMatrix.identity(a.cols)
-        return SnfResult(eye_r, a, eye_c, eye_r, eye_c)
-    u, d, v, uinv, vinv = backend.snf_transforms(a.to_lists())
+        return SnfResult(eye_r, a, IntMatrix.identity(a.cols), eye_r)
+    u, d, v, uinv = backend.snf_transforms(a.to_lists())
     trusted = IntMatrix._trusted
     return SnfResult(trusted(u, a.rows), trusted(d, a.cols),
-                     trusted(v, a.cols), trusted(uinv, a.rows),
-                     trusted(vinv, a.cols))
+                     trusted(v, a.cols), trusted(uinv, a.rows))
 
 
 def hermite_normal_form(a):

@@ -71,11 +71,11 @@ def _first_filled_degree(c):
     raise ValueError("complex has no nonzero cell")
 
 
-def _random_unimodular(n, rng, steps=6):
+def _random_unimodular(n, rng):
     u = IntMatrix.identity(n)
     if n < 2:
         return u
-    for _ in range(steps):
+    for _ in range(6):
         i, j = rng.sample(range(n), 2)
         u = u @ _transvection(n, i, j, rng.randint(-2, 2))
     return u
@@ -228,9 +228,8 @@ def _random_pair(rng, m, inject_fault):
     return kind, tensor_bicomplex(c, d), broken_at
 
 
-def _bidegrees(rng, count=5, span=2):
-    return [(rng.randint(-span, span), rng.randint(-span, span))
-            for _ in range(count)]
+def _bidegrees(rng, count=5):
+    return [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(count)]
 
 
 def suite_thm21(rng, inject_fault):

@@ -265,6 +265,14 @@ def _mismatched_parents():
          "left factor map endpoints do not match"),
         (lambda: induced_tensor_map(ten44, ten44, id4, id2),
          "right factor map endpoints do not match"),
+        (lambda: id4.compose(id2), "composition endpoints do not match"),
+        (lambda: Subgroup.full(z4).includes(Subgroup.full(z2)),
+         "subgroups of different groups"),
+        (lambda: whole.class_of(one),
+         "representative lives in the wrong cell"),
+        (lambda: whole.zero_class() + subquotient(
+            z4, Subgroup.full(z4), Subgroup.zero(z4)).zero_class(),
+         "classes from different homology sites"),
     ]
 
 
@@ -273,7 +281,9 @@ def _mismatched_parents():
                               "subquotient", "project", "pure", "element_sum",
                               "morphism_sum", "contains", "representative",
                               "realize", "element_of", "precompose",
-                              "postcompose", "tensor_left", "tensor_right"])
+                              "postcompose", "tensor_left", "tensor_right",
+                              "compose", "includes", "class_of",
+                              "class_sum"])
 def test_parent_mismatches_are_named(call, message):
     with pytest.raises(ParentMismatch, match="^%s$" % message):
         call()

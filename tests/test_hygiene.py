@@ -15,7 +15,10 @@ access names it, a function when some name or attribute does.
 `abgroup.kernel_image` memoises a morphism's kernel and image on the
 `Morphism` object, which is only sound while no morphism is changed after
 construction; `test_no_morphism_is_changed_after_construction` fails on any
-write to a morphism's attributes outside the places that set them.
+write to a morphism's attributes outside the places that set them.  A
+group's relation echelon, `FpGroup._echelon`, is likewise written only
+where it is built or seeded: `test_only_reduction_and_seed_write_echelons`
+keeps a seed from being taken back after the fact.
 
 `snf.IntMatrix._trusted` builds a matrix with no check of its entries,
 which is safe only for results that snf itself computes from IntMatrix
@@ -293,6 +296,61 @@ def test_the_frozen_check_sees_writes():
                          ids=lambda p: p.name)
 def test_no_morphism_is_changed_after_construction(path):
     assert frozen_writes(path.read_text(encoding="utf-8")) == []
+
+
+# the only places that may write a group's relation echelon: the
+# constructor, the lazy builder and the Howell-basis seed
+ECHELON_WRITERS = {"FpGroup.__init__", "FpGroup._reduction", "_seed"}
+
+
+def echelon_writes(source):
+    """(qualified function, line) for each assignment to or deletion of an
+    attribute `_echelon` in `source` outside ECHELON_WRITERS."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_echelon" \
+                    and isinstance(child.ctx, (ast.Store, ast.Del)):
+                name = ".".join(scope) or "<module>"
+                if name not in ECHELON_WRITERS:
+                    found.append((name, child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+def test_the_echelon_check_sees_writes():
+    source = (
+        "class FpGroup:\n"
+        "    def __init__(self):\n"
+        "        self._echelon = None\n"
+        "    def _reduction(self):\n"
+        "        self._echelon = 1\n"
+        "    def reset(self):\n"
+        "        del self._echelon\n"
+        "class Other:\n"
+        "    def __init__(self):\n"
+        "        self._echelon = None\n"
+        "def _seed(group, basis):\n"
+        "    group._echelon = basis\n"
+        "def kernel_image(f):\n"
+        "    q._echelon, r = None, 2\n"
+        "g._echelon = 3\n")
+    assert echelon_writes(source) == [
+        ("<module>", 15), ("FpGroup.reset", 7), ("Other.__init__", 10),
+        ("kernel_image", 14)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_reduction_and_seed_write_echelons(path):
+    assert echelon_writes(path.read_text(encoding="utf-8")) == []
 
 
 def trusted_uses(source):

@@ -1,6 +1,6 @@
 """Kernel outputs against frozen digests.
 
-`snf_transforms` returns (U, D, V, U^-1, V^-1) and `col_echelon` returns
+`snf_transforms` returns (U, D, V, U^-1) and `col_echelon` returns
 (H, pivots).  D is unique, but U, V and H depend on the choices the kernel
 makes, and those choices reach the user: the cyclic coordinates of every
 group are read off U and U^-1.  The property tests check that the

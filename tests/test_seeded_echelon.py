@@ -6,8 +6,9 @@ kernel's quotient source / kernel, the quotient parent / (s1 ∩ s2), and
 the subquotient's group.  `abgroup._seed` hands that basis to the group as
 its relation echelon, so `reduce`, `is_trivial` and `includes` never
 echelonize it again.  For the kernel this is sound only when the morphism
-is well defined, so `kernel_image` keeps the seed only after every source
-relation reduces to zero against the basis.
+is well defined, so `kernel_image` seeds the quotient only when the
+morphism's memoised `is_well_defined` says so; asked first, the guard
+fills that memo itself.
 
 These tests record every subgroup (`abgroup._span`) and every seeded group
 (`abgroup._seed`) that Hom and tensor grids and balance grids over Z/4,
@@ -148,6 +149,15 @@ def test_ill_defined_kernel_quotient_matches_unseeded(m):
     assert kernel._quotient_group().reduce([p + 1]) == (1,)
     rng = seeded(300 + m)
     assert_subgroup_matches(rng, kernel)
+    # kernel_image first: its guard asks is_well_defined and memoises the
+    # answer; only the well-defined map (the generator to m/p, of order p)
+    # comes back with a seeded quotient
+    for image, well_defined in ((1, False), (m // p, True)):
+        f = Morphism(src, FpGroup.from_factors(m, [m]), IntMatrix([[image]]))
+        kernel, _ = kernel_image(f)
+        assert f._well_defined is well_defined
+        assert (kernel._quotient_group()._echelon is not None) is well_defined
+        assert_subgroup_matches(rng, kernel)
     ill_defined = 0
     for _ in range(30):
         source, target = random_factor_group(rng, m), random_factor_group(

@@ -123,14 +123,14 @@ def wrong_snf(snf):
         if 0 in (a.rows, a.cols):
             return r
         bump = IntMatrix.diagonal([1], rows=a.rows, cols=a.cols)
-        return SnfResult(r.U, r.D + bump, r.V, r.Uinv, r.Vinv)
+        return SnfResult(r.U, r.D + bump, r.V, r.Uinv)
     return smith_normal_form
 
 
 def doubled_snf(snf):
     def smith_normal_form(a):
         r = snf(a)
-        return SnfResult(r.U + r.U, r.D + r.D, r.V, r.Uinv, r.Vinv)
+        return SnfResult(r.U + r.U, r.D + r.D, r.V, r.Uinv)
     return smith_normal_form
 
 
@@ -145,7 +145,7 @@ def reversed_snf(snf):
         cols = list(range(k))[::-1] + list(range(k, a.cols))
         d = IntMatrix.diagonal(diag[::-1], rows=a.rows, cols=a.cols)
         return SnfResult(r.U.take(rows=rows), d, r.V.take(cols=cols),
-                         r.Uinv.take(cols=rows), r.Vinv.take(rows=cols))
+                         r.Uinv.take(cols=rows))
     return smith_normal_form
 
 
