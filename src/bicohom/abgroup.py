@@ -304,8 +304,13 @@ class Morphism:
 
     def is_well_defined(self):
         if self._well_defined is None:
+            # a target modulus t dividing the source's (or a source over Z)
+            # kills the images of the source's m*e_i: skip those columns
+            s, t = self.source.modulus, self.target.modulus
+            rel = self.source.relations if t and s % t == 0 \
+                else self.source.full_relations
             self._well_defined = self.target._kills(
-                (self.matrix @ self.source.full_relations).columns())
+                (self.matrix @ rel).columns())
         return self._well_defined
 
     def is_zero(self):

@@ -322,8 +322,8 @@ def suite_thm33(rng, inject_fault):
 def suite_balance(rng, inject_fault):
     m = rng.choice(MODULI)
     divisors = [d for d in range(2, m + 1) if m % d == 0]
-    mod_a = FpGroup.from_factors(m, [rng.choice(divisors)])
-    mod_b = FpGroup.from_factors(m, [rng.choice(divisors)])
+    a, b = rng.choice(divisors), rng.choice(divisors)
+    mod_a, mod_b = FpGroup.from_factors(m, [a]), FpGroup.from_factors(m, [b])
     kind = rng.choice(tuple(ROUTES))
 
     def check():
@@ -337,6 +337,14 @@ def suite_balance(rng, inject_fault):
         bad = [r["degree"] for r in report["degrees"] if not r["pass"]]
         if bad:
             return False, "degrees %s fail" % bad
+        # third route, kernel-free: Ext^n and Tor_n of Z/a, Z/b over Z/m
+        # are cyclic of order gcd(a, b) * gcd(m/a, b) / b in every degree
+        closed = _invariants_of_cyclics([gcd(a, b) * gcd(m // a, b) // b])
+        for r in report["degrees"]:
+            first = tuple(r[ROUTES[kind][0]])
+            if first != closed:
+                return False, "degree %d: route %s != closed form %s" % (
+                    r["degree"], first, closed)
         return True, "%s over Z/%d: %s vs %s" % (
             kind, m, mod_a.describe(), mod_b.describe())
     return check

@@ -16,23 +16,22 @@ The balance report makes one such call per route, builds the kind's Hom
 or tensor grid (`balance_grid`), reads its core invariant at the two
 corner bidegrees (n, 0) and (0, n) (negated for Tor), and walks one corner
 to the other with repeated diagonal shifts, checking that the induced map
-is an isomorphism.  The walk moves the whole matrix of numerator
-generators one chase step per diagonal, and decides isomorphism by
-surjectivity and equal order, which suffice for finite groups.  Every
+is an isomorphism.  The walk moves the source core's cyclic generators
+one chase step per diagonal, and decides isomorphism by a well-defined
+map, surjectivity and equal order, which suffice for finite groups.  Every
 comparison is by invariant factors except the walk, which exercises the
 explicit chase.  Degree rows are sorted and unique, so the report is
 deterministic.
 """
 
-from . import backend
-from .abgroup import _solve, morphism_from_images
+from .abgroup import FpGroup, _solve, morphism_from_images
 from .bicomplexes import _chase, core_homology
 from .complexes import (hom_from_module, hom_into_module, homology,
                         module_tensor_with, tensor_with_module)
 from .constructions import (_zm_factors, complete_injective_resolution,
                             complete_projective_resolution, hom_bicomplex,
                             tensor_bicomplex)
-from .errors import InternalChaseFailure
+from .errors import IllDefined, InternalChaseFailure, NotContained
 
 VIA_PROJECTIVE = "via_projective"
 VIA_INJECTIVE = "via_injective"
@@ -115,25 +114,35 @@ def _walk_is_isomorphism(x, corner):
     """Shift core classes from (corner, 0) to (0, corner); True when the
     induced map on core groups is an isomorphism.
 
-    The numerator's generator columns move together, one `_chase` step
-    per diagonal.  The walk map is then an isomorphism exactly when it is
-    onto and both core groups have the same order: a surjection between
-    finite groups of equal order is a bijection.
+    The source core's cyclic generators move together, one `_chase` step
+    per diagonal: a map is fixed by its values on generators.  The walk
+    map, checked well defined against their orders, is an isomorphism
+    exactly when it is onto and both core groups have the same order: a
+    surjection between finite groups of equal order is a bijection.  An
+    ill-defined map or a column off the target numerator is an internal
+    fault, not a failed walk.
     """
     direction = "-" if corner >= 0 else "+"
     src = core_homology(x, (corner, 0))
     dst = core_homology(x, (0, corner))
-    core, columns = src, src.numerator.matrix.columns()
-    for _ in range(abs(corner)):
-        core, columns = _chase(core, columns, direction)
-    walk = morphism_from_images(src.group, dst.group, dst._classes(columns))
     order = src.group.order()
     if order is None:  # never over Z/m
         raise InternalChaseFailure("core group at (%d, 0) is infinite"
                                    % corner)
+    form = src.group.cyclic_decomposition()
+    core, columns = src, (src.numerator.matrix @ form.from_cyclic).columns()
+    try:
+        for _ in range(abs(corner)):
+            core, columns = _chase(core, columns, direction)
+        walk = morphism_from_images(
+            FpGroup.from_factors(src.group.modulus, form.orders),
+            dst.group, dst._classes(columns))
+    except (IllDefined, NotContained) as exc:
+        raise InternalChaseFailure("walk from (%d, 0) to (0, %d): %s"
+                                   % (corner, corner, exc)) from exc
     return order == dst.group.order() and _solve(
-        walk.matrix, backend.identity(dst.group.ambient_rank), dst.group,
-        "preimage") is not None
+        walk.matrix, dst.group.cyclic_decomposition().from_cyclic.columns(),
+        dst.group, "preimage") is not None
 
 
 def _factors(group):

@@ -20,7 +20,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicohom import abgroup, suites
+from bicohom import abgroup, backend, suites
 from bicohom.abgroup import (Element, FpGroup, Morphism, Subgroup, direct_sum,
                              hom_group, induced_hom_map, induced_tensor_map,
                              intersect, invert_isomorphism, kernel_image,
@@ -320,6 +320,30 @@ def test_is_well_defined_is_decided_once(monkeypatch, source, target,
     monkeypatch.setattr(FpGroup, "_kills", counting)
     assert f.is_well_defined() is defined
     assert calls == []
+
+
+@pytest.mark.parametrize("source, target, relations, defined, reduced", [
+    # 4 | 8: the m*e_i columns map to 0 in Z/4, only relations are reduced
+    (FpGroup.free(8, 1), FpGroup.free(4, 1), [[1]], True, 0),
+    (FpGroup.from_factors(8, [2, 4]), FpGroup.from_factors(4, [2, 4]),
+     [[1, 0], [0, 1]], True, 2),
+    # 8 does not divide 4: the column 4*e_0 is reduced, and is 4 != 0 in Z/8
+    (FpGroup.free(4, 1), FpGroup.free(8, 1), [[1]], False, 1),
+    (FpGroup.from_factors(0, [4]), FpGroup.free(8, 1), [[2]], True, 1),
+], ids=["z8_to_z4", "relations_only", "z4_to_z8", "over_z"])
+def test_well_definedness_skips_columns_the_target_kills(
+        monkeypatch, source, target, relations, defined, reduced):
+    calls = [0]
+    real = backend.reduce_columns
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(backend, "reduce_columns", counting)
+    f = Morphism(source, target, IntMatrix(relations))
+    assert f.is_well_defined() is defined
+    assert calls[0] == reduced
 
 
 def test_kernel_image_examples():

@@ -262,6 +262,18 @@ def wrong_report(balance):
     return balance_report
 
 
+def wrong_route_report(balance):
+    # the first route gains a Z/2 summand in every degree, and the pass
+    # flags stay set: only the closed form can see it
+    def balance_report(*args):
+        report = balance(*args)
+        first = suites.ROUTES[report["kind"]][0]
+        for row in report["degrees"]:
+            row[first] = row[first] + [2]
+        return report
+    return balance_report
+
+
 def computed_corner(_core):
     def core_homology(grid, bidegree):
         return _with_factors((2,))
@@ -319,7 +331,7 @@ def test_snf_suite_names_its_other_planted_wrong_answers(
     _assert_named_red(capsys, "snf", detail, False, seed)
 
 
-# The other red details of the abgroup, thm21 and prop31 suites:
+# The other red details of the abgroup, thm21, prop31 and balance suites:
 # (id, suite, name in suites, stand-in, red detail, seed).  A wrong shift
 # shows only on a nonzero core, which no spot of the first four thm21
 # draws of seed 11 has and three draws of seed 23 do.
@@ -336,6 +348,8 @@ DETAIL_PLANTED = [
      r"shift is not additive at \(-?\d+, -?\d+\)", 23),
     ("right_inverse", "prop31", "zprime_witness", one_sided_witness,
      r"zprime_witness not right-inverse at \(-?\d+, -?\d+\)", 11),
+    ("closed_form", "balance", "balance_report", wrong_route_report,
+     r"degree -2: route \(.*\) != closed form \(.*\)", 11),
 ]
 
 

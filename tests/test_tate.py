@@ -16,8 +16,9 @@ from bicohom.bicomplexes import core_homology
 from bicohom.constructions import (complete_injective_resolution,
                                    complete_projective_resolution,
                                    hom_bicomplex)
-from bicohom.errors import InternalChaseFailure, NotAModule
-from bicohom import abgroup, bicomplexes, snf, tate
+from bicohom.errors import (IllDefined, InternalChaseFailure, NotAModule,
+                            NotContained)
+from bicohom import abgroup, bicomplexes, cli, snf, tate
 from bicohom.tate import (EXT, RESOLVE_LEFT, RESOLVE_RIGHT, TOR,
                           VIA_INJECTIVE, VIA_PROJECTIVE, balance_grid,
                           balance_report, tate_ext, tate_groups, tate_tor)
@@ -242,26 +243,76 @@ def test_walk_needs_equal_finite_orders(monkeypatch):
         tate._walk_is_isomorphism(grid, 1)
 
 
-def test_walk_work_is_per_step_not_per_generator(monkeypatch):
+def test_a_broken_walk_is_an_internal_fault_not_bad_input(monkeypatch):
+    # the cores over Z/16 are Z/2 (+) Z/4: swapping the two pushed cyclic
+    # generators sends the one of order 2 to an element of order 4, and a
+    # pushed column off the target numerator has no class there
+    m, a, b = 16, z(16, 2, 4), z(16, 4)
+    grid, _ = balance_grid(m, a, b, EXT)
+    assert core_homology(grid, (1, 0)).group.invariant_factors == (2, 4)
+    assert tate._walk_is_isomorphism(grid, 1) is True
+    real = tate._chase
+
+    def swapped(core, columns, direction):
+        landing, pushed = real(core, columns, direction)
+        return landing, pushed[::-1]
+
+    def outside(core, columns, direction):
+        landing, pushed = real(core, columns, direction)
+        return landing, [(1,) + c[1:] for c in pushed]
+
+    argv = ["tate", "--ring", "16", "--module", "2,4", "--other", "4",
+            "--kind", "ext", "--range", "1..1", "--both-ways"]
+    for plant, cause in ((swapped, IllDefined), (outside, NotContained)):
+        monkeypatch.setattr(tate, "_chase", plant)
+        with pytest.raises(InternalChaseFailure,
+                           match=r"^walk from \(1, 0\) to \(0, 1\): ") as err:
+            tate._walk_is_isomorphism(grid, 1)
+        assert isinstance(err.value.__cause__, cause)
+        with pytest.raises(InternalChaseFailure):
+            cli.main(argv)
+
+
+def _count_walk_work(monkeypatch):
     counts = {}
 
     def count(module, name):
         real = getattr(module, name)
+        counts[name] = 0
 
         def counting(*args):
-            counts[name] = counts.get(name, 0) + 1
+            counts[name] += 1
             return real(*args)
         monkeypatch.setattr(module, name, counting)
 
     for name in ("_require_exact", "preimage_element"):
         count(bicomplexes, name)
     count(abgroup, "invert_isomorphism")
+    return counts
+
+
+def test_walk_work_is_per_step_not_per_generator(monkeypatch):
+    counts = _count_walk_work(monkeypatch)
     report = balance_report(12, z(12, 2, 6, 4), z(12, 3, 4), DEGREES, TOR)
     assert report["all_pass"] is True
-    # one exactness check per chase step and per core built, one preimage
-    # per generator and step, and no inverse of a walk map
-    assert counts == {"_require_exact": 16, "preimage_element": 28}
+    assert all(row["corner_n0"] == [] for row in report["degrees"])
+    # one exactness check per chase step and per core built; every core
+    # is 0, so there is no cyclic generator to solve for, and no inverse
+    # of a walk map
+    assert counts == {"_require_exact": 16, "preimage_element": 0,
+                      "invert_isomorphism": 0}
     assert not hasattr(tate, "invert_isomorphism")
+
+
+def test_walk_solves_once_per_cyclic_generator_and_step(monkeypatch):
+    counts = _count_walk_work(monkeypatch)
+    report = balance_report(8, z(8, 2, 4), z(8, 4), DEGREES, EXT)
+    assert report["all_pass"] is True
+    assert all(row["corner_n0"] == row["corner_0n"] == [2, 2]
+               for row in report["degrees"])
+    # two cyclic generators, |n| chase steps at degree n: 2 * 12
+    assert counts == {"_require_exact": 16, "preimage_element": 24,
+                      "invert_isomorphism": 0}
 
 
 def test_non_modules_rejected():
