@@ -16,6 +16,12 @@ differential leaving that degree (columns indexed by the source cell's
 generators); omitted degrees get the zero map.  Bicomplexes are never
 written to files; they are always built from a pair of complexes.
 
+Inputs are bounded before anything is built from them: a cell rank or
+factor count is at most MAX_RANK (256), a period or window width (hi - lo
++ 1) at most MAX_DEGREES (1024), and every integer -- modulus, degree
+bound, rank, factor, matrix entry -- at most MAX_BITS (1024) bits long.
+An integer too long for `json` to read at all is bad input too.
+
 Parsing succeeds exactly when the assembled complex satisfies the complex
 axioms; any violation is reported with the offending degree.  Serialization
 normalizes cells to their cyclic decomposition and rewrites differentials
@@ -29,6 +35,10 @@ from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, Periodic, Window,
                         Complex, degree_step)
 from .errors import ConventionViolation, ParseError
 from .snf import IntMatrix
+
+MAX_RANK = 256
+MAX_DEGREES = 1024
+MAX_BITS = 1024
 
 
 def _expect_object(value, where, keys, optional=()):
@@ -45,7 +55,16 @@ def _expect_object(value, where, keys, optional=()):
 def _expect_int(value, where):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError("%s must be an integer" % where)
+    if value.bit_length() > MAX_BITS:
+        raise ParseError("%s has an integer of %d bits, above the bound of "
+                         "%d" % (where, value.bit_length(), MAX_BITS))
     return value
+
+
+def _expect_at_most(value, bound, where):
+    if value > bound:
+        raise ParseError("%s is %d, above the bound of %d"
+                         % (where, value, bound))
 
 
 def _degree_key(key, where):
@@ -65,6 +84,7 @@ def _parse_support(raw):
         hi = _expect_int(spec["hi"], "support.window.hi")
         if lo > hi:
             raise ParseError("support.window has lo > hi")
+        _expect_at_most(hi - lo + 1, MAX_DEGREES, "support.window width")
         return Window(lo, hi)
     if set(raw) == {"periodic"}:
         spec = raw["periodic"]
@@ -72,6 +92,7 @@ def _parse_support(raw):
         period = _expect_int(spec["period"], "support.periodic.period")
         if period < 1:
             raise ParseError("support.periodic.period must be positive")
+        _expect_at_most(period, MAX_DEGREES, "support.periodic.period")
         return Periodic(period)
     raise ParseError('support must be {"window": ...} or {"periodic": ...}')
 
@@ -85,11 +106,13 @@ def _parse_cell(raw, modulus, degree):
         rank = _expect_int(raw["rank"], where + ".rank")
         if rank < 0:
             raise ParseError("%s.rank must not be negative" % where)
+        _expect_at_most(rank, MAX_RANK, where + ".rank")
         return FpGroup.free(modulus, rank)
     if "factors" in raw:
         factors = raw["factors"]
         if not isinstance(factors, list):
             raise ParseError("%s.factors must be a list" % where)
+        _expect_at_most(len(factors), MAX_RANK, where + ".factors count")
         return FpGroup.from_factors(
             modulus, [_expect_int(d, where + ".factors") for d in factors])
     raise ParseError('%s must use "factors" or "rank"' % where)
@@ -113,6 +136,8 @@ def parse_complex(text):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("not valid JSON: %s" % exc)
+    except ValueError:  # an integer past Python's digit limit
+        raise ParseError("an integer is too long to read") from None
     _expect_object(raw, "complex file",
                    ["modulus", "convention", "support", "cells"], ["diffs"])
     modulus = _expect_int(raw["modulus"], "modulus")

@@ -9,19 +9,25 @@ index -n, which is also where the tensor grid's corners sit.
 
 `ROUTES` names each kind's two routes, the first being the one a
 single-route query uses.  One call of `tate_ext` or `tate_tor` builds its
-route's complex once and reads every requested degree off it through the
-`homology` memo; separate calls share nothing.
+route's complex once, from the route's complete resolution (built there
+unless passed in), and reads every requested degree off it through the
+`homology` memo.
 
-The balance report makes one such call per route, builds the kind's Hom
-or tensor grid (`balance_grid`), reads its core invariant at the two
-corner bidegrees (n, 0) and (0, n) (negated for Tor), and walks one corner
-to the other with repeated diagonal shifts, checking that the induced map
-is an isomorphism.  The walk moves the source core's cyclic generators
-one chase step per diagonal, and decides isomorphism by a well-defined
-map, surjectivity and equal order, which suffice for finite groups.  Every
-comparison is by invariant factors except the walk, which exercises the
-explicit chase.  Degree rows are sorted and unique, so the report is
-deterministic.
+The balance report builds each complete resolution once: P of the first
+argument, and E (Ext) or Q (Tor) of the second.  Route one reads only P
+and route two only E or Q, so the routes still share nothing.  The kind's
+Hom or tensor grid (`balance_grid`) is built on that same pair; it always
+used resolutions equal to the routes' (the builders are deterministic), so
+a fault in a builder was already common to routes and grid, and sharing
+makes it one object instead of two equal ones.  The report reads the
+grid's core invariant at the two corner bidegrees (n, 0) and (0, n)
+(negated for Tor), and walks one corner to the other with repeated
+diagonal shifts, checking that the induced map is an isomorphism.  The
+walk moves the source core's cyclic generators one chase step per
+diagonal, and decides isomorphism by a well-defined map, surjectivity and
+equal order, which suffice for finite groups.  Every comparison is by
+invariant factors except the walk, which exercises the explicit chase.
+Degree rows are sorted and unique, so the report is deterministic.
 """
 
 from .abgroup import FpGroup, _solve, morphism_from_images
@@ -45,37 +51,52 @@ ROUTES = {EXT: (VIA_PROJECTIVE, VIA_INJECTIVE),
           TOR: (RESOLVE_LEFT, RESOLVE_RIGHT)}
 
 
-def tate_ext(m, module, other, degrees, route):
+def _route_resolution(m, module, other, route):
+    """The complete resolution `route` applies its functor to: P of
+    `module` for the first route of either kind, E (Ext) or Q (Tor) of
+    `other` for the second."""
+    if route in (VIA_PROJECTIVE, RESOLVE_LEFT):
+        return complete_projective_resolution(m, module)[0]
+    if route == VIA_INJECTIVE:
+        return complete_injective_resolution(m, other)[0]
+    return complete_projective_resolution(m, other)[0]
+
+
+def tate_ext(m, module, other, degrees, route, resolution=None):
     """Stable Ext^n(module, other) over Z/m for each n in `degrees`, by the
     requested route: a list with one group per entry of `degrees`, in
-    order, all read off one build of the route's complex."""
+    order, all read off one build of the route's complex.  `resolution`
+    is the route's complete resolution (P of `module` or E of `other`),
+    built here when None."""
     _zm_factors(m, module)
     _zm_factors(m, other)
-    if route == VIA_PROJECTIVE:
-        p, _ = complete_projective_resolution(m, module)
-        c = hom_into_module(p, other)
-    elif route == VIA_INJECTIVE:
-        e, _ = complete_injective_resolution(m, other)
-        c = hom_from_module(module, e)
-    else:
+    if route not in ROUTES[EXT]:
         raise ValueError("route must be %r or %r" % ROUTES[EXT])
+    if resolution is None:
+        resolution = _route_resolution(m, module, other, route)
+    if route == VIA_PROJECTIVE:
+        c = hom_into_module(resolution, other)
+    else:
+        c = hom_from_module(module, resolution)
     return [homology(c, n).group for n in degrees]
 
 
-def tate_tor(m, module, other, degrees, route):
+def tate_tor(m, module, other, degrees, route, resolution=None):
     """Stable Tor_n(module, other) over Z/m for each n in `degrees`, by the
     requested route: a list with one group per entry of `degrees`, in
-    order, all read off one build of the route's complex."""
+    order, all read off one build of the route's complex.  `resolution`
+    is the route's complete resolution (P of `module` or Q of `other`),
+    built here when None."""
     _zm_factors(m, module)
     _zm_factors(m, other)
-    if route == RESOLVE_LEFT:
-        p, _ = complete_projective_resolution(m, module)
-        c = tensor_with_module(p, other)
-    elif route == RESOLVE_RIGHT:
-        d, _ = complete_projective_resolution(m, other)
-        c = module_tensor_with(module, d)
-    else:
+    if route not in ROUTES[TOR]:
         raise ValueError("route must be %r or %r" % ROUTES[TOR])
+    if resolution is None:
+        resolution = _route_resolution(m, module, other, route)
+    if route == RESOLVE_LEFT:
+        c = tensor_with_module(resolution, other)
+    else:
+        c = module_tensor_with(module, resolution)
     return [homology(c, n).group for n in degrees]
 
 
@@ -86,28 +107,28 @@ def _routes(kind):
         raise ValueError("kind must be %r or %r" % (EXT, TOR)) from None
 
 
-def tate_groups(m, module, other, degrees, kind, route):
+def tate_groups(m, module, other, degrees, kind, route, resolution=None):
     """`tate_ext` or `tate_tor`, whichever `kind` names; ValueError for
     any other kind."""
     _routes(kind)
     compute = tate_ext if kind == EXT else tate_tor
-    return compute(m, module, other, degrees, route)
+    return compute(m, module, other, degrees, route, resolution)
 
 
-def balance_grid(m, module, other, kind, first=None):
+def balance_grid(m, module, other, kind, first=None, second=None):
     """(grid, sign) for `kind`: Hom(P, E) and sign 1 for Ext, P (x) Q and
     sign -1 for Tor, with P, Q complete projective resolutions of `module`,
     `other` and E a complete injective one of `other`.  Degree n sits at
-    the corners (sign * n, 0) and (0, sign * n).  `first`, when given,
-    stands in for P."""
-    _routes(kind)
+    the corners (sign * n, 0) and (0, sign * n).  `first` and `second`,
+    when given, stand in for P and for E or Q."""
+    routes = _routes(kind)
     if first is None:
-        first, _ = complete_projective_resolution(m, module)
+        first = _route_resolution(m, module, other, routes[0])
+    if second is None:
+        second = _route_resolution(m, module, other, routes[1])
     if kind == EXT:
-        e, _ = complete_injective_resolution(m, other)
-        return hom_bicomplex(first, e), 1
-    q, _ = complete_projective_resolution(m, other)
-    return tensor_bicomplex(first, q), -1
+        return hom_bicomplex(first, second), 1
+    return tensor_bicomplex(first, second), -1
 
 
 def _walk_is_isomorphism(x, corner):
@@ -152,9 +173,11 @@ def _factors(group):
 def balance_report(m, module, other, degrees, kind):
     """Both routes, both grid corners, and the shift walk, per degree.
 
-    Returns a JSON-ready dict; each degree row carries the four groups'
-    invariant factors, whether the walk induced an isomorphism, and a
-    combined pass flag (all four isomorphism classes equal and walk ok).
+    P and E (Ext) or Q (Tor) are built once each: route one reads P, route
+    two E or Q, and the grid is built on the pair.  Returns a JSON-ready
+    dict; each degree row carries the four groups' invariant factors,
+    whether the walk induced an isomorphism, and a combined pass flag (all
+    four isomorphism classes equal and walk ok).
     ValueError for an unknown kind or an empty degree set, which would
     pass with nothing checked.
     """
@@ -162,9 +185,10 @@ def balance_report(m, module, other, degrees, kind):
     degrees = sorted(set(degrees))
     if not degrees:
         raise ValueError("no degrees to check")
-    groups = [tate_groups(m, module, other, degrees, kind, r)
-              for r in routes]
-    grid, sign = balance_grid(m, module, other, kind)
+    resolutions = [_route_resolution(m, module, other, r) for r in routes]
+    groups = [tate_groups(m, module, other, degrees, kind, r, res)
+              for r, res in zip(routes, resolutions)]
+    grid, sign = balance_grid(m, module, other, kind, *resolutions)
     rows = []
     for n, g1, g2 in zip(degrees, *groups):
         a = sign * n

@@ -59,6 +59,15 @@ def test_homology_rejects_bad_file(files, capsys):
     assert "degree 0" in capsys.readouterr().err
 
 
+def test_homology_rejects_an_integer_too_long_to_read(tmp_path, capsys):
+    # 5,000 digits is past Python's limit for reading an integer: json
+    # raises a bare ValueError, which is bad input, not an internal fault
+    path = tmp_path / "long.json"
+    path.write_text(STRAND4.replace("[4]", "[%s]" % ("9" * 5000)))
+    assert main(["homology", str(path)]) == 2
+    assert "too long" in capsys.readouterr().err
+
+
 def test_homology_missing_file(tmp_path, capsys):
     assert main(["homology", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -8,8 +8,10 @@ from bicohom.abgroup import FpGroup
 from bicohom.complexes import (COHOMOLOGICAL, HOMOLOGICAL, Periodic, Window,
                                Complex, hom_into_module, homology)
 from bicohom.errors import ParseError
-from bicohom.formats import load_complex, parse_complex, serialize_complex
+from bicohom.formats import (MAX_BITS, MAX_DEGREES, MAX_RANK, load_complex,
+                             parse_complex, serialize_complex)
 from helpers import periodic_strand
+from test_identity_digest import serialize_runs
 
 
 STRAND4 = """
@@ -179,6 +181,57 @@ def test_rejection_of_periodic_differentials_sharing_a_degree():
             '{"periodic": {"period": 2}}, "cells": {"0": {"factors": [4]}, '
             '"1": {"factors": [4]}}, "diffs": {"1": [[2]], "3": [[0]]}}',
             "differential at degree 1 is given twice")
+
+
+def _point(cell):
+    return ('{"modulus": 4, "convention": "homological", "support": '
+            '{"window": {"lo": 0, "hi": 0}}, "cells": {"0": %s}}' % cell)
+
+
+def test_sizes_above_their_bounds_are_rejected_by_field():
+    # each value is one past its bound; the check comes before the build
+    _expect(_point('{"rank": %d}' % (MAX_RANK + 1)),
+            "cells[0].rank is %d, above the bound of %d"
+            % (MAX_RANK + 1, MAX_RANK))
+    _expect(_point('{"factors": %s}' % ([2] * (MAX_RANK + 1))),
+            "cells[0].factors count is %d" % (MAX_RANK + 1))
+    _expect('{"modulus": 4, "convention": "homological", "support": '
+            '{"periodic": {"period": %d}}, "cells": {}}' % (MAX_DEGREES + 1),
+            "support.periodic.period is %d" % (MAX_DEGREES + 1))
+    _expect('{"modulus": 4, "convention": "homological", "support": '
+            '{"window": {"lo": -5, "hi": %d}}, "cells": {}}'
+            % (MAX_DEGREES - 5), "support.window width is %d"
+            % (MAX_DEGREES + 1))
+    assert parse_complex(_point('{"rank": %d}' % MAX_RANK)).cell(0) \
+        .ambient_rank == MAX_RANK
+    assert parse_complex(_point('{"factors": %s}' % ([2] * MAX_RANK))) \
+        .cell(0).ambient_rank == MAX_RANK
+
+
+def test_integers_above_the_bit_bound_are_rejected_by_field():
+    big = 2 ** MAX_BITS  # MAX_BITS + 1 bits
+    bound = "%d bits, above the bound of %d" % (MAX_BITS + 1, MAX_BITS)
+    _expect(_point('{"factors": [2, %d]}' % big), "cells[0].factors has "
+            "an integer of " + bound)
+    _expect(STRAND4.replace('"modulus": 4', '"modulus": %d' % big),
+            "modulus has an integer of " + bound)
+    for entry in (big, -big):
+        _expect(Z_MUL2.replace("[[2]]", "[[%d]]" % entry),
+                "diffs[1] has an integer of " + bound)
+    edge = 2 ** MAX_BITS - 1
+    c = parse_complex(Z_MUL2.replace("[[2]]", "[[%d]]" % edge))
+    assert c.diff(1).matrix.to_lists() == [[edge]]
+
+
+def test_an_integer_too_long_for_json_is_bad_input():
+    _expect(STRAND4.replace("[[2]]", "[[%s]]" % ("9" * 5000)),
+            "an integer is too long to read")
+
+
+def test_every_identity_digest_complex_parses_within_the_bounds():
+    for name, build in serialize_runs():
+        text = serialize_complex(build())
+        assert serialize_complex(parse_complex(text)) == text, name
 
 
 def test_load_complex_reports_path(tmp_path):

@@ -22,6 +22,7 @@ from bicohom import abgroup, bicomplexes, cli, snf, tate
 from bicohom.tate import (EXT, RESOLVE_LEFT, RESOLVE_RIGHT, TOR,
                           VIA_INJECTIVE, VIA_PROJECTIVE, balance_grid,
                           balance_report, tate_ext, tate_groups, tate_tor)
+from helpers import invariant_factors_oracle
 
 DEGREES = range(-3, 4)
 
@@ -169,6 +170,41 @@ def test_balance_report_builds_each_route_complex_once(m, kind, builders,
     assert report["all_pass"] is True
     assert [row["degree"] for row in report["degrees"]] == list(DEGREES)
     assert calls == dict.fromkeys(builders, 1)
+
+
+@pytest.mark.parametrize("m,kind,functors", [
+    (8, EXT, ("hom_into_module", "hom_from_module", "hom_bicomplex")),
+    (12, TOR, ("tensor_with_module", "module_tensor_with",
+               "tensor_bicomplex")),
+])
+def test_balance_report_resolves_each_argument_once(m, kind, functors,
+                                                    monkeypatch):
+    # one build per argument, shared by its route and the grid: 2 builds
+    # per report, where building for the routes and grid apart made 4
+    built, used = [], {}
+
+    def count(name, record):
+        real = getattr(tate, name)
+
+        def counting(*args):
+            got = real(*args)
+            record(name, args, got)
+            return got
+        monkeypatch.setattr(tate, name, counting)
+
+    for name in ("complete_projective_resolution",
+                 "complete_injective_resolution"):
+        count(name, lambda name, args, got: built.append((name, got[0])))
+    for name in functors:
+        count(name, lambda name, args, got: used.setdefault(name, args))
+    report = balance_report(m, z(m, 2, m // 2), z(m, 4), DEGREES, kind)
+    assert report["all_pass"] is True
+    assert len(built) == 2
+    (_, p), (_, second) = built
+    route_one, route_two, grid = (used[name] for name in functors)
+    assert route_one[0] is p and grid[0] is p
+    assert route_two[1] is second and grid[1] is second
+    assert p is not second
 
 
 def test_balance_report_echelonizes_each_solve_matrix_once(monkeypatch):
@@ -408,3 +444,41 @@ def test_balance_report_sampled_instances():
             report = balance_report(m, z(m, *fa), z(m, *fb),
                                     range(-2, 3), kind)
             assert report["all_pass"] is True, (m, fa, fb, kind, report)
+
+
+def _tate_closed_form(m, a, b):
+    """Stable Ext^n and Tor_n of Z/a, Z/b over Z/m in every degree, from
+    gcds alone: cyclic of order gcd(a, b) * gcd(m/a, b) / b."""
+    return invariant_factors_oracle([gcd(a, b) * gcd(m // a, b) // b])
+
+
+def _divisor_triples(moduli):
+    for m in moduli:
+        divisors = [d for d in range(1, m + 1) if m % d == 0]
+        for a in divisors:
+            for b in divisors:
+                yield m, a, b
+
+
+def test_both_routes_of_both_kinds_match_the_closed_form():
+    runs = 0
+    for m, a, b in _divisor_triples((4, 6, 8, 9, 12, 18, 72)):
+        want = [_tate_closed_form(m, a, b)] * len(DEGREES)
+        for kind in (EXT, TOR):
+            for route in tate.ROUTES[kind]:
+                got = tate_groups(m, z(m, a), z(m, b), DEGREES, kind, route)
+                assert [g.invariant_factors for g in got] == want, \
+                    (m, a, b, kind, route)
+                runs += 1
+    assert runs == 1064
+
+
+def test_balance_report_routes_match_the_closed_form():
+    for m, a, b in _divisor_triples((4, 8, 9, 12)):
+        want = list(_tate_closed_form(m, a, b))
+        for kind in (EXT, TOR):
+            report = balance_report(m, z(m, a), z(m, b), DEGREES, kind)
+            assert report["all_pass"] is True, (m, a, b, kind)
+            for row in report["degrees"]:
+                assert row[tate.ROUTES[kind][0]] == want, (m, a, b, kind)
+                assert row[tate.ROUTES[kind][1]] == want, (m, a, b, kind)
