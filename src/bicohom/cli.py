@@ -4,6 +4,8 @@ balance, and the seeded verification suites.
 Exit codes: 0 all requested checks pass, 1 a verification failed, 2 the
 input was unusable (bad file, bad arguments, incompatible objects).
 Machine output (--json) is stable under re-run modulo the timestamp field.
+A degree span (--degrees, --range) is at most formats.MAX_DEGREES wide, and
+a tate degree at most that in absolute value.
 """
 
 import argparse
@@ -22,7 +24,7 @@ from .errors import (BadArgument, ConventionViolation, HypothesisViolated,
                      ParentMismatch, ParseError)
 from .abgroup import FpGroup
 from .complexes import homology
-from .formats import load_complex
+from .formats import MAX_DEGREES, load_complex
 from .suites import SUITES, run_suite
 from .tate import ROUTES, balance_report, tate_groups
 
@@ -52,7 +54,7 @@ def _group_fields(g):
             "group": render_group(g)}
 
 
-def _parse_range(text):
+def _parse_range(text, flag):
     lo, sep, hi = text.partition("..")
     try:
         if not sep:
@@ -63,6 +65,9 @@ def _parse_range(text):
         raise ParseError("range %r is not lo..hi" % text)
     if a > b:
         raise ParseError("range %r runs backwards" % text)
+    if b - a + 1 > MAX_DEGREES:
+        raise ParseError("%s %r spans %d degrees; at most %d are allowed"
+                         % (flag, text, b - a + 1, MAX_DEGREES))
     return range(a, b + 1)
 
 
@@ -111,7 +116,8 @@ def _emit(args, report, lines):
 
 def cmd_homology(args):
     c = load_complex(args.file)
-    degrees = _parse_range(args.degrees) if args.degrees else c.degrees()
+    degrees = (_parse_range(args.degrees, "--degrees") if args.degrees
+               else c.degrees())
     items, lines = [], []
     for n in degrees:
         g = homology(c, n).group
@@ -149,7 +155,12 @@ def cmd_bicomplex(args):
 def cmd_tate(args):
     module = _parse_module(args.ring, args.module)
     other = _parse_module(args.ring, args.other)
-    degrees = _parse_range(args.range)
+    degrees = _parse_range(args.range, "--range")
+    # the shift walk crosses |n| diagonals, so its cost grows with |n|
+    reach = max(abs(degrees[0]), abs(degrees[-1]))
+    if reach > MAX_DEGREES:
+        raise ParseError("--range %r reaches degree %d; |n| is at most %d"
+                         % (args.range, reach, MAX_DEGREES))
     routes = ROUTES[args.kind]
     if args.both_ways:
         report = balance_report(args.ring, module, other, degrees, args.kind)

@@ -34,7 +34,7 @@ from .constructions import (_packaged, _transvection,
                             zprime_witness, zsecond_witness)
 from .errors import BadArgument, BicohomError
 from .snf import IntMatrix, smith_normal_form
-from .tate import ROUTES, balance_grid, balance_report
+from .tate import ROUTES, _resolution, balance_grid, balance_report
 
 MODULI = (4, 8, 9, 12)
 
@@ -329,8 +329,8 @@ def suite_balance(rng, inject_fault):
     def check():
         if inject_fault:
             p, _ = complete_projective_resolution(m, mod_a)
-            grid, _ = balance_grid(m, mod_a, mod_b, kind,
-                                   first=_zero_first_diff(p)[0])
+            grid, _ = balance_grid(kind, _zero_first_diff(p)[0],
+                                   _resolution(m, mod_a, mod_b, kind, 1))
             corner = core_homology(grid, (0, 0)).group
             return False, "corner %s" % (corner.invariant_factors,)
         report = balance_report(m, mod_a, mod_b, range(-2, 3), kind)

@@ -8,26 +8,26 @@ functors and homological indexing; a lower index n corresponds to the upper
 index -n, which is also where the tensor grid's corners sit.
 
 `ROUTES` names each kind's two routes, the first being the one a
-single-route query uses.  One call of `tate_ext` or `tate_tor` builds its
-route's complex once, from the route's complete resolution (built there
-unless passed in), and reads every requested degree off it through the
-`homology` memo.
+single-route query uses.  `tate_groups` is the one route body: route k
+reads P of the module (k = 0) or E (Ext) or Q (Tor) of the other (k = 1),
+built by `_resolution` unless passed in, applies that route's functor
+once, and reads every requested degree off the one complex through the
+`homology` memo.  `tate_ext` and `tate_tor` fix its kind.
 
-The balance report builds each complete resolution once: P of the first
-argument, and E (Ext) or Q (Tor) of the second.  Route one reads only P
-and route two only E or Q, so the routes still share nothing.  The kind's
-Hom or tensor grid (`balance_grid`) is built on that same pair; it always
-used resolutions equal to the routes' (the builders are deterministic), so
-a fault in a builder was already common to routes and grid, and sharing
-makes it one object instead of two equal ones.  The report reads the
-grid's core invariant at the two corner bidegrees (n, 0) and (0, n)
-(negated for Tor), and walks one corner to the other with repeated
-diagonal shifts, checking that the induced map is an isomorphism.  The
-walk moves the source core's cyclic generators one chase step per
-diagonal, and decides isomorphism by a well-defined map, surjectivity and
-equal order, which suffice for finite groups.  Every comparison is by
-invariant factors except the walk, which exercises the explicit chase.
-Degree rows are sorted and unique, so the report is deterministic.
+The balance report builds P and E or Q once each.  Route one reads only P
+and route two only E or Q, so the routes still share nothing, and the
+kind's Hom or tensor grid (`balance_grid`) is built on the same pair.  The
+builders are deterministic, so a fault in one was always common to routes
+and grid; sharing makes it one object instead of two equal ones.  The
+report reads the grid's core invariant at the two corner bidegrees (n, 0)
+and (0, n) (negated for Tor), and walks one corner to the other with
+repeated diagonal shifts, checking that the induced map is an
+isomorphism.  The walk moves the source core's cyclic generators one
+chase step per diagonal, and decides isomorphism by a well-defined map,
+surjectivity and equal order, which suffice for finite groups.  Every
+comparison is by invariant factors except the walk, which exercises the
+explicit chase.  Degree rows are sorted and unique, so the report is
+deterministic.
 """
 
 from .abgroup import FpGroup, _solve, morphism_from_images
@@ -51,55 +51,6 @@ ROUTES = {EXT: (VIA_PROJECTIVE, VIA_INJECTIVE),
           TOR: (RESOLVE_LEFT, RESOLVE_RIGHT)}
 
 
-def _route_resolution(m, module, other, route):
-    """The complete resolution `route` applies its functor to: P of
-    `module` for the first route of either kind, E (Ext) or Q (Tor) of
-    `other` for the second."""
-    if route in (VIA_PROJECTIVE, RESOLVE_LEFT):
-        return complete_projective_resolution(m, module)[0]
-    if route == VIA_INJECTIVE:
-        return complete_injective_resolution(m, other)[0]
-    return complete_projective_resolution(m, other)[0]
-
-
-def tate_ext(m, module, other, degrees, route, resolution=None):
-    """Stable Ext^n(module, other) over Z/m for each n in `degrees`, by the
-    requested route: a list with one group per entry of `degrees`, in
-    order, all read off one build of the route's complex.  `resolution`
-    is the route's complete resolution (P of `module` or E of `other`),
-    built here when None."""
-    _zm_factors(m, module)
-    _zm_factors(m, other)
-    if route not in ROUTES[EXT]:
-        raise ValueError("route must be %r or %r" % ROUTES[EXT])
-    if resolution is None:
-        resolution = _route_resolution(m, module, other, route)
-    if route == VIA_PROJECTIVE:
-        c = hom_into_module(resolution, other)
-    else:
-        c = hom_from_module(module, resolution)
-    return [homology(c, n).group for n in degrees]
-
-
-def tate_tor(m, module, other, degrees, route, resolution=None):
-    """Stable Tor_n(module, other) over Z/m for each n in `degrees`, by the
-    requested route: a list with one group per entry of `degrees`, in
-    order, all read off one build of the route's complex.  `resolution`
-    is the route's complete resolution (P of `module` or Q of `other`),
-    built here when None."""
-    _zm_factors(m, module)
-    _zm_factors(m, other)
-    if route not in ROUTES[TOR]:
-        raise ValueError("route must be %r or %r" % ROUTES[TOR])
-    if resolution is None:
-        resolution = _route_resolution(m, module, other, route)
-    if route == RESOLVE_LEFT:
-        c = tensor_with_module(resolution, other)
-    else:
-        c = module_tensor_with(module, resolution)
-    return [homology(c, n).group for n in degrees]
-
-
 def _routes(kind):
     try:
         return ROUTES[kind]
@@ -107,25 +58,57 @@ def _routes(kind):
         raise ValueError("kind must be %r or %r" % (EXT, TOR)) from None
 
 
+def _resolution(m, module, other, kind, k):
+    """The complete resolution route k of `kind` applies its functor to: P
+    of `module` for k = 0, E (Ext) or Q (Tor) of `other` for k = 1."""
+    if k == 0:
+        return complete_projective_resolution(m, module)[0]
+    if kind == EXT:
+        return complete_injective_resolution(m, other)[0]
+    return complete_projective_resolution(m, other)[0]
+
+
 def tate_groups(m, module, other, degrees, kind, route, resolution=None):
-    """`tate_ext` or `tate_tor`, whichever `kind` names; ValueError for
-    any other kind."""
-    _routes(kind)
-    compute = tate_ext if kind == EXT else tate_tor
-    return compute(m, module, other, degrees, route, resolution)
-
-
-def balance_grid(m, module, other, kind, first=None, second=None):
-    """(grid, sign) for `kind`: Hom(P, E) and sign 1 for Ext, P (x) Q and
-    sign -1 for Tor, with P, Q complete projective resolutions of `module`,
-    `other` and E a complete injective one of `other`.  Degree n sits at
-    the corners (sign * n, 0) and (0, sign * n).  `first` and `second`,
-    when given, stand in for P and for E or Q."""
+    """Stable Ext^n or Tor_n(module, other) over Z/m, as `kind` names, for
+    each n in `degrees`, by `route`: a list with one group per entry of
+    `degrees`, in order, all read off one build of the route's complex.
+    `resolution` is the route's complete resolution (P of `module`, or E
+    or Q of `other`), built here when None.  ValueError for an unknown
+    kind, then NotAModule for either module, then ValueError for a route
+    of another kind."""
     routes = _routes(kind)
-    if first is None:
-        first = _route_resolution(m, module, other, routes[0])
-    if second is None:
-        second = _route_resolution(m, module, other, routes[1])
+    _zm_factors(m, module)
+    _zm_factors(m, other)
+    if route not in routes:
+        raise ValueError("route must be %r or %r" % routes)
+    k = routes.index(route)
+    if resolution is None:
+        resolution = _resolution(m, module, other, kind, k)
+    if kind == EXT:
+        c = (hom_from_module(module, resolution) if k
+             else hom_into_module(resolution, other))
+    else:
+        c = (module_tensor_with(module, resolution) if k
+             else tensor_with_module(resolution, other))
+    return [homology(c, n).group for n in degrees]
+
+
+def tate_ext(m, module, other, degrees, route, resolution=None):
+    """`tate_groups` for stable Ext^n(module, other)."""
+    return tate_groups(m, module, other, degrees, EXT, route, resolution)
+
+
+def tate_tor(m, module, other, degrees, route, resolution=None):
+    """`tate_groups` for stable Tor_n(module, other)."""
+    return tate_groups(m, module, other, degrees, TOR, route, resolution)
+
+
+def balance_grid(kind, first, second):
+    """(grid, sign) for `kind` on the complete resolutions `first` (P of
+    the module) and `second` (E or Q of the other): Hom(P, E) and sign 1
+    for Ext, P (x) Q and sign -1 for Tor.  Degree n sits at the corners
+    (sign * n, 0) and (0, sign * n).  ValueError for an unknown kind."""
+    _routes(kind)
     if kind == EXT:
         return hom_bicomplex(first, second), 1
     return tensor_bicomplex(first, second), -1
@@ -166,18 +149,15 @@ def _walk_is_isomorphism(x, corner):
         dst.group, "preimage") is not None
 
 
-def _factors(group):
-    return list(group.invariant_factors)
-
-
 def balance_report(m, module, other, degrees, kind):
     """Both routes, both grid corners, and the shift walk, per degree.
 
-    P and E (Ext) or Q (Tor) are built once each: route one reads P, route
-    two E or Q, and the grid is built on the pair.  Returns a JSON-ready
-    dict; each degree row carries the four groups' invariant factors,
-    whether the walk induced an isomorphism, and a combined pass flag (all
-    four isomorphism classes equal and walk ok).
+    P and E (Ext) or Q (Tor) are built once each: route one reads P and
+    route two E or Q through `tate_ext` or `tate_tor`, and `balance_grid`
+    builds the grid on the pair.  Returns a JSON-ready dict; each degree
+    row carries the four groups' invariant factors, whether the walk
+    induced an isomorphism, and a combined pass flag (all four isomorphism
+    classes equal and walk ok).
     ValueError for an unknown kind or an empty degree set, which would
     pass with nothing checked.
     """
@@ -185,16 +165,18 @@ def balance_report(m, module, other, degrees, kind):
     degrees = sorted(set(degrees))
     if not degrees:
         raise ValueError("no degrees to check")
-    resolutions = [_route_resolution(m, module, other, r) for r in routes]
-    groups = [tate_groups(m, module, other, degrees, kind, r, res)
+    resolutions = [_resolution(m, module, other, kind, k) for k in (0, 1)]
+    compute = tate_ext if kind == EXT else tate_tor
+    groups = [compute(m, module, other, degrees, r, res)
               for r, res in zip(routes, resolutions)]
-    grid, sign = balance_grid(m, module, other, kind, *resolutions)
+    grid, sign = balance_grid(kind, *resolutions)
     rows = []
     for n, g1, g2 in zip(degrees, *groups):
         a = sign * n
-        first, second = _factors(g1), _factors(g2)
-        corner_a = _factors(core_homology(grid, (a, 0)).group)
-        corner_b = _factors(core_homology(grid, (0, a)).group)
+        first = list(g1.invariant_factors)
+        second = list(g2.invariant_factors)
+        corner_a = list(core_homology(grid, (a, 0)).group.invariant_factors)
+        corner_b = list(core_homology(grid, (0, a)).group.invariant_factors)
         walk_ok = _walk_is_isomorphism(grid, a)
         rows.append({
             "degree": n,

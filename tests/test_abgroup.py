@@ -138,6 +138,8 @@ def test_describe_and_factors():
     assert FpGroup.from_factors(6, [2, 3]).invariant_factors == (6,)
     assert FpGroup.free(4, 2).invariant_factors == (4, 4)
     assert FpGroup.from_factors(0, [2, 4]).order() == 8
+    # relations given as a list of rows
+    assert FpGroup(0, 2, [[4, 0], [0, 2]]).invariant_factors == (2, 4)
     assert FpGroup.from_factors(0, [2, 0]).order() is None
 
 
@@ -215,6 +217,7 @@ def test_make_morphism_examples():
         make_morphism(z2, z4, IntMatrix([[1]]))
     inj = make_morphism(z2, z4, IntMatrix([[2]]))
     assert not inj.is_zero()
+    assert make_morphism(z2, z4, [[2]]) == inj  # a list matrix
 
 
 def test_raw_ill_defined_maps_are_refused():
@@ -300,6 +303,9 @@ def test_morphism_algebra():
     h = FpGroup.from_factors(0, [2])
     with pytest.raises(ParentMismatch):
         f.compose(make_morphism(g, h, IntMatrix([[1]])))
+    # other endpoints, or no morphism at all, are unequal, not an error
+    assert make_morphism(g, h, IntMatrix([[0]])) != f - f
+    assert f != 2
 
 
 @pytest.mark.parametrize("source, target, defined",
@@ -396,6 +402,9 @@ def test_subgroup_membership_and_equality():
     h = FpGroup.from_factors(0, [4])
     with pytest.raises(ParentMismatch):
         s.includes(Subgroup(h, [(2,)]))
+    # another parent, or no subgroup at all, is unequal, not an error
+    assert Subgroup(h, [(2,)]) != Subgroup(g, [(2, 0)])
+    assert s != [(2, 0), (0, 2)]
 
 
 def test_subgroup_checks_its_generators():

@@ -6,6 +6,7 @@ import pytest
 
 from bicohom import abgroup
 from bicohom.cli import main, render_group_factors
+from bicohom.formats import MAX_DEGREES
 
 STRAND4 = ('{"modulus": 4, "convention": "homological",'
            ' "support": {"periodic": {"period": 1}},'
@@ -132,6 +133,31 @@ def test_homology_single_degree_and_bad_ranges(files, capsys):
         assert main(["homology", files["strand4"], "--degrees", text]) == 2
         assert ("range %r is not lo..hi" % text
                 in capsys.readouterr().err)
+
+
+def test_degree_spans_and_tate_degrees_are_bounded(files, capsys):
+    # one past formats.MAX_DEGREES exits 2 naming the flag, before anything
+    # is built; the bound itself still runs
+    top = MAX_DEGREES
+    wide = "0..%d" % top
+    assert main(["homology", files["strand4"], "--degrees", wide]) == 2
+    assert ("--degrees %r spans %d degrees; at most %d are allowed"
+            % (wide, top + 1, top) in capsys.readouterr().err)
+    tate = ["tate", "--ring", "4", "--module", "2", "--other", "2",
+            "--kind", "ext", "--both-ways", "--range"]
+    wide = "%d..0" % -top
+    assert main(tate + [wide]) == 2
+    assert ("--range %r spans %d degrees; at most %d are allowed"
+            % (wide, top + 1, top) in capsys.readouterr().err)
+    for text in (str(top + 1), str(-top - 1), "2..%d" % (top + 1)):
+        assert main(tate + [text]) == 2
+        assert ("--range %r reaches degree %d; |n| is at most %d"
+                % (text, top + 1, top) in capsys.readouterr().err)
+    assert main(["homology", files["strand4"], "--degrees",
+                 "1..%d" % top]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == top
+    assert main(tate[:-2] + ["--range", str(-top)]) == 0
+    assert capsys.readouterr().out.strip() == "n=-%d: Z/2" % top
 
 
 def test_bicomplex_non_integer_cell(files, capsys):

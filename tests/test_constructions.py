@@ -33,7 +33,8 @@ from bicohom.constructions import (complete_injective_resolution,
                                    hom_bicomplex, random_exact_complex,
                                    tensor_bicomplex, zprime_witness,
                                    zsecond_witness)
-from bicohom.errors import ConventionViolation, HypothesisViolated, NotAModule
+from bicohom.errors import (ConventionViolation, HypothesisViolated,
+                            InternalChaseFailure, NotAModule)
 from bicohom.snf import IntMatrix
 from bicohom.suites import _zero_first_diff
 from helpers import periodic_strand, reference_functor_complex
@@ -517,6 +518,33 @@ def test_witness_backward_map_is_one_induced_map(monkeypatch, witness):
     assert len([h for h in calls if isinstance(h, HomGroup)
                 and h.group is forward.target]) == 1
     assert backward.compose(forward) == Morphism.identity(forward.source)
+
+
+@pytest.mark.parametrize("witness", [zprime_witness, zsecond_witness])
+def test_a_backward_map_that_is_no_inverse_is_an_internal_fault(
+        monkeypatch, witness):
+    # the backward map is the one induced map with a named pre- or
+    # postcomposition; planted as zero, its composites with forward
+    # cannot be the identity on Z/2
+    def zero_lift(src_hom, dst_hom, *maps, **named):
+        f = induced_hom_map(src_hom, dst_hom, *maps, **named)
+        return f - f if named else f
+    monkeypatch.setattr(constructions, "induced_hom_map", zero_lift)
+    c, d = strand_pair(4, [2, 2])
+    with pytest.raises(InternalChaseFailure,
+                       match="^%s: the composites are not the identity$"
+                             % witness.__name__):
+        witness(c, d, (1, 0))
+
+
+def test_a_cycle_with_no_preimage_is_an_internal_fault(monkeypatch):
+    # exactness at i - 1 promises every cycle a d_i-preimage; a solver
+    # planted to find none must stop the witness, not return a wrong map
+    monkeypatch.setattr(constructions, "_solve", lambda *args: None)
+    c, d = strand_pair(4, [2, 2])
+    with pytest.raises(InternalChaseFailure, match="^%s$" % re.escape(
+            "no differential preimage for a cycle at degree 0")):
+        zprime_witness(c, d, (1, 0))
 
 
 # ------------------------------------------------- the three descriptions

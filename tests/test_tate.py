@@ -133,8 +133,9 @@ def test_route_tokens_validated():
         balance_report(m, a, a, [0], "both")
     with pytest.raises(ValueError):
         tate_groups(m, a, a, [0], "both", VIA_PROJECTIVE)
+    p, _ = complete_projective_resolution(m, a)
     with pytest.raises(ValueError):
-        balance_grid(m, a, a, "both")
+        balance_grid("both", p, p)
     # an empty degree set would pass with nothing checked
     with pytest.raises(ValueError, match="no degrees"):
         balance_report(m, a, a, [], EXT)
@@ -267,7 +268,8 @@ def test_walk_needs_equal_finite_orders(monkeypatch):
     # bijection, and an order of None (never so over Z/m) must stop the
     # walk, not pass it
     a = z(4, 2)
-    grid, _ = balance_grid(4, a, a, EXT)
+    grid, _ = balance_grid(EXT, complete_projective_resolution(4, a)[0],
+                           complete_injective_resolution(4, a)[0])
     assert tate._walk_is_isomorphism(grid, 1) is True
     monkeypatch.setattr(core_homology(grid, (0, 1)).group, "order",
                         lambda: 4)
@@ -284,7 +286,8 @@ def test_a_broken_walk_is_an_internal_fault_not_bad_input(monkeypatch):
     # generators sends the one of order 2 to an element of order 4, and a
     # pushed column off the target numerator has no class there
     m, a, b = 16, z(16, 2, 4), z(16, 4)
-    grid, _ = balance_grid(m, a, b, EXT)
+    grid, _ = balance_grid(EXT, complete_projective_resolution(m, a)[0],
+                           complete_injective_resolution(m, b)[0])
     assert core_homology(grid, (1, 0)).group.invariant_factors == (2, 4)
     assert tate._walk_is_isomorphism(grid, 1) is True
     real = tate._chase
