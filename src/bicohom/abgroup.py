@@ -22,7 +22,10 @@ group off the orders of Howell forms already built and leaves
 caches counts it (`FpGroup.order`, the product of its pivots) and decides
 every yes/no question (zero, well defined, contained, trivial) in
 `FpGroup._kills` and `is_trivial`; the Smith form only describes a group:
-its invariant factors, free rank, cyclic coordinates and `describe`.
+its invariant factors, free rank, cyclic coordinates and `describe`.  A
+Z/m group takes that form from a Smith form over Z/m itself
+(`snf.smith_form_mod`), or, when its echelon counts one element, from no
+elimination at all; the Z loop `smith_normal_form` serves Z groups.
 Maps are solved in column batches by `_solve`.
 
 Over Z/m a group presented by a Howell basis keeps that basis as its
@@ -41,7 +44,7 @@ from . import backend
 from .errors import (BadArgument, IllDefined, InternalChaseFailure,
                      NotAnIsomorphism, NotContained, ParentMismatch)
 from .snf import (IntMatrix, kernel_basis, lattice_intersect,
-                  smith_normal_form, solve_mod)
+                  smith_form_mod, smith_normal_form, solve_mod)
 
 # orders: one entry per cyclic summand, 0 meaning a Z summand, each other
 # entry >= 2 and dividing the next nonzero one; to_cyclic/from_cyclic are the
@@ -80,7 +83,6 @@ class FpGroup:
         if relations.rows != self.ambient_rank:
             raise ValueError("relations need one row per ambient generator")
         self.relations = relations
-        self._full = None
         self._cyclic = None
         self._echelon = None
 
@@ -97,27 +99,27 @@ class FpGroup:
 
     @property
     def full_relations(self):
-        if self._full is None:
-            rel = self.relations
-            if self.modulus:
-                rel = rel.hstack(IntMatrix.diagonal(
-                    [self.modulus] * self.ambient_rank))
-            self._full = rel
-        return self._full
+        if not self.modulus:
+            return self.relations
+        return self.relations.hstack(
+            IntMatrix.diagonal([self.modulus] * self.ambient_rank))
 
     def cyclic_decomposition(self):
         """CyclicForm of this group; cached, and pure so the cache is safe."""
         if self._cyclic is None:
-            res = smith_normal_form(self.full_relations)
-            diag = res.diagonal
-            kept, orders = [], []
-            for i in range(self.ambient_rank):
-                d = diag[i] if i < len(diag) else 0
-                if d != 1:
-                    kept.append(i)
-                    orders.append(d)
-            self._cyclic = CyclicForm(tuple(orders), res.U.take(rows=kept),
-                                      res.Uinv.take(cols=kept))
+            n, m = self.ambient_rank, self.modulus
+            if not m:
+                res = smith_normal_form(self.relations)
+                diag, u, uinv = res.diagonal, res.U, res.Uinv
+            elif self.is_trivial():
+                diag = (1,) * n
+                u, uinv = IntMatrix.zeros(0, n), IntMatrix.zeros(n, 0)
+            else:
+                diag, u, uinv = smith_form_mod(self.relations, m)
+            diag += (0,) * (n - len(diag))
+            kept = [i for i, d in enumerate(diag) if d != 1]
+            self._cyclic = CyclicForm(tuple(diag[i] for i in kept),
+                                      u.take(rows=kept), uinv.take(cols=kept))
         return self._cyclic
 
     @property

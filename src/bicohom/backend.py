@@ -13,7 +13,9 @@ Conventions:
     that clears an entry against a pivot comes from _pair_step.
     snf_transforms undoes each row move on uinv by s*(e, -c, -b, a);
   * snf_transforms returns (u, d, v, uinv) with d = u*a*v, u*uinv = I,
-    d diagonal, nonnegative, d[i] | d[i+1];
+    d diagonal, nonnegative, d[i] | d[i+1].  It serves m = 0 and the snf
+    suite: Z/m groups decompose through snf_mod(a, m), which makes the same
+    moves modulo m, scales a row by a unit, and keeps no v;
   * col_echelon(a, m) returns (h, pivots), pivots the (row, col) pairs of
     h's pivots at strictly increasing rows, each column zero above its
     pivot.  With m = 0, h is the column echelon form of the columns of a:
@@ -51,7 +53,10 @@ def xgcd(a, b):
 
 
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 def mat_mul(a, b):
@@ -183,6 +188,89 @@ def snf_transforms(a):
             row_move(t, t, -1, 0, 0, -1)
         t += 1
     return u, d, v, uinv
+
+
+def _rows_mod(mat, i, k, a, b, c, e, m):
+    """_rows modulo m, for a move that is not a swap."""
+    ri, rk = mat[i], mat[k]
+    if (a, b) != (1, 0):
+        mat[i] = [(a * x + b * y) % m for x, y in zip(ri, rk)]
+    if (c, e) != (0, 1):
+        mat[k] = [(c * x + e * y) % m for x, y in zip(ri, rk)]
+
+
+def snf_mod(a, m):
+    """Smith form over Z/m (m >= 2) with the row transform and its inverse.
+
+    Returns (d, u, uinv), u and uinv reduced mod m: u*uinv == I and u*a*v
+    == diag(d) mod m for some v invertible mod m, which is not kept.  d has
+    one entry per row, each a divisor of m (m for a row with no pivot),
+    d[i] | d[i+1].  Diagonalizing first, each pivot is scaled by a unit to
+    a divisor of m, so clearing only lowers it along the divisors of m; the
+    sorted diagonal is then made a chain by 2x2 moves diag(p, q) -> diag(gcd,
+    lcm).  uinv is kept transposed, so its column moves are row moves.
+    """
+    n = len(a)
+    k = len(a[0]) if n else 0
+    d = [[x % m for x in row] for row in a]
+    u = identity(n)
+    uinvt = identity(n)
+
+    def row_move(i, j, a, b, c, e, mats=(d, u)):
+        for mat in mats:
+            _rows_mod(mat, i, j, a, b, c, e, m)
+        _rows_mod(uinvt, i, j, e, -c, -b, a, m)
+
+    diag = []
+    for t in range(min(n, k)):
+        # pivot: in the first row with a nonzero entry in the trailing
+        # block, the entry sharing the least with m
+        i = next((i for i in range(t, n) if any(d[i][t:])), None)
+        if i is None:
+            break
+        row = d[i]
+        j = min((j for j in range(t, k) if row[j]),
+                key=lambda j: _gcd(row[j], m))
+        for mat in (d, u, uinvt):
+            mat[i], mat[t] = mat[t], mat[i]
+        if j != t:
+            for row in d[t:]:
+                row[j], row[t] = row[t], row[j]
+        if m % d[t][t]:
+            w = _unit_to_divisor(d[t][t], m)
+            for mat, s in ((d, w), (u, w), (uinvt, pow(w, -1, m))):
+                mat[t] = [s * x % m for x in mat[t]]
+        while True:
+            for i in range(t + 1, n):
+                if d[i][t]:
+                    row_move(t, i, *_pair_step(d[t][t], d[i][t]))
+            # a gcd move clearing row t can refill column t; a subtraction
+            # cannot, as column t is zero below the pivot
+            refilled = False
+            for j in range(t + 1, k):
+                if d[t][j]:
+                    a, b, c, e = _pair_step(d[t][t], d[t][j])
+                    refilled |= b != 0
+                    for row in d[t:]:
+                        y, z = row[t], row[j]
+                        row[t] = (a * y + b * z) % m
+                        row[j] = (c * y + e * z) % m
+            if not refilled:
+                break
+        diag.append(d[t][t])
+    diag += [m] * (n - len(diag))
+    order = sorted(range(n), key=diag.__getitem__)
+    for mat in (diag, u, uinvt):
+        mat[:] = [mat[i] for i in order]
+    for i in range(n):
+        for j in range(i + 1, n):
+            p, q = diag[i], diag[j]
+            if q % p:
+                g, _, y = xgcd(p, q)
+                c = y * q // g % m
+                row_move(i, j, 1, 1, -c, 1 - c, mats=(u,))
+                diag[i], diag[j] = g, p * q // g
+    return diag, u, [list(col) for col in zip(*uinvt)]
 
 
 def col_echelon(a, modulus=0):

@@ -224,6 +224,14 @@ def smith_normal_form(a):
                      trusted(v, a.cols), trusted(uinv, a.rows))
 
 
+def smith_form_mod(a, m):
+    """(diagonal, U, Uinv): the Smith form of an IntMatrix over Z/m, m >= 2,
+    without its column transform; see backend.snf_mod."""
+    d, u, uinv = backend.snf_mod(a.to_lists(), m)
+    return (tuple(d), IntMatrix._trusted(u, a.rows),
+            IntMatrix._trusted(uinv, a.rows))
+
+
 def hermite_normal_form(a):
     """Column echelon form (H, W) with H = a @ W and W unimodular.
 

@@ -26,14 +26,18 @@ from bicohom.abgroup import (Element, FpGroup, Morphism, Subgroup, direct_sum,
                              intersect, invert_isomorphism, kernel_image,
                              make_morphism, preimage_element, subquotient,
                              tensor_group)
-from bicohom.bicomplexes import (I_THEN_II, PRIME, SECOND, directional_homology,
+from bicohom.bicomplexes import (I_THEN_II, PRIME, SECOND, core_homology,
+                                 core_homology_alt, directional_homology,
                                  iterated_homology)
 from bicohom.cli import main
 from bicohom.complexes import COHOMOLOGICAL
-from bicohom.constructions import hom_bicomplex, random_exact_complex
+from bicohom.constructions import (hom_bicomplex, random_exact_complex,
+                                   tensor_bicomplex)
+from bicohom.formats import parse_complex, serialize_complex
 from bicohom.errors import (IllDefined, InternalChaseFailure, NotAnIsomorphism,
                             NotContained, ParentMismatch)
 from bicohom.snf import IntMatrix, smith_normal_form
+from bicohom.tate import EXT, TOR, balance_report
 from helpers import (invariant_factors_oracle, random_factor_group,
                      random_matrix, random_morphism, random_unimodular,
                      reference_tensor_map, scrambled_group, seeded)
@@ -977,6 +981,10 @@ def test_order_agrees_with_the_smith_form(m):
         want = None if g.free_rank else prod(g.invariant_factors)
         assert g.order() == want, g
         assert g.is_trivial() == (not g.cyclic_decomposition().orders), g
+        # over Z/m a trivial group's empty form is read off the echelon, so
+        # the Z loop on the full relations checks that answer
+        assert not m or g.is_trivial() == all(
+            d == 1 for d in smith_normal_form(g.full_relations).diagonal), g
         orders.append(want)
     assert 1 in orders
     assert any(o is None if m == 0 else o > 1 for o in orders)
@@ -989,5 +997,34 @@ def test_is_trivial_agrees_with_the_smith_form():
     for g in triviality_cases(seeded(20261018)):
         trivial = g.is_trivial()
         assert trivial == (not g.cyclic_decomposition().orders), g
+        assert not g.modulus or trivial == all(
+            d == 1 for d in smith_normal_form(g.full_relations).diagonal), g
         verdicts.append(trivial)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def test_z_mod_m_work_never_reaches_the_z_smith_loop(monkeypatch):
+    # Z/m groups decompose over Z/m; the Z loop serves m = 0 and the snf
+    # suite alone
+    def refuse(a):
+        raise AssertionError("snf_transforms called on Z/m work")
+
+    monkeypatch.setattr(backend, "snf_transforms", refuse)
+    c = random_exact_complex(12, 3, blocks=2)
+    grids = (hom_bicomplex(c, random_exact_complex(
+                 12, 4, blocks=2, convention=COHOMOLOGICAL)),
+             tensor_bicomplex(c, random_exact_complex(12, 4, blocks=2)))
+    for grid in grids:
+        assert grid.cell(0, 0).ambient_rank == 4
+        for bd in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            got = core_homology(grid, bd).group
+            alt = core_homology_alt(grid, bd).group
+            assert got.invariant_factors == alt.invariant_factors
+    module = FpGroup.from_factors(8, [2, 4])
+    other = FpGroup.from_factors(8, [4])
+    for kind in (EXT, TOR):
+        assert balance_report(8, module, other, range(-2, 3), kind)["all_pass"]
+    text = serialize_complex(c)
+    assert serialize_complex(parse_complex(text)) == text
+    with pytest.raises(AssertionError, match="snf_transforms called"):
+        FpGroup.from_factors(0, [2, 3]).invariant_factors

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve criteria, each one pass/fail line with runtime.
+"""Acceptance gate: thirteen criteria, each one pass/fail line with runtime.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines; every
 criterion asserts both its mathematical claim and its runtime budget.
@@ -28,9 +28,9 @@ def _criterion(num, name, limit, fn):
         print("ACCEPTANCE %d (%s): FAIL" % (num, name))
         raise
     dt = time.perf_counter() - t0
-    print("ACCEPTANCE %d (%s): PASS (%.1fs, limit %ds)"
+    print("ACCEPTANCE %d (%s): PASS (%.2fs, limit %gs)"
           % (num, name, dt, limit))
-    assert dt < limit, "%s exceeded %ds (%.1fs)" % (name, limit, dt)
+    assert dt < limit, "%s exceeded %gs (%.2fs)" % (name, limit, dt)
 
 
 def test_criterion_1_snf_suite():
@@ -206,3 +206,21 @@ def test_criterion_11_balance_at_z72_with_six_summands():
 def test_criterion_12_core_at_rank_64():
     _criterion(12, "core = core_alt on rank 64 Hom and tensor grids", 10,
                lambda: _cores_agree_on_grids(((8, 15, 16), (8, 17, 18))))
+
+
+def test_criterion_13_rank_256_factor_cell_decomposes_over_z_mod_m():
+    # formats.MAX_RANK admits a rank-256 cell; it decomposes over Z/m with
+    # no elimination over Z
+    def run():
+        g = FpGroup.from_factors(4, [2] * 256)
+        assert g.invariant_factors == (2,) * 256
+    _criterion(13, "rank-256 factor cell over Z/4", 0.1, run)
+    # recorded, not gated: a rank-256 cell of mixed divisors over Z/12,
+    # whose diagonal needs the gcd/lcm moves of the divisibility chain
+    rng = random.Random(13)
+    factors = [rng.choice([1, 2, 3, 4, 6, 12]) for _ in range(256)]
+    t0 = time.perf_counter()
+    got = FpGroup.from_factors(12, factors).invariant_factors
+    print("ACCEPTANCE 13 (rank-256 mixed divisors over Z/12): %.2fs, "
+          "not gated" % (time.perf_counter() - t0))
+    assert got == invariant_factors_oracle(factors)

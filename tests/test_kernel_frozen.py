@@ -12,7 +12,10 @@ the SHA-256 of the JSON list of outputs.  The families cover empty shapes,
 zero rows and columns, negative pivots, pivot swaps, the divisibility
 fix-up of the Smith loop and entries up to 100; a line-coverage test
 checks that they run every line of the Smith and Z-echelon loops, so the
-digests guard every move the kernel can make.  Regenerate the file
+digests guard every move the kernel can make.  The same inputs must also
+run every line of the Smith loop over Z/12, `snf_mod`, whose U reaches
+the functor and group digests through the cyclic coordinates of every
+Z/m group.  Regenerate the file
 (`python tests/test_kernel_frozen.py`) only for an intended change of the
 kernel's output.
 """
@@ -177,6 +180,7 @@ def test_the_inputs_run_every_line_of_the_smith_and_echelon_loops():
                 backend.snf_transforms(a)
                 backend.col_echelon(a, 0)
                 backend.col_echelon(a, 12)
+                backend.snf_mod(a, 12)
     finally:
         sys.settrace(previous)
     assert sorted(wanted - ran) == []

@@ -1,21 +1,32 @@
 """Differential tests: the stacked-echelon lattice kernel against the
-Z-lattice construction it replaced, for m = 0 and for Howell forms mod m.
+Z-lattice construction it replaced, for m = 0 and for Howell forms mod m,
+and the Smith form over Z/m against two oracles.
 
 The oracle, kept in helpers, adjoins m*e_i and eliminates over Z, with
 integer kernels taken from the Smith form; modulo m the kernel under test
 never leaves [0, m].  Lattices are compared by mutual membership over Z,
 solvers by agreement on solvability plus substitution, and group
 reductions by identical canonical residues.
+
+The cyclic decomposition of a Z/m group (`backend.snf_mod`) shares no code
+with either of its oracles: the prime-power merge of planted orders, and
+the diagonal of the Z Smith loop on [R | m*I].  Its transition matrices
+are checked modulo each order: to_cyclic inverts from_cyclic and kills
+every relation column.
 """
+
+from math import prod
 
 from hypothesis import given, settings, strategies as st
 
 from bicohom import backend
 from bicohom.abgroup import FpGroup, Subgroup
-from bicohom.snf import IntMatrix, kernel_basis, lattice_intersect, solve_mod
-from helpers import (oracle_contains, oracle_kernel_basis,
-                     oracle_lattice_intersect, oracle_reduce,
-                     oracle_solve_mod)
+from bicohom.snf import (IntMatrix, kernel_basis, lattice_intersect,
+                         smith_normal_form, solve_mod)
+from helpers import (invariant_factors_oracle, oracle_contains,
+                     oracle_kernel_basis, oracle_lattice_intersect,
+                     oracle_reduce, oracle_solve_mod, random_unimodular,
+                     scrambled_group, seeded)
 
 MODULI = (0, 2, 4, 7, 8, 9, 12, 36)
 
@@ -159,3 +170,64 @@ def test_solve_mod_never_reuses_a_stale_echelon(data):
             rows = [[] for _ in b] if relations is None \
                 else relations.to_lists()
             assert not any(oracle_reduce(rows, m, rest))
+
+
+# -- the Smith form over Z/m ------------------------------------------------
+
+SMITH_MODULI = (2, 4, 6, 8, 9, 12, 18, 30, 36, 72)
+
+
+def assert_cyclic_form(g):
+    """g's orders are the Z Smith diagonal of [R | m*I] without its 1s;
+    to_cyclic inverts from_cyclic and kills every relation modulo each
+    order; a small g enumerates |g| distinct elements."""
+    form = g.cyclic_decomposition()
+    orders = form.orders
+    diag = smith_normal_form(g.full_relations).diagonal
+    assert orders == tuple(d for d in diag if d != 1)
+    back = form.to_cyclic @ form.from_cyclic
+    killed = form.to_cyclic @ g.relations
+    for i, d in enumerate(orders):
+        assert all((back[(i, j)] - (i == j)) % d == 0
+                   for j in range(len(orders)))
+        assert all(killed[(i, j)] % d == 0 for j in range(killed.cols))
+    if prod(orders) <= 200:
+        elements = list(g.elements())
+        assert len(set(elements)) == len(elements) == g.order()
+
+
+def planted_group(rng, m):
+    """A Z/m group and the planted orders of its summands: a diagonal of
+    divisors of m padded with zero rows (each a Z/m summand) and zero
+    columns, conjugated by unimodular factors."""
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    factors = [rng.choice(divisors) for _ in range(rng.randint(0, 5))]
+    zero_rows, zero_cols = rng.randint(0, 2), rng.randint(0, 2)
+    n, k = len(factors) + zero_rows, len(factors) + zero_cols
+    rel = (random_unimodular(rng, n)
+           @ IntMatrix.diagonal(factors, rows=n, cols=k)
+           @ random_unimodular(rng, k))
+    return FpGroup(m, n, rel), factors + [m] * zero_rows
+
+
+def test_smith_form_mod_m_matches_planted_orders():
+    rng = seeded(20261019)
+    for _ in range(300):
+        m = rng.choice(SMITH_MODULI)
+        g, planted = planted_group(rng, m)
+        assert g.invariant_factors == invariant_factors_oracle(planted)
+        assert_cyclic_form(g)
+    for _ in range(100):
+        m = rng.choice(SMITH_MODULI)
+        factors = [rng.choice([d for d in range(2, m + 1) if m % d == 0])
+                   for _ in range(rng.randint(0, 4))]
+        g = scrambled_group(rng, m, factors)
+        assert g.invariant_factors == invariant_factors_oracle(factors)
+        assert_cyclic_form(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SMITH_MODULI), st.data())
+def test_smith_form_mod_m_matches_the_z_loop(m, data):
+    rel = data.draw(matrices(max_dim=7))
+    assert_cyclic_form(FpGroup(m, rel.rows, rel))
