@@ -156,7 +156,7 @@ def cmd_tate(args):
     module = _parse_module(args.ring, args.module)
     other = _parse_module(args.ring, args.other)
     degrees = _parse_range(args.range, "--range")
-    # the shift walk crosses |n| diagonals, so its cost grows with |n|
+    # the shift walk's cost is linear in the largest |n| it reaches
     reach = max(abs(degrees[0]), abs(degrees[-1]))
     if reach > MAX_DEGREES:
         raise ParseError("--range %r reaches degree %d; |n| is at most %d"

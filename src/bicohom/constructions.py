@@ -6,10 +6,11 @@ each witness's backward map is one `induced_hom_map`.  The Hom squares
 commute on the nose (both composites send f to d_D . f . d_C), which is
 the reason the grid convention carries no signs.
 Complete resolutions over Z/m are 2-periodic strand sums read off the
-canonical cyclic decomposition, together with an explicit isomorphism
-witness from the degree-0 cycles back to the module.  Randomized exact
-complexes of free modules feed the property tests; they are deterministic
-in the seed and re-checked for exactness before being returned.
+canonical cyclic decomposition (`complete_resolution`); the public
+builders pair each with an explicit isomorphism witness from the degree-0
+cycles back to the module.  Randomized exact complexes of free modules
+feed the property tests; they are deterministic in the seed and
+re-checked for exactness before being returned.
 """
 
 from random import Random
@@ -97,7 +98,7 @@ def _packaged(parent, subgroup):
     return subquotient(parent, subgroup, Subgroup.zero(parent))
 
 
-def _cycle_witness(complex_, degree, module, factors, m):
+def _cycle_witness(complex_, degree, module, m):
     """Package Z at `degree` as a group plus the iso onto the module.
 
     A cycle's i-th coordinate is a multiple of m/d_i; dividing out the
@@ -106,6 +107,7 @@ def _cycle_witness(complex_, degree, module, factors, m):
     """
     packaged = _packaged(complex_.cell(degree), cycles(complex_, degree))
     basis = module.cyclic_decomposition().from_cyclic
+    factors = module.invariant_factors
     lifted = map(packaged.parent.reduce, packaged.numerator.matrix.columns())
     return morphism_from_images(packaged.group, module, [basis.mul_vector(
         [z[i] // (m // f) for i, f in enumerate(factors)]) for z in lifted])
@@ -119,11 +121,13 @@ def _checked_exact(c, what):
     return c
 
 
-def _complete_resolution(m, module, convention, what):
-    """(the checked strand sum, the witness Z at degree 0 -> module)."""
-    factors = _zm_factors(m, module)
-    c = _checked_exact(_strand_complex(m, factors, convention), what)
-    return c, _cycle_witness(c, 0, module, factors, m)
+def complete_resolution(m, module, convention):
+    """The checked strand sum alone: P when `convention` is homological,
+    E when cohomological."""
+    what = "complete %s resolution" % (
+        "projective" if convention == HOMOLOGICAL else "injective")
+    return _checked_exact(
+        _strand_complex(m, _zm_factors(m, module), convention), what)
 
 
 def complete_projective_resolution(m, module):
@@ -134,15 +138,15 @@ def complete_projective_resolution(m, module):
     recovers the module; free factors d = m contribute a 0/1-alternating
     strand that is exact and invisible to every Tate group.
     """
-    return _complete_resolution(m, module, HOMOLOGICAL,
-                                "complete projective resolution")
+    p = complete_resolution(m, module, HOMOLOGICAL)
+    return p, _cycle_witness(p, 0, module, m)
 
 
 def complete_injective_resolution(m, module):
     """(E, witness): the strand sum read cohomologically, d^0 = diag(d),
     with witness : Z^0(E) -> module.  Free = injective over Z/m."""
-    return _complete_resolution(m, module, COHOMOLOGICAL,
-                                "complete injective resolution")
+    e = complete_resolution(m, module, COHOMOLOGICAL)
+    return e, _cycle_witness(e, 0, module, m)
 
 
 # -- randomized exact complexes ---------------------------------------------

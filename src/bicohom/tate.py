@@ -24,18 +24,22 @@ and (0, n) (negated for Tor), and walks one corner to the other with
 repeated diagonal shifts, checking that the induced map is an
 isomorphism.  The walk moves the source core's cyclic generators one
 chase step per diagonal, and decides isomorphism by a well-defined map,
-surjectivity and equal order, which suffice for finite groups.  Every
-comparison is by invariant factors except the walk, which exercises the
-explicit chase.  Degree rows are sorted and unique, so the report is
-deterministic.
+surjectivity and equal order, which suffice for finite groups.  The grid
+is 2-periodic with cores memoised per canonical site, so the walks of
+degrees of one parity and sign share a prefix, and the report chases
+each step once: linear in the largest |n|, not in the sum of all |n|.
+Each degree still builds its own walk map and is decided on its own.
+Every comparison is by invariant factors except the walk, which
+exercises the explicit chase.  Degree rows are sorted and unique, so the
+report is deterministic.
 """
 
 from .abgroup import FpGroup, _solve, morphism_from_images
 from .bicomplexes import _chase, core_homology
-from .complexes import (hom_from_module, hom_into_module, homology,
-                        module_tensor_with, tensor_with_module)
-from .constructions import (_zm_factors, complete_injective_resolution,
-                            complete_projective_resolution, hom_bicomplex,
+from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, hom_from_module,
+                        hom_into_module, homology, module_tensor_with,
+                        tensor_with_module)
+from .constructions import (_zm_factors, complete_resolution, hom_bicomplex,
                             tensor_bicomplex)
 from .errors import IllDefined, InternalChaseFailure, NotContained
 
@@ -60,12 +64,12 @@ def _routes(kind):
 
 def _resolution(m, module, other, kind, k):
     """The complete resolution route k of `kind` applies its functor to: P
-    of `module` for k = 0, E (Ext) or Q (Tor) of `other` for k = 1."""
+    of `module` for k = 0, E (Ext) or Q (Tor) of `other` for k = 1.  No
+    caller here reads a Z_0 witness, so none is built."""
     if k == 0:
-        return complete_projective_resolution(m, module)[0]
-    if kind == EXT:
-        return complete_injective_resolution(m, other)[0]
-    return complete_projective_resolution(m, other)[0]
+        return complete_resolution(m, module, HOMOLOGICAL)
+    return complete_resolution(
+        m, other, COHOMOLOGICAL if kind == EXT else HOMOLOGICAL)
 
 
 def tate_groups(m, module, other, degrees, kind, route, resolution=None):
@@ -114,17 +118,21 @@ def balance_grid(kind, first, second):
     return tensor_bicomplex(first, second), -1
 
 
-def _walk_is_isomorphism(x, corner):
+def _walk_is_isomorphism(x, corner, chains=None):
     """Shift core classes from (corner, 0) to (0, corner); True when the
     induced map on core groups is an isomorphism.
 
     The source core's cyclic generators move together, one `_chase` step
-    per diagonal: a map is fixed by its values on generators.  The walk
-    map, checked well defined against their orders, is an isomorphism
-    exactly when it is onto and both core groups have the same order: a
-    surjection between finite groups of equal order is a bijection.  An
-    ill-defined map or a column off the target numerator is an internal
-    fault, not a failed walk.
+    per diagonal: a map is fixed by its values on generators.  `chains`
+    (fresh when None) maps (source core, direction) to the (core,
+    columns) after 0, 1, 2, ... steps; `_chase` is deterministic in its
+    arguments, so a walk chases only the steps past its chain's end.  The
+    walk map, built from this degree's own step and checked well defined
+    against the generators' orders, is an isomorphism exactly when it is
+    onto and both core groups have the same order: a surjection between
+    finite groups of equal order is a bijection.  An ill-defined map or a
+    column off the target numerator is an internal fault, not a failed
+    walk.
     """
     direction = "-" if corner >= 0 else "+"
     src = core_homology(x, (corner, 0))
@@ -134,13 +142,17 @@ def _walk_is_isomorphism(x, corner):
         raise InternalChaseFailure("core group at (%d, 0) is infinite"
                                    % corner)
     form = src.group.cyclic_decomposition()
-    core, columns = src, (src.numerator.matrix @ form.from_cyclic).columns()
+    chains = {} if chains is None else chains
+    if (src, direction) not in chains:
+        chains[src, direction] = [
+            (src, (src.numerator.matrix @ form.from_cyclic).columns())]
+    chain = chains[src, direction]
     try:
-        for _ in range(abs(corner)):
-            core, columns = _chase(core, columns, direction)
+        while len(chain) <= abs(corner):
+            chain.append(_chase(*chain[-1], direction))
         walk = morphism_from_images(
             FpGroup.from_factors(src.group.modulus, form.orders),
-            dst.group, dst._classes(columns))
+            dst.group, dst._classes(chain[abs(corner)][1]))
     except (IllDefined, NotContained) as exc:
         raise InternalChaseFailure("walk from (%d, 0) to (0, %d): %s"
                                    % (corner, corner, exc)) from exc
@@ -170,14 +182,14 @@ def balance_report(m, module, other, degrees, kind):
     groups = [compute(m, module, other, degrees, r, res)
               for r, res in zip(routes, resolutions)]
     grid, sign = balance_grid(kind, *resolutions)
-    rows = []
+    chains, rows = {}, []
     for n, g1, g2 in zip(degrees, *groups):
         a = sign * n
         first = list(g1.invariant_factors)
         second = list(g2.invariant_factors)
         corner_a = list(core_homology(grid, (a, 0)).group.invariant_factors)
         corner_b = list(core_homology(grid, (0, a)).group.invariant_factors)
-        walk_ok = _walk_is_isomorphism(grid, a)
+        walk_ok = _walk_is_isomorphism(grid, a, chains)
         rows.append({
             "degree": n,
             routes[0]: first,

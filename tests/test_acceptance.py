@@ -1,4 +1,4 @@
-"""Acceptance gate: thirteen criteria, each one pass/fail line with runtime.
+"""Acceptance gate: fourteen criteria, each one pass/fail line with runtime.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines; every
 criterion asserts both its mathematical claim and its runtime budget.
@@ -224,3 +224,19 @@ def test_criterion_13_rank_256_factor_cell_decomposes_over_z_mod_m():
     print("ACCEPTANCE 13 (rank-256 mixed divisors over Z/12): %.2fs, "
           "not gated" % (time.perf_counter() - t0))
     assert got == invariant_factors_oracle(factors)
+
+
+def test_criterion_14_both_ways_walk_is_linear_in_the_span(capsys):
+    # walks of one parity and direction share their prefix, so a span of
+    # 1024 degrees chases about 2 * 1024 steps, not half a million
+    def run():
+        for kind in ("ext", "tor"):
+            for span in ("1..1024", "-1023..0"):
+                code = main(["tate", "--ring", "8", "--module", "2,4",
+                             "--other", "4", "--kind", kind,
+                             "--range", span, "--both-ways"])
+                out = capsys.readouterr().out
+                assert code == 0, (kind, span)
+                assert out.rstrip().endswith("balance: all pass"), (kind,
+                                                                    span)
+    _criterion(14, "tate --both-ways over 1024 degrees, 4 runs", 10, run)

@@ -18,7 +18,7 @@ from bicohom.constructions import (complete_injective_resolution,
                                    hom_bicomplex)
 from bicohom.errors import (IllDefined, InternalChaseFailure, NotAModule,
                             NotContained)
-from bicohom import abgroup, bicomplexes, cli, snf, tate
+from bicohom import abgroup, bicomplexes, cli, constructions, snf, tate
 from bicohom.tate import (EXT, RESOLVE_LEFT, RESOLVE_RIGHT, TOR,
                           VIA_INJECTIVE, VIA_PROJECTIVE, balance_grid,
                           balance_report, tate_ext, tate_groups, tate_tor)
@@ -181,8 +181,11 @@ def test_balance_report_builds_each_route_complex_once(m, kind, builders,
 def test_balance_report_resolves_each_argument_once(m, kind, functors,
                                                     monkeypatch):
     # one build per argument, shared by its route and the grid: 2 builds
-    # per report, where building for the routes and grid apart made 4
-    built, used = [], {}
+    # per report, where building for the routes and grid apart made 4;
+    # and no Z_0 witness, which nothing in a report reads
+    built, used, witnesses = [], {}, []
+    monkeypatch.setattr(constructions, "_cycle_witness",
+                        lambda *args: witnesses.append(args))
 
     def count(name, record):
         real = getattr(tate, name)
@@ -193,15 +196,13 @@ def test_balance_report_resolves_each_argument_once(m, kind, functors,
             return got
         monkeypatch.setattr(tate, name, counting)
 
-    for name in ("complete_projective_resolution",
-                 "complete_injective_resolution"):
-        count(name, lambda name, args, got: built.append((name, got[0])))
+    count("complete_resolution", lambda name, args, got: built.append(got))
     for name in functors:
         count(name, lambda name, args, got: used.setdefault(name, args))
     report = balance_report(m, z(m, 2, m // 2), z(m, 4), DEGREES, kind)
     assert report["all_pass"] is True
-    assert len(built) == 2
-    (_, p), (_, second) = built
+    assert len(built) == 2 and witnesses == []
+    p, second = built
     route_one, route_two, grid = (used[name] for name in functors)
     assert route_one[0] is p and grid[0] is p
     assert route_two[1] is second and grid[1] is second
@@ -335,10 +336,11 @@ def test_walk_work_is_per_step_not_per_generator(monkeypatch):
     report = balance_report(12, z(12, 2, 6, 4), z(12, 3, 4), DEGREES, TOR)
     assert report["all_pass"] is True
     assert all(row["corner_n0"] == [] for row in report["degrees"])
-    # one exactness check per chase step and per core built; every core
-    # is 0, so there is no cyclic generator to solve for, and no inverse
-    # of a walk map
-    assert counts == {"_require_exact": 16, "preimage_element": 0,
+    # one exactness check per core built and per chase step, and the
+    # steps are the longest |n| per (start, direction) chain: 4 + 3+2+3+2;
+    # every core is 0, so there is no cyclic generator to solve for, and
+    # no inverse of a walk map
+    assert counts == {"_require_exact": 14, "preimage_element": 0,
                       "invert_isomorphism": 0}
     assert not hasattr(tate, "invert_isomorphism")
 
@@ -349,9 +351,78 @@ def test_walk_solves_once_per_cyclic_generator_and_step(monkeypatch):
     assert report["all_pass"] is True
     assert all(row["corner_n0"] == row["corner_0n"] == [2, 2]
                for row in report["degrees"])
-    # two cyclic generators, |n| chase steps at degree n: 2 * 12
-    assert counts == {"_require_exact": 16, "preimage_element": 24,
+    # two cyclic generators, and chase steps the longest |n| per
+    # (start, direction) chain: 2 * (3+2+3+2)
+    assert counts == {"_require_exact": 14, "preimage_element": 20,
                       "invert_isomorphism": 0}
+
+
+def _count_chases(monkeypatch):
+    calls, real = [0], tate._chase
+
+    def counting(core, columns, direction):
+        calls[0] += 1
+        return real(core, columns, direction)
+    monkeypatch.setattr(tate, "_chase", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m,module,other", [
+    (8, (2, 4), (4,)), (9, (3, 9), (3,)), (12, (2, 6), (6,))])
+@pytest.mark.parametrize("kind", [EXT, TOR])
+def test_shared_walk_prefixes_answer_as_unshared_walks(m, module, other,
+                                                       kind, monkeypatch):
+    # one chain per parity and direction, chased to its longest |n|:
+    # 7+6+7+6 steps at -7..7 and 3+2+3+2 at -3..3, not the sum of all |n|
+    a, b = z(m, *module), z(m, *other)
+    calls = _count_chases(monkeypatch)
+    assert balance_report(m, a, b, DEGREES, kind)["all_pass"] is True
+    assert calls[0] == 10
+    calls[0] = 0
+    report = balance_report(m, a, b, range(-7, 8), kind)
+    assert calls[0] == 26
+    assert report["all_pass"] is True
+    assert any(row["corner_n0"] for row in report["degrees"])
+    resolutions = [tate._resolution(m, a, b, kind, k) for k in (0, 1)]
+    grid, sign = balance_grid(kind, *resolutions)
+    calls[0] = 0
+    for row in report["degrees"]:
+        alone = tate._walk_is_isomorphism(grid, sign * row["degree"])
+        assert row["shift_walk"] == ("isomorphism" if alone else "failed")
+    assert calls[0] == 2 * sum(range(8))
+
+
+def test_a_zeroed_chain_step_fails_every_walk_that_crosses_it(monkeypatch):
+    # the chain's third step sends the core Z/2's generator to 0: degrees
+    # with |n| >= 3 cross it and their walk maps are not onto; shorter
+    # walks stop before it
+    real, reached = tate._chase, {}
+
+    def zero_third_step(core, columns, direction):
+        landing, pushed = real(core, columns, direction)
+        step = reached.get(id(columns), (None, 0))[1] + 1
+        if step == 3:
+            pushed = [tuple(0 for _ in c) for c in pushed]
+        reached[id(pushed)] = (pushed, step)  # kept alive: ids stay unique
+        return landing, pushed
+
+    monkeypatch.setattr(tate, "_chase", zero_third_step)
+    a = z(4, 2)
+    for kind in (EXT, TOR):
+        rows = balance_report(4, a, a, range(-5, 6), kind)["degrees"]
+        assert {row["degree"]: row["shift_walk"] for row in rows} == {
+            n: "isomorphism" if abs(n) < 3 else "failed"
+            for n in range(-5, 6)}, kind
+        assert rows[6]["degree"] == 1 and rows[6]["pass"] is True
+
+
+def test_chains_die_with_their_report(monkeypatch):
+    calls = _count_chases(monkeypatch)
+    a, b = z(8, 2, 4), z(8, 4)
+    balance_report(8, a, b, DEGREES, EXT)
+    once = calls[0]
+    balance_report(8, a, b, DEGREES, EXT)
+    assert once == 10 and calls[0] == 2 * once
 
 
 def test_non_modules_rejected():
