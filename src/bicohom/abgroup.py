@@ -23,9 +23,9 @@ caches counts it (`FpGroup.order`, the product of its pivots) and decides
 every yes/no question (zero, well defined, contained, trivial) in
 `FpGroup._kills` and `is_trivial`; the Smith form only describes a group:
 its invariant factors, free rank, cyclic coordinates and `describe`.  A
-Z/m group takes that form from a Smith form over Z/m itself
-(`snf.smith_form_mod`), or, when its echelon counts one element, from no
-elimination at all; the Z loop `smith_normal_form` serves Z groups.
+group takes that form from `smith_normal_form` over its own ring, Z or
+Z/m, on its relations alone; a Z/m group whose echelon counts one element
+takes it from no elimination at all.
 Maps are solved in column batches by `_solve`.
 
 Over Z/m a group presented by a Howell basis keeps that basis as its
@@ -44,7 +44,7 @@ from . import backend
 from .errors import (BadArgument, IllDefined, InternalChaseFailure,
                      NotAnIsomorphism, NotContained, ParentMismatch)
 from .snf import (IntMatrix, kernel_basis, lattice_intersect,
-                  smith_form_mod, smith_normal_form, solve_mod)
+                  smith_normal_form, solve_mod)
 
 # orders: one entry per cyclic summand, 0 meaning a Z summand, each other
 # entry >= 2 and dividing the next nonzero one; to_cyclic/from_cyclic are the
@@ -108,15 +108,13 @@ class FpGroup:
         """CyclicForm of this group; cached, and pure so the cache is safe."""
         if self._cyclic is None:
             n, m = self.ambient_rank, self.modulus
-            if not m:
-                res = smith_normal_form(self.relations)
-                diag, u, uinv = res.diagonal, res.U, res.Uinv
-            elif self.is_trivial():
+            if m and self.is_trivial():
                 diag = (1,) * n
                 u, uinv = IntMatrix.zeros(0, n), IntMatrix.zeros(n, 0)
             else:
-                diag, u, uinv = smith_form_mod(self.relations, m)
-            diag += (0,) * (n - len(diag))
+                res = smith_normal_form(self.relations, m)
+                diag, u, uinv = res.diagonal, res.U, res.Uinv
+                diag += (m,) * (n - len(diag))
             kept = [i for i, d in enumerate(diag) if d != 1]
             self._cyclic = CyclicForm(tuple(diag[i] for i in kept),
                                       u.take(rows=kept), uinv.take(cols=kept))

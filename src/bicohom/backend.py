@@ -6,16 +6,16 @@ implementation; the layers above import it as `bicohom.backend`.
 
 Conventions:
   * matrices are row-major, dimensions may be zero in either direction;
-  * over Z, snf_transforms and col_echelon(a, 0) change a matrix only by
-    2x2 moves (a, b, c, e) of determinant s = +-1 on a pair of rows
-    (_rows) or columns (_cols): a swap is (0, 1, 1, 0), a negation is
-    (-1, 0, 0, -1) on one line taken as both of the pair, and the move
-    that clears an entry against a pivot comes from _pair_step.
-    snf_transforms undoes each row move on uinv by s*(e, -c, -b, a);
-  * snf_transforms returns (u, d, v, uinv) with d = u*a*v, u*uinv = I,
-    d diagonal, nonnegative, d[i] | d[i+1].  It serves m = 0 and the snf
-    suite: Z/m groups decompose through snf_mod(a, m), which makes the same
-    moves modulo m, scales a row by a unit, and keeps no v;
+  * snf_transforms(a, m) and col_echelon(a, 0) change a matrix only by
+    2x2 moves (a, b, c, e) on a pair of rows (_rows) or columns (_cols),
+    reduced mod m when m > 0: a swap is (0, 1, 1, 0), scaling by a unit w
+    is (w, 0, 0, w) on one line taken as both of the pair, and the move of
+    determinant 1 that clears an entry against a pivot comes from
+    _pair_step;
+  * snf_transforms(a, m) is the one Smith loop, over Z (m = 0) and over
+    Z/m alike (Storjohann's Smith form over a principal ideal ring, 2000):
+    it returns (u, diag, v, uinv) with u*a*v diagonal with entries diag,
+    u*uinv = I and diag[i] | diag[i+1], all modulo m when m > 0;
   * col_echelon(a, m) returns (h, pivots), pivots the (row, col) pairs of
     h's pivots at strictly increasing rows, each column zero above its
     pivot.  With m = 0, h is the column echelon form of the columns of a:
@@ -80,26 +80,40 @@ def mat_mul(a, b):
     return out
 
 
-def _rows(mat, i, k, a, b, c, e):
-    """Rows (i, k) of mat become (a*r_i + b*r_k, c*r_i + e*r_k).  A swap
-    exchanges the two row lists, and a row the move keeps stays as it is."""
+def _rows(mat, i, k, a, b, c, e, m=0):
+    """Rows (i, k) of mat become (a*r_i + b*r_k, c*r_i + e*r_k), reduced
+    mod m when m > 0.  A swap exchanges the two row lists, and a row the
+    move keeps stays as it is."""
     ri, rk = mat[i], mat[k]
     if (a, b, c, e) == (0, 1, 1, 0):
         mat[i], mat[k] = rk, ri
         return
     if (a, b) != (1, 0):
-        mat[i] = [a * x + b * y for x, y in zip(ri, rk)]
+        mat[i] = ([(a * x + b * y) % m for x, y in zip(ri, rk)] if m
+                  else [a * x + b * y for x, y in zip(ri, rk)])
     if (c, e) != (0, 1):
-        mat[k] = [c * x + e * y for x, y in zip(ri, rk)]
+        mat[k] = ([(c * x + e * y) % m for x, y in zip(ri, rk)] if m
+                  else [c * x + e * y for x, y in zip(ri, rk)])
 
 
-def _cols(mat, j, k, a, b, c, e):
-    """Columns (j, k) of mat become (a*c_j + b*c_k, c*c_j + e*c_k)."""
+def _cols(mat, j, k, a, b, c, e, m=0):
+    """Columns (j, k) of mat become (a*c_j + b*c_k, c*c_j + e*c_k), reduced
+    mod m when m > 0.  A shear, which adds a multiple of one column to the
+    other, visits only the rows where that column is nonzero."""
+    if a == e == 1 and not b * c:
+        if b:
+            j, k, c = k, j, b
+        for row in mat:
+            x = row[j]
+            if x:
+                y = row[k] + c * x
+                row[k] = y % m if m else y
+        return
     for row in mat:
         x, y = row[j], row[k]
         if x or y:
-            row[j] = a * x + b * y
-            row[k] = c * x + e * y
+            x, y = a * x + b * y, c * x + e * y
+            row[j], row[k] = (x % m, y % m) if m else (x, y)
 
 
 def _pair_step(p, e):
@@ -111,166 +125,117 @@ def _pair_step(p, e):
     return x, y, -(e // g), p // g
 
 
-def snf_transforms(a):
-    """Smith normal form with its transforms and the inverse of u.
-
-    Returns (u, d, v, uinv) such that d == u*a*v with u, v unimodular, uinv
-    the exact integer inverse of u, and d diagonal with nonnegative entries
-    forming a divisibility chain.  A row move acts on d and u and, inverted,
-    on the columns of uinv; a column move acts on d and v.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d = [list(row) for row in a]
-    u = identity(m)
-    uinv = identity(m)
-    v = identity(n)
-
-    def row_move(i, k, a, b, c, e):
-        _rows(d, i, k, a, b, c, e)
-        _rows(u, i, k, a, b, c, e)
-        s = a * e - b * c
-        _cols(uinv, i, k, s * e, -s * c, -s * b, s * a)
-
-    def col_move(j, k, a, b, c, e):
-        _cols(d, j, k, a, b, c, e)
-        _cols(v, j, k, a, b, c, e)
-
-    kmax = min(m, n)
-    t = 0
-    while t < kmax:
-        # pivot-size heuristic: smallest nonzero |entry| in the trailing block
-        best = 0
-        pr = pc = -1
-        for i in range(t, m):
-            di = d[i]
-            for j in range(t, n):
-                e = di[j]
-                if e:
-                    e = -e if e < 0 else e
-                    if best == 0 or e < best:
-                        best, pr, pc = e, i, j
-                        if best == 1:
-                            break
-            if best == 1:
-                break
-        if pr < 0:
-            break
-        if pr != t:
-            row_move(pr, t, 0, 1, 1, 0)
-        if pc != t:
-            col_move(pc, t, 0, 1, 1, 0)
-        while True:
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    row_move(t, i, *_pair_step(d[t][t], d[i][t]))
-            # this clears row t; it can refill column t below the pivot
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    col_move(t, j, *_pair_step(d[t][t], d[t][j]))
-            if any(d[i][t] for i in range(t + 1, m)):
-                continue
-            # pivot must divide the whole trailing block for the chain
-            p = d[t][t]
-            offender = -1
-            for i in range(t + 1, m):
-                di = d[i]
-                for j in range(t + 1, n):
-                    if di[j] % p:
-                        offender = i
-                        break
-                if offender >= 0:
-                    break
-            if offender < 0:
-                break
-            row_move(t, offender, 1, 1, 0, 1)
-        if d[t][t] < 0:
-            row_move(t, t, -1, 0, 0, -1)
-        t += 1
-    return u, d, v, uinv
+def _pivot(d, t, m):
+    """(row, col) of the pivot snf_transforms takes at t, or (-1, -1) when
+    d's trailing block at t is zero.  Over Z it is the smallest |entry| of
+    that block, stopping at 1: small pivots keep u and v small, and the Z/m
+    rule made 36x36 inputs about 7 times slower.  Over Z/m it is, in the
+    first row with a nonzero trailing entry, the entry sharing the least
+    with m: entries stay below m, and a scan of the whole block per pivot
+    would cost O(n^3) on a rank-256 relation matrix."""
+    if m:
+        for i in range(t, len(d)):
+            row = d[i]
+            if any(row[t:]):
+                return i, min((j for j in range(t, len(row)) if row[j]),
+                              key=lambda j: _gcd(row[j], m))
+        return -1, -1
+    best, pivot = 0, (-1, -1)
+    for i in range(t, len(d)):
+        row = d[i]
+        for j in range(t, len(row)):
+            e = row[j]
+            if e and (not best or -best < e < best):
+                best, pivot = abs(e), (i, j)
+                if best == 1:
+                    return pivot
+    return pivot
 
 
-def _rows_mod(mat, i, k, a, b, c, e, m):
-    """_rows modulo m, for a move that is not a swap."""
-    ri, rk = mat[i], mat[k]
-    if (a, b) != (1, 0):
-        mat[i] = [(a * x + b * y) % m for x, y in zip(ri, rk)]
-    if (c, e) != (0, 1):
-        mat[k] = [(c * x + e * y) % m for x, y in zip(ri, rk)]
+def snf_transforms(a, m=0):
+    """Smith form over Z (m = 0) or Z/m (m >= 2), its transforms and the
+    inverse of u.
 
+    Returns (u, diag, v, uinv): u*a*v is diagonal with entries diag, u and
+    v are invertible and uinv is the inverse of u, all modulo m when m > 0,
+    and then u, v and uinv have entries in [0, m).  diag has one entry per
+    row, each dividing the next: the positive pivots, then m (0 over Z)
+    for each row without one.
 
-def snf_mod(a, m):
-    """Smith form over Z/m (m >= 2) with the row transform and its inverse.
-
-    Returns (d, u, uinv), u and uinv reduced mod m: u*uinv == I and u*a*v
-    == diag(d) mod m for some v invertible mod m, which is not kept.  d has
-    one entry per row, each a divisor of m (m for a row with no pivot),
-    d[i] | d[i+1].  Diagonalizing first, each pivot is scaled by a unit to
-    a divisor of m, so clearing only lowers it along the divisors of m; the
-    sorted diagonal is then made a chain by 2x2 moves diag(p, q) -> diag(gcd,
-    lcm).  uinv is kept transposed, so its column moves are row moves.
+    Per pivot t (see _pivot): over Z/m its row is scaled by a unit so that
+    it divides m, so clearing only lowers it along the divisors of m;
+    _pair_step moves clear its column and row until no gcd move refills
+    column t; over Z a negative pivot is negated.  The sorted pivots are
+    then made a chain by moves diag(p, q) -> diag(g, pq/g), g = gcd(p, q) =
+    x*p + y*q: rows by (1, 1, -c, 1 - c) with c = y*q/g, columns by (x, y,
+    -q/g, p/g).
     """
     n = len(a)
     k = len(a[0]) if n else 0
-    d = [[x % m for x in row] for row in a]
+    d = [[x % m for x in row] for row in a] if m else [list(row) for row in a]
     u = identity(n)
-    uinvt = identity(n)
+    uinv = identity(n)
+    v = identity(k)
 
-    def row_move(i, j, a, b, c, e, mats=(d, u)):
-        for mat in mats:
-            _rows_mod(mat, i, j, a, b, c, e, m)
-        _rows_mod(uinvt, i, j, e, -c, -b, a, m)
+    def row_move(i, j, move, inverse):
+        # rows (i, j) of d and u by move, columns (i, j) of uinv by inverse
+        _rows(d, i, j, *move, m)
+        _rows(u, i, j, *move, m)
+        _cols(uinv, i, j, *inverse, m)
 
     diag = []
     for t in range(min(n, k)):
-        # pivot: in the first row with a nonzero entry in the trailing
-        # block, the entry sharing the least with m
-        i = next((i for i in range(t, n) if any(d[i][t:])), None)
-        if i is None:
+        i, j = _pivot(d, t, m)
+        if i < 0:
             break
-        row = d[i]
-        j = min((j for j in range(t, k) if row[j]),
-                key=lambda j: _gcd(row[j], m))
-        for mat in (d, u, uinvt):
-            mat[i], mat[t] = mat[t], mat[i]
+        if i != t:
+            row_move(i, t, (0, 1, 1, 0), (0, 1, 1, 0))
         if j != t:
-            for row in d[t:]:
-                row[j], row[t] = row[t], row[j]
-        if m % d[t][t]:
+            _cols(d, j, t, 0, 1, 1, 0)
+            _cols(v, j, t, 0, 1, 1, 0)
+        if m and m % d[t][t]:
             w = _unit_to_divisor(d[t][t], m)
-            for mat, s in ((d, w), (u, w), (uinvt, pow(w, -1, m))):
-                mat[t] = [s * x % m for x in mat[t]]
+            wi = pow(w, -1, m)
+            row_move(t, t, (w, 0, 0, w), (wi, 0, 0, wi))
         while True:
+            # row_move inlined: a call per move costs ~8% on small inputs
             for i in range(t + 1, n):
                 if d[i][t]:
-                    row_move(t, i, *_pair_step(d[t][t], d[i][t]))
-            # a gcd move clearing row t can refill column t; a subtraction
-            # cannot, as column t is zero below the pivot
+                    a, b, c, e = _pair_step(d[t][t], d[i][t])
+                    _rows(d, t, i, a, b, c, e, m)
+                    _rows(u, t, i, a, b, c, e, m)
+                    _cols(uinv, t, i, e, -c, -b, a, m)
+            # only a gcd move can refill column t; rows < t are 0 from t on
             refilled = False
             for j in range(t + 1, k):
                 if d[t][j]:
-                    a, b, c, e = _pair_step(d[t][t], d[t][j])
-                    refilled |= b != 0
-                    for row in d[t:]:
-                        y, z = row[t], row[j]
-                        row[t] = (a * y + b * z) % m
-                        row[j] = (c * y + e * z) % m
+                    step = _pair_step(d[t][t], d[t][j])
+                    refilled |= step[1] != 0
+                    _cols(d[t:], t, j, *step, m)
+                    _cols(v, t, j, *step, m)
             if not refilled:
                 break
+        if d[t][t] < 0:
+            row_move(t, t, (-1, 0, 0, -1), (-1, 0, 0, -1))
         diag.append(d[t][t])
-    diag += [m] * (n - len(diag))
-    order = sorted(range(n), key=diag.__getitem__)
-    for mat in (diag, u, uinvt):
-        mat[:] = [mat[i] for i in order]
-    for i in range(n):
-        for j in range(i + 1, n):
+    r = len(diag)
+    order = sorted(range(r), key=diag.__getitem__)
+    if order != list(range(r)):
+        diag = [diag[i] for i in order]
+        u[:r] = [u[i] for i in order]
+        uinv, v = ([[row[i] for i in order] + row[r:] for row in mat]
+                   for mat in (uinv, v))
+    for i in range(r):
+        for j in range(i + 1, r):
             p, q = diag[i], diag[j]
             if q % p:
-                g, _, y = xgcd(p, q)
-                c = y * q // g % m
-                row_move(i, j, 1, 1, -c, 1 - c, mats=(u,))
+                g, x, y = xgcd(p, q)
+                c = y * q // g % m if m else y * q // g
+                _rows(u, i, j, 1, 1, -c, 1 - c, m)
+                _cols(uinv, i, j, 1 - c, c, -1, 1, m)
+                _cols(v, i, j, x, y, -(q // g), p // g, m)
                 diag[i], diag[j] = g, p * q // g
-    return diag, u, [list(col) for col in zip(*uinvt)]
+    return u, diag + [m] * (n - r), v, uinv
 
 
 def col_echelon(a, modulus=0):

@@ -208,28 +208,24 @@ class SnfResult(namedtuple("SnfResult", ["U", "D", "V", "Uinv"])):
         return self.D.diagonal_entries()
 
 
-def smith_normal_form(a):
-    """Smith normal form of an IntMatrix.
+def smith_normal_form(a, m=0):
+    """Smith normal form of an IntMatrix over Z (m = 0) or Z/m (m >= 2).
 
     The diagonal of the returned D is nonnegative and each entry divides the
-    next; U and V are unimodular with D = U @ a @ V, and the exact integer
-    inverse of U rides along as Uinv.
+    next; U and V are unimodular with D = U @ a @ V, and the inverse of U
+    rides along as Uinv.  Over Z/m all of this holds modulo m: U, V and
+    Uinv have entries in [0, m), each diagonal entry divides m, and a
+    diagonal place with no pivot holds m.  See backend.snf_transforms.
     """
+    m = _check_modulus(m)
     if a.rows == 0 or a.cols == 0:
         eye_r = IntMatrix.identity(a.rows)
         return SnfResult(eye_r, a, IntMatrix.identity(a.cols), eye_r)
-    u, d, v, uinv = backend.snf_transforms(a.to_lists())
+    u, diag, v, uinv = backend.snf_transforms(a.to_lists(), m)
     trusted = IntMatrix._trusted
-    return SnfResult(trusted(u, a.rows), trusted(d, a.cols),
+    return SnfResult(trusted(u, a.rows),
+                     IntMatrix.diagonal(diag[:a.cols], a.rows, a.cols),
                      trusted(v, a.cols), trusted(uinv, a.rows))
-
-
-def smith_form_mod(a, m):
-    """(diagonal, U, Uinv): the Smith form of an IntMatrix over Z/m, m >= 2,
-    without its column transform; see backend.snf_mod."""
-    d, u, uinv = backend.snf_mod(a.to_lists(), m)
-    return (tuple(d), IntMatrix._trusted(u, a.rows),
-            IntMatrix._trusted(uinv, a.rows))
 
 
 def hermite_normal_form(a):

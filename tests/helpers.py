@@ -2,6 +2,7 @@
 
 import random
 from collections import defaultdict
+from math import gcd
 
 from bicohom import backend
 from bicohom.abgroup import (Element, FpGroup, Morphism, hom_group,
@@ -40,6 +41,24 @@ def invariant_factors_oracle(orders):
         merged.append(f)
     merged.reverse()
     return tuple(merged)
+
+
+def full_relation_factors(group):
+    """The Smith diagonal over Z of [R | m*I], R the relations of a Z/m
+    group, read off minor_gcds(R) alone, with no elimination code.
+
+    A k-minor of [R | m*I] that uses j columns of m*I is +-m^j times a
+    (k-j)-minor of R (or 0), and every (k-j)-minor of R arises so, hence
+    d_k([R | m*I]) = gcd over j <= k of m^j * d_{k-j}(R) with d_0 = 1;
+    the diagonal is d_k / d_{k-1}.
+    """
+    m, n = group.modulus, group.ambient_rank
+    minors = [1] + backend.minor_gcds(group.relations.to_lists())
+    dets = [1]
+    for k in range(1, n + 1):
+        dets.append(gcd(*(m ** j * minors[k - j] for j in range(k + 1)
+                          if k - j < len(minors))))
+    return tuple(dets[k] // dets[k - 1] for k in range(1, n + 1))
 
 
 def periodic_strand(modulus, entries, convention="homological"):

@@ -38,9 +38,10 @@ from bicohom.errors import (IllDefined, InternalChaseFailure, NotAnIsomorphism,
                             NotContained, ParentMismatch)
 from bicohom.snf import IntMatrix, smith_normal_form
 from bicohom.tate import EXT, TOR, balance_report
-from helpers import (invariant_factors_oracle, random_factor_group,
-                     random_matrix, random_morphism, random_unimodular,
-                     reference_tensor_map, scrambled_group, seeded)
+from helpers import (full_relation_factors, invariant_factors_oracle,
+                     random_factor_group, random_matrix, random_morphism,
+                     random_unimodular, reference_tensor_map,
+                     scrambled_group, seeded)
 
 
 # ---------------------------------------------------------------- oracles
@@ -982,9 +983,10 @@ def test_order_agrees_with_the_smith_form(m):
         assert g.order() == want, g
         assert g.is_trivial() == (not g.cyclic_decomposition().orders), g
         # over Z/m a trivial group's empty form is read off the echelon, so
-        # the Z loop on the full relations checks that answer
+        # the minor gcds of the relations, which share no elimination code
+        # with it, check that answer
         assert not m or g.is_trivial() == all(
-            d == 1 for d in smith_normal_form(g.full_relations).diagonal), g
+            d == 1 for d in full_relation_factors(g)), g
         orders.append(want)
     assert 1 in orders
     assert any(o is None if m == 0 else o > 1 for o in orders)
@@ -998,18 +1000,38 @@ def test_is_trivial_agrees_with_the_smith_form():
         trivial = g.is_trivial()
         assert trivial == (not g.cyclic_decomposition().orders), g
         assert not g.modulus or trivial == all(
-            d == 1 for d in smith_normal_form(g.full_relations).diagonal), g
+            d == 1 for d in full_relation_factors(g)), g
         verdicts.append(trivial)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
 def test_z_mod_m_work_never_reaches_the_z_smith_loop(monkeypatch):
-    # Z/m groups decompose over Z/m; the Z loop serves m = 0 and the snf
-    # suite alone
-    def refuse(a):
-        raise AssertionError("snf_transforms called on Z/m work")
+    # the one Smith loop runs over each group's own ring: a group's cyclic
+    # form calls it with the group's modulus on the relations alone, never
+    # over Z on the full relations [R | m*I]
+    calls = []
+    decomposing = []
+    real_snf = backend.snf_transforms
+    real_decomposition = FpGroup.cyclic_decomposition
 
-    monkeypatch.setattr(backend, "snf_transforms", refuse)
+    def recording(a, m=0):
+        calls.append((decomposing[-1] if decomposing else None, a, m))
+        return real_snf(a, m)
+
+    def decomposition(g):
+        decomposing.append(g)
+        try:
+            return real_decomposition(g)
+        finally:
+            decomposing.pop()
+
+    def on_own_relations(call):
+        g, a, m = call
+        return (g is not None and m == g.modulus
+                and a == g.relations.to_lists())
+
+    monkeypatch.setattr(FpGroup, "cyclic_decomposition", decomposition)
+    monkeypatch.setattr(backend, "snf_transforms", recording)
     c = random_exact_complex(12, 3, blocks=2)
     grids = (hom_bicomplex(c, random_exact_complex(
                  12, 4, blocks=2, convention=COHOMOLOGICAL)),
@@ -1020,11 +1042,18 @@ def test_z_mod_m_work_never_reaches_the_z_smith_loop(monkeypatch):
             got = core_homology(grid, bd).group
             alt = core_homology_alt(grid, bd).group
             assert got.invariant_factors == alt.invariant_factors
-    module = FpGroup.from_factors(8, [2, 4])
-    other = FpGroup.from_factors(8, [4])
-    for kind in (EXT, TOR):
-        assert balance_report(8, module, other, range(-2, 3), kind)["all_pass"]
     text = serialize_complex(c)
     assert serialize_complex(parse_complex(text)) == text
-    with pytest.raises(AssertionError, match="snf_transforms called"):
-        FpGroup.from_factors(0, [2, 3]).invariant_factors
+    module = FpGroup.from_factors(8, [2, 4])
+    other = FpGroup.from_factors(8, [4])
+    grid_calls = len(calls)
+    for kind in (EXT, TOR):
+        assert balance_report(8, module, other, range(-2, 3), kind)["all_pass"]
+    assert grid_calls and len(calls) > grid_calls
+    assert {m for _, _, m in calls[:grid_calls]} == {12}
+    assert {m for _, _, m in calls[grid_calls:]} == {8}
+    assert all(map(on_own_relations, calls))
+    del calls[:]
+    assert FpGroup.from_factors(0, [2, 3]).invariant_factors == (6,)
+    assert [m for _, _, m in calls] == [0]
+    assert all(map(on_own_relations, calls))

@@ -1,23 +1,22 @@
 """Kernel outputs against frozen digests.
 
-`snf_transforms` returns (U, D, V, U^-1) and `col_echelon` returns
-(H, pivots).  D is unique, but U, V and H depend on the choices the kernel
-makes, and those choices reach the user: the cyclic coordinates of every
-group are read off U and U^-1.  The property tests check that the
-outputs are valid; this file checks that they are the same ones as before,
-bit for bit, on a fixed set of seeded inputs.
+`snf_transforms(a, m)` returns (U, diag, V, U^-1) and `col_echelon`
+returns (H, pivots).  The diagonal is unique, but U, V and H depend on the
+choices the kernel makes, and those choices reach the user: the cyclic
+coordinates of every group are read off U and U^-1.  The property tests
+check that the outputs are valid; this file checks that they are the same
+ones as before, bit for bit, on a fixed set of seeded inputs.
 
 tests/golden_kernel.json holds, per input family, the number of inputs and
 the SHA-256 of the JSON list of outputs.  The families cover empty shapes,
 zero rows and columns, negative pivots, pivot swaps, the divisibility
 fix-up of the Smith loop and entries up to 100; a line-coverage test
-checks that they run every line of the Smith and Z-echelon loops, so the
-digests guard every move the kernel can make.  The same inputs must also
-run every line of the Smith loop over Z/12, `snf_mod`, whose U reaches
-the functor and group digests through the cyclic coordinates of every
-Z/m group.  Regenerate the file
-(`python tests/test_kernel_frozen.py`) only for an intended change of the
-kernel's output.
+checks that they run every line of the Smith and Z-echelon loops, over Z
+and over Z/12, so the digests guard every move the kernel can make.  The
+Z/12 digest pins (U, diag, U^-1), which reach the functor and group
+digests through the cyclic coordinates of every Z/m group.  Regenerate the
+file (`python tests/test_kernel_frozen.py`) only for an intended change of
+the kernel's output.
 """
 
 import hashlib
@@ -108,8 +107,15 @@ FAMILIES = {
     "large": (family_large, 40),
 }
 
+
+def _snf_transforms_12(a):
+    u, diag, _, uinv = backend.snf_transforms(a, 12)
+    return u, diag, uinv
+
+
 KERNELS = {
     "snf_transforms": backend.snf_transforms,
+    "snf_transforms_12": _snf_transforms_12,
     "col_echelon_0": lambda a: backend.col_echelon(a, 0),
     "col_echelon_4": lambda a: backend.col_echelon(a, 4),
     "col_echelon_12": lambda a: backend.col_echelon(a, 12),
@@ -178,9 +184,9 @@ def test_the_inputs_run_every_line_of_the_smith_and_echelon_loops():
         for family in FAMILIES:
             for a in inputs(family):
                 backend.snf_transforms(a)
+                backend.snf_transforms(a, 12)
                 backend.col_echelon(a, 0)
                 backend.col_echelon(a, 12)
-                backend.snf_mod(a, 12)
     finally:
         sys.settrace(previous)
     assert sorted(wanted - ran) == []

@@ -8,11 +8,12 @@ never leaves [0, m].  Lattices are compared by mutual membership over Z,
 solvers by agreement on solvability plus substitution, and group
 reductions by identical canonical residues.
 
-The cyclic decomposition of a Z/m group (`backend.snf_mod`) shares no code
-with either of its oracles: the prime-power merge of planted orders, and
-the diagonal of the Z Smith loop on [R | m*I].  Its transition matrices
-are checked modulo each order: to_cyclic inverts from_cyclic and kills
-every relation column.
+The cyclic decomposition of a Z/m group (`backend.snf_transforms(a, m)`,
+the one Smith loop) shares no code with either of its oracles: the
+prime-power merge of planted orders, and the Smith diagonal of [R | m*I]
+read off the minor gcds of R (`helpers.full_relation_factors`), which use
+no elimination code.  Its transition matrices are checked modulo each
+order: to_cyclic inverts from_cyclic and kills every relation column.
 """
 
 from math import prod
@@ -21,11 +22,11 @@ from hypothesis import given, settings, strategies as st
 
 from bicohom import backend
 from bicohom.abgroup import FpGroup, Subgroup
-from bicohom.snf import (IntMatrix, kernel_basis, lattice_intersect,
-                         smith_normal_form, solve_mod)
-from helpers import (invariant_factors_oracle, oracle_contains,
-                     oracle_kernel_basis, oracle_lattice_intersect,
-                     oracle_reduce, oracle_solve_mod, random_unimodular,
+from bicohom.snf import IntMatrix, kernel_basis, lattice_intersect, solve_mod
+from helpers import (full_relation_factors, invariant_factors_oracle,
+                     oracle_contains, oracle_kernel_basis,
+                     oracle_lattice_intersect, oracle_reduce,
+                     oracle_solve_mod, random_unimodular,
                      scrambled_group, seeded)
 
 MODULI = (0, 2, 4, 7, 8, 9, 12, 36)
@@ -178,13 +179,13 @@ SMITH_MODULI = (2, 4, 6, 8, 9, 12, 18, 30, 36, 72)
 
 
 def assert_cyclic_form(g):
-    """g's orders are the Z Smith diagonal of [R | m*I] without its 1s;
-    to_cyclic inverts from_cyclic and kills every relation modulo each
-    order; a small g enumerates |g| distinct elements."""
+    """g's orders are the Smith diagonal of [R | m*I] without its 1s, taken
+    from the minor gcds of R; to_cyclic inverts from_cyclic and kills
+    every relation modulo each order; a small g enumerates |g| distinct
+    elements."""
     form = g.cyclic_decomposition()
     orders = form.orders
-    diag = smith_normal_form(g.full_relations).diagonal
-    assert orders == tuple(d for d in diag if d != 1)
+    assert orders == tuple(d for d in full_relation_factors(g) if d != 1)
     back = form.to_cyclic @ form.from_cyclic
     killed = form.to_cyclic @ g.relations
     for i, d in enumerate(orders):
@@ -228,6 +229,6 @@ def test_smith_form_mod_m_matches_planted_orders():
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(SMITH_MODULI), st.data())
-def test_smith_form_mod_m_matches_the_z_loop(m, data):
+def test_smith_form_mod_m_matches_the_minor_gcds(m, data):
     rel = data.draw(matrices(max_dim=7))
     assert_cyclic_form(FpGroup(m, rel.rows, rel))

@@ -81,6 +81,30 @@ def test_snf_zero_matrix():
     assert_snf_invariants(a, res)
 
 
+@pytest.mark.parametrize("m", [2, 4, 12, 36])
+def test_snf_over_z_mod_m_holds_modulo_m(m):
+    # the same loop over Z/m: every identity holds modulo m, entries stay
+    # in [0, m), and the diagonal is a chain of divisors of m
+    for family in FAMILIES:
+        for rows in inputs(family):
+            a = IntMatrix(rows, cols=len(rows[0]) if rows else 0)
+            res = smith_normal_form(a, m)
+            uav = (res.U @ a @ res.V).to_lists()
+            assert all((x - y) % m == 0 for ur, dr in zip(
+                uav, res.D.to_lists()) for x, y in zip(ur, dr))
+            eye = (res.U @ res.Uinv).to_lists()
+            assert all((e - (i == j)) % m == 0
+                       for i, row in enumerate(eye) for j, e in enumerate(row))
+            if a.rows and a.cols:
+                assert all(0 <= e < m for mat in (res.U, res.V, res.Uinv)
+                           for row in mat.to_lists() for e in row)
+            diag = res.diagonal
+            assert all(m % e == 0 for e in diag)
+            assert all(q % p == 0 for p, q in zip(diag, diag[1:]))
+    with pytest.raises(ValueError):
+        smith_normal_form(IntMatrix([[1]]), -m)
+
+
 def test_solve_mod_examples():
     # 2x == 2 (mod 4) has x = 1; 2x == 1 (mod 4) has none
     x = solve_mod(IntMatrix([[2]]), [2], 4)
