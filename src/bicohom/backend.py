@@ -23,7 +23,8 @@ Conventions:
     at or after its own.  With m > 0, h is the column Howell form of
     span(columns) + m*Z^rows (Howell 1986; Storjohann & Mulders 1998): a
     square lower-triangular basis with one pivot per row, each pivot a
-    divisor of m, every entry in [0, m];
+    divisor of m, every entry in [0, m], which _howell builds from per-row
+    lists of column tails, filing each column once;
   * reduce_columns(h, pivots, v, m) returns the canonical residue of v
     modulo the lattice of such an h.
 """
@@ -286,42 +287,33 @@ def col_echelon(a, modulus=0):
 def _howell(a, m):
     """Howell form of span(columns of a) + m*Z^rows; see col_echelon.
 
-    Rows are settled top to bottom.  `waiting` holds generators, reduced mod
-    m, of the lattice vectors that vanish on every settled row, filed under
-    the row of their first nonzero entry; each is kept as (first row,
-    entries from that row down) and copied only when an operation touches
-    it.  At row i the generators filed there are merged into one pivot
-    column by unimodular column operations, the pivot is scaled by a unit
-    mod m so that its head p divides m, and (m/p)*pivot, whose head is 0
-    mod m, is filed for the rows below: it is what the pivot contributes to
-    the lattice vectors that vanish on row i too.
+    Rows are settled top to bottom.  Generators, reduced mod m, of the
+    lattice vectors that vanish on every settled row are filed in waiting[r]
+    under the row r of their first nonzero entry, as their tails from row r
+    down; each column is scanned, reduced and copied once, when it is filed,
+    and dropped if it is 0.  At row i the tails are merged into one pivot by
+    unimodular column operations and scaled by a unit mod m so that its head
+    p divides m.  (m/p)*pivot, whose head is 0 mod m, is what the pivot adds
+    to the lattice vectors that vanish on row i; it is filed for the rows
+    below unless the pivot is zero below its head, which makes it 0.
     """
     nrows = len(a)
-    waiting = {}
-
-    def file(start, col):
-        for k, x in enumerate(col):
-            if x:
-                waiting.setdefault(start + k, []).append((start, col))
-                return
-
+    waiting = [[] for _ in range(nrows)]
     for col in zip(*a):
-        file(0, [e % m for e in col])
+        for k, x in enumerate(col):
+            if x % m:
+                waiting[k].append([e % m for e in col[k:]])
+                break
     h = [[0] * nrows for _ in range(nrows)]
-    units = {}
     for i in range(nrows):
-        heads = waiting.pop(i, None)
-        if heads is None:
+        tails, waiting[i] = waiting[i], None
+        if not tails:
             h[i][i] = m
             continue
-        tails = [col[i - start:] if start < i else col
-                 for start, col in heads]
         best = tails[0] if len(tails) == 1 else \
             min(tails, key=lambda col: _gcd(col[0], m))
         e = best[0]
-        if e not in units:
-            units[e] = _unit_to_divisor(e, m)
-        u = units[e]
+        u = 1 if m % e == 0 else _unit_to_divisor(e, m)
         piv = best if u == 1 else [u * x % m for x in best]
         p = piv[0]
         for col in tails:
@@ -337,12 +329,18 @@ def _howell(a, m):
                 piv, col = ([(s * y + t * x) % m for y, x in zip(piv, col)],
                             [(pg * x - eg * y) % m for y, x in zip(piv, col)])
                 p = g
-            file(i, col)
-        if p > 1:
-            file(i, [(m // p) * x % m for x in piv])
-        for k, x in enumerate(piv):
-            if x:
-                h[i + k][i] = x
+            for k, x in enumerate(col):
+                if x:
+                    waiting[i + k].append(col[k:])
+                    break
+        if p > 1 and any(piv[1:]):
+            col = [(m // p) * x % m for x in piv]
+            for k, x in enumerate(col):
+                if x:
+                    waiting[i + k].append(col[k:])
+                    break
+        for r, x in enumerate(piv, i):
+            h[r][i] = x
     return h, [(i, i) for i in range(nrows)]
 
 
@@ -414,50 +412,52 @@ def det(a):
 def minor_gcds(a):
     """gcd of all k-by-k minors for k = 1 .. min(rows, cols).
 
-    Minor determinants are built one size at a time by Laplace expansion
-    along the last row of each row set, reusing the previous level instead of
-    recomputing determinants from scratch.  Once some level is identically
-    zero all larger levels are too.  A level is a list of (last row, minors
-    over the column sets in combinations order), each row set extending its
-    prefix's entry; the cofactor indices of every column set are computed
-    once per level.  As the snf suite's independent route, it calls no
-    elimination code and no det.
+    Level k holds the k-minors of each row set (one table per row set, over
+    the column sets in combinations order), built by Laplace expansion along
+    its last row from its prefix's table when a level first asks for it.  A
+    level stops at the first row set that brings its gcd to 1, and once a
+    level is identically zero all larger levels are too.  The cofactor
+    indices of every column set are computed once per level.  As the snf
+    suite's independent route, it calls no elimination code and no det.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     kmax = min(m, n)
     # row r, then its negation: a cofactor of sign -1 reads column c + n
     signed = [row + [-e for e in row] for row in a]
-    out = []
-    prev = [(-1, [1])]
+    tables = {(): [1]}
+    terms = [None]
     index = {(): 0}
+
+    def table(rows):
+        minors = tables.get(rows)
+        if minors is None:
+            prefix, sr = table(rows[:-1]), signed[rows[-1]]
+            minors = tables[rows] = []
+            for tl in terms[len(rows)]:
+                total = 0
+                for c, i in tl:
+                    e = sr[c]
+                    if e:
+                        p = prefix[i]
+                        if p:
+                            total += e * p
+                minors.append(total)
+        return minors
+
+    out = []
     for k in range(1, kmax + 1):
         colsets = list(_combinations(range(n), k))
-        terms = [[(c + n * ((k - 1 + t) % 2), index[cols[:t] + cols[t + 1:]])
-                  for t, c in enumerate(cols)] for cols in colsets]
-        cur = []
+        terms.append([[(c + n * ((k - 1 + t) % 2),
+                        index[cols[:t] + cols[t + 1:]])
+                       for t, c in enumerate(cols)] for cols in colsets])
+        index = {cols: i for i, cols in enumerate(colsets)}
         g = 0
-        for last, minors in prev:
-            for r in range(last + 1, m):
-                sr = signed[r]
-                row = []
-                for tl in terms:
-                    total = 0
-                    for c, i in tl:
-                        e = sr[c]
-                        if e:
-                            p = minors[i]
-                            if p:
-                                total += e * p
-                    row.append(total)
-                # every minor is kept for the next level; the gcd stops at 1
-                if g != 1:
-                    g = _gcd(g, *row)
-                cur.append((r, row))
+        for rows in _combinations(range(m), k):
+            g = _gcd(g, *table(rows))
+            if g == 1:
+                break
         out.append(g)
         if g == 0:
-            out.extend([0] * (kmax - k))
-            return out
-        prev = cur
-        index = {cols: i for i, cols in enumerate(colsets)}
+            return out + [0] * (kmax - k)
     return out

@@ -267,7 +267,9 @@ def _preimage_echelon(a, m, relations):
             raise ValueError("relations need one row per row of the matrix")
         top = [ra + rr for ra, rr in zip(top, relations.to_lists())]
     width = len(top[0]) if top else a.cols
-    eye = [[1 if i == j else 0 for j in range(width)] for i in range(a.cols)]
+    eye = [[0] * width for _ in range(a.cols)]
+    for i, row in enumerate(eye):
+        row[i] = 1
     return _stacked_echelon(top, eye, m)
 
 

@@ -10,13 +10,14 @@ ones as before, bit for bit, on a fixed set of seeded inputs.
 tests/golden_kernel.json holds, per input family, the number of inputs and
 the SHA-256 of the JSON list of outputs.  The families cover empty shapes,
 zero rows and columns, negative pivots, pivot swaps, the divisibility
-fix-up of the Smith loop and entries up to 100; a line-coverage test
-checks that they run every line of the Smith and Z-echelon loops, over Z
-and over Z/12, so the digests guard every move the kernel can make.  The
-Z/12 digest pins (U, diag, U^-1), which reach the functor and group
-digests through the cyclic coordinates of every Z/m group.  Regenerate the
-file (`python tests/test_kernel_frozen.py`) only for an intended change of
-the kernel's output.
+fix-up of the Smith loop, entries up to 100 and the stacked [[a, R], [I, 0]]
+inputs of a lattice step on a Z/m group; a line-coverage test checks that
+they run every line of the Smith loop over Z and over Z/12, of the Z
+echelon and of the Howell loop at m = 4 and 12, so the digests guard every
+move the kernel can make.  The Z/12 digest pins (U, diag, U^-1), which
+reach the functor and group digests through the cyclic coordinates of every
+Z/m group.  Regenerate the file (`python tests/test_kernel_frozen.py`) only
+for an intended change of the kernel's output.
 """
 
 import hashlib
@@ -98,6 +99,23 @@ def family_large(rng):
     return _random(rng, rng.randint(0, 9), rng.randint(0, 9), -100, 100)
 
 
+def family_stacked(rng):
+    # the shape of a lattice step on a Z/m group, [[a, R], [I, 0]]: a sparse
+    # map a, with entries that may be multiples of 4 and 12, and relation
+    # columns R, many of them 4*e_j or 12*e_j, which vanish mod 4 or mod 12
+    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+    a = [[rng.choice([x for x in range(-12, 25) if x]) if rng.random() < 0.3
+          else 0 for _ in range(cols)] for _ in range(rows)]
+    rel = [[rng.choice([2, 3, 4, 6, 12, 12]) * (i == j) for j in range(rows)]
+           for i in range(rows)]
+    if rng.random() < 0.5:
+        for r in rel:
+            r.append(rng.randint(1, 11) if rng.random() < 0.3 else 0)
+    return [r + s for r, s in zip(a, rel)] + \
+        [[int(i == j) for j in range(cols)] + [0] * len(rel[0])
+         for i in range(cols)]
+
+
 FAMILIES = {
     "random": (family_random, 120),
     "zero_lines": (family_zero_lines, 60),
@@ -105,6 +123,7 @@ FAMILIES = {
     "swaps": (family_swaps, 60),
     "fixup": (family_fixup, 80),
     "large": (family_large, 40),
+    "stacked": (family_stacked, 60),
 }
 
 
@@ -146,10 +165,10 @@ def test_kernel_output_matches_frozen_digest(kernel, family):
     assert digest(kernel, family) == frozen[kernel][family]
 
 
-# Functions of the kernel that are not part of the Smith and Z-echelon loops:
-# the Howell path, the reduction and the independent oracles.
-NOT_COVERED_HERE = {"identity", "mat_mul", "_howell", "_unit_to_divisor",
-                    "reduce_columns", "det", "minor_gcds"}
+# Functions of the kernel that are not part of the Smith, echelon and Howell
+# loops: the reduction and the independent oracles.
+NOT_COVERED_HERE = {"identity", "mat_mul", "reduce_columns", "det",
+                    "minor_gcds"}
 
 
 def _code_lines(code):
@@ -186,6 +205,7 @@ def test_the_inputs_run_every_line_of_the_smith_and_echelon_loops():
                 backend.snf_transforms(a)
                 backend.snf_transforms(a, 12)
                 backend.col_echelon(a, 0)
+                backend.col_echelon(a, 4)
                 backend.col_echelon(a, 12)
     finally:
         sys.settrace(previous)

@@ -4,8 +4,8 @@ Oracles, written before the implementations they check:
   * gcd-of-minors: the product d_1*...*d_k of the first k diagonal entries of
     a Smith form equals gcd of all k-by-k minors of the input, up to sign.
     Computed by backend.minor_gcds, a level-by-level Laplace expansion
-    over indexed minor tables that shares no code with the reduction, and
-    checked here against the gcd of det over every k-by-k submatrix.
+    over lazily built minor tables that shares no code with the reduction,
+    and checked here against the gcd of det over every k-by-k submatrix.
   * substitution: any witness returned by solve_mod must satisfy the system
     exactly; insolubility is cross-checked against the Smith-form criterion
     (d_i must divide the transformed right-hand side), a second code path.
@@ -196,6 +196,27 @@ def test_minor_gcds_match_brute_force_on_the_frozen_kernel_families():
             elif any(not any(line) for line in a + list(zip(*a))):
                 edges.add("zero line")
     assert edges == {"no rows", "no columns", "zero line"}
+
+
+def test_minor_gcds_match_brute_force_where_no_level_stops_early():
+    # minor_gcds stops a level at gcd 1; every k-minor of 2*A is divisible
+    # by 2^k, so on these inputs each level visits every row set, and the
+    # rank-deficient products 2*B*C end in identically zero levels
+    rng = seeded(29)
+    zero_levels = 0
+    for _ in range(40):
+        rows, cols = rng.randint(2, 6), rng.randint(2, 6)
+        rank = rng.randint(1, min(rows, cols) - 1)
+        b = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rows)]
+        c = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rank)]
+        a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        for mat in (backend.mat_mul(b, c), a):
+            doubled = [[2 * e for e in row] for row in mat]
+            chain = backend.minor_gcds(doubled)
+            assert chain == brute_force_minor_gcds(doubled), doubled
+            assert 1 not in chain
+            zero_levels += chain[-1] == 0
+    assert zero_levels >= 40
 
 
 def _names(code):
