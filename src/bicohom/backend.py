@@ -23,16 +23,17 @@ Conventions:
     at or after its own.  With m > 0, h is the column Howell form of
     span(columns) + m*Z^rows (Howell 1986; Storjohann & Mulders 1998): a
     square lower-triangular basis with one pivot per row, each pivot a
-    divisor of m, every entry in [0, m], which _howell builds from per-row
-    lists of column tails, filing each column once;
+    divisor of m, every entry in [0, m], which _howell builds from columns
+    held as dicts {row: entry mod m} of their nonzero entries, filing each
+    column once;
   * reduce_columns(h, pivots, v, m) returns the canonical residue of v
-    modulo the lattice of such an h.
+    modulo the lattice of such an h, skipping the pivot rows where v is 0.
 """
 
 BACKEND = "python"
 
 from math import gcd as _gcd
-from itertools import combinations as _combinations
+from itertools import combinations as _combinations, compress as _compress
 
 
 def xgcd(a, b):
@@ -287,23 +288,30 @@ def col_echelon(a, modulus=0):
 def _howell(a, m):
     """Howell form of span(columns of a) + m*Z^rows; see col_echelon.
 
-    Rows are settled top to bottom.  Generators, reduced mod m, of the
-    lattice vectors that vanish on every settled row are filed in waiting[r]
-    under the row r of their first nonzero entry, as their tails from row r
-    down; each column is scanned, reduced and copied once, when it is filed,
-    and dropped if it is 0.  At row i the tails are merged into one pivot by
-    unimodular column operations and scaled by a unit mod m so that its head
-    p divides m.  (m/p)*pivot, whose head is 0 mod m, is what the pivot adds
-    to the lattice vectors that vanish on row i; it is filed for the rows
-    below unless the pivot is zero below its head, which makes it 0.
+    A column is a dict {row: entry mod m} of its nonzero entries, read off
+    the rows of a with their zeros skipped; an entry that an elimination
+    makes 0 mod m is dropped, so a step costs the nonzero entries of the
+    two columns it combines.  Rows are settled top to bottom.  Generators of
+    the lattice vectors that vanish on every settled row are filed in
+    waiting[r] under the row r of their first nonzero entry, the input
+    columns in column order and a column that is 0 mod m never.  At row i
+    they are merged into one pivot by unimodular column operations and
+    scaled by a unit mod m so that its head p divides m.  (m/p)*pivot, whose
+    head is 0 mod m, is what the pivot adds to the lattice vectors that
+    vanish on row i; it is filed for the rows below unless the pivot is
+    zero below its head, which makes it 0.
     """
     nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    cols = [{} for _ in range(ncols)]
+    for r, row in enumerate(a):
+        for j in _compress(range(ncols), row):
+            if (x := row[j] % m):
+                cols[j][r] = x
     waiting = [[] for _ in range(nrows)]
-    for col in zip(*a):
-        for k, x in enumerate(col):
-            if x % m:
-                waiting[k].append([e % m for e in col[k:]])
-                break
+    for col in cols:
+        if col:
+            waiting[next(iter(col))].append(col)
     h = [[0] * nrows for _ in range(nrows)]
     for i in range(nrows):
         tails, waiting[i] = waiting[i], None
@@ -311,35 +319,41 @@ def _howell(a, m):
             h[i][i] = m
             continue
         best = tails[0] if len(tails) == 1 else \
-            min(tails, key=lambda col: _gcd(col[0], m))
-        e = best[0]
+            min(tails, key=lambda col: _gcd(col[i], m))
+        e = best[i]
         u = 1 if m % e == 0 else _unit_to_divisor(e, m)
-        piv = best if u == 1 else [u * x % m for x in best]
-        p = piv[0]
+        piv = best if u == 1 else {r: u * x % m for r, x in best.items()}
+        p = piv[i]
         for col in tails:
             if col is best:
                 continue
-            e = col[0]
+            e = col[i]
             if e % p == 0:
                 q = e // p
-                col = [(x - q * y) % m for x, y in zip(col, piv)]
+                for r, y in piv.items():
+                    if (x := (col.get(r, 0) - q * y) % m):
+                        col[r] = x
+                    else:
+                        col.pop(r, None)
             else:
                 g, s, t = xgcd(p, e)
                 pg, eg = p // g, e // g
-                piv, col = ([(s * y + t * x) % m for y, x in zip(piv, col)],
-                            [(pg * x - eg * y) % m for y, x in zip(piv, col)])
+                old_piv, old_col, piv, col = piv, col, {}, {}
+                for r in old_piv.keys() | old_col.keys():
+                    y, x = old_piv.get(r, 0), old_col.get(r, 0)
+                    if (z := (s * y + t * x) % m):
+                        piv[r] = z
+                    if (z := (pg * x - eg * y) % m):
+                        col[r] = z
                 p = g
-            for k, x in enumerate(col):
-                if x:
-                    waiting[i + k].append(col[k:])
-                    break
-        if p > 1 and any(piv[1:]):
-            col = [(m // p) * x % m for x in piv]
-            for k, x in enumerate(col):
-                if x:
-                    waiting[i + k].append(col[k:])
-                    break
-        for r, x in enumerate(piv, i):
+            if col:
+                waiting[min(col)].append(col)
+        if p > 1 and len(piv) > 1:
+            mp = m // p
+            col = {r: z for r, x in piv.items() if (z := mp * x % m)}
+            if col:
+                waiting[min(col)].append(col)
+        for r, x in piv.items():
             h[r][i] = x
     return h, [(i, i) for i in range(nrows)]
 
@@ -362,11 +376,14 @@ def reduce_columns(h, pivots, vec, modulus=0):
     pivot at every pivot row r.  vec lies in the lattice iff the residue is
     all zero.  With modulus m > 0 (h a Howell form modulo m) the lattice
     includes m*Z^rows: each pivot-row entry is taken mod m before its pivot
-    acts, which keeps every entry of order m.
+    acts, which keeps every entry of order m.  A pivot row where v is 0 is
+    skipped at once: its pivot would subtract 0 times its column.
     """
     nrows = len(h)
     v = list(vec)
     for r, c in pivots:
+        if not v[r]:
+            continue
         p = h[r][c]
         if modulus:
             v[r] %= modulus

@@ -24,7 +24,7 @@ diagonal, which checks only its entries.
 """
 
 from collections import namedtuple
-from operator import index as _as_int
+from operator import index as _as_int, mul as _mul
 
 from . import backend
 
@@ -174,8 +174,7 @@ class IntMatrix:
         vec = list(vec)
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(e * x for e, x in zip(row, vec) if e)
-                     for row in self._data)
+        return tuple([sum(map(_mul, row, vec)) for row in self._data])
 
     def is_zero(self):
         return all(e == 0 for row in self._data for e in row)

@@ -262,3 +262,57 @@ def oracle_lattice_intersect(b1, b2, m):
     return IntMatrix.from_columns(
         [tuple(sum(l1[i][j] * x[j] for j in range(k1)) for i in range(n))
          for x in xs], rows=n)
+
+
+# -- the dense Howell loop that the sparse kernel replaced ------------------
+# Every column is a list of all its entries mod m from its first nonzero row
+# down, zeros included.  Kept only as the reference that `col_echelon(a, m)`
+# must equal exactly, h and pivots both.
+
+def dense_howell(a, m):
+    """Howell form of span(columns of a) + m*Z^rows (m > 0), dense."""
+    nrows = len(a)
+    waiting = [[] for _ in range(nrows)]
+    for col in zip(*a):
+        for k, x in enumerate(col):
+            if x % m:
+                waiting[k].append([e % m for e in col[k:]])
+                break
+    h = [[0] * nrows for _ in range(nrows)]
+    for i in range(nrows):
+        tails, waiting[i] = waiting[i], None
+        if not tails:
+            h[i][i] = m
+            continue
+        best = tails[0] if len(tails) == 1 else \
+            min(tails, key=lambda col: gcd(col[0], m))
+        e = best[0]
+        u = 1 if m % e == 0 else backend._unit_to_divisor(e, m)
+        piv = best if u == 1 else [u * x % m for x in best]
+        p = piv[0]
+        for col in tails:
+            if col is best:
+                continue
+            e = col[0]
+            if e % p == 0:
+                q = e // p
+                col = [(x - q * y) % m for x, y in zip(col, piv)]
+            else:
+                g, s, t = backend.xgcd(p, e)
+                pg, eg = p // g, e // g
+                piv, col = ([(s * y + t * x) % m for y, x in zip(piv, col)],
+                            [(pg * x - eg * y) % m for y, x in zip(piv, col)])
+                p = g
+            for k, x in enumerate(col):
+                if x:
+                    waiting[i + k].append(col[k:])
+                    break
+        if p > 1 and any(piv[1:]):
+            col = [(m // p) * x % m for x in piv]
+            for k, x in enumerate(col):
+                if x:
+                    waiting[i + k].append(col[k:])
+                    break
+        for r, x in enumerate(piv, i):
+            h[r][i] = x
+    return h, [(i, i) for i in range(nrows)]

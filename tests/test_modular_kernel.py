@@ -14,6 +14,10 @@ prime-power merge of planted orders, and the Smith diagonal of [R | m*I]
 read off the minor gcds of R (`helpers.full_relation_factors`), which use
 no elimination code.  Its transition matrices are checked modulo each
 order: to_cyclic inverts from_cyclic and kills every relation column.
+
+The sparse Howell loop must return exactly what the dense loop it replaced
+returns (`helpers.dense_howell`), and `reduce_columns`, which skips pivot
+rows whose entry is 0, must still give the oracle's canonical residue.
 """
 
 from math import prod
@@ -23,10 +27,10 @@ from hypothesis import given, settings, strategies as st
 from bicohom import backend
 from bicohom.abgroup import FpGroup, Subgroup
 from bicohom.snf import IntMatrix, kernel_basis, lattice_intersect, solve_mod
-from helpers import (full_relation_factors, invariant_factors_oracle,
-                     oracle_contains, oracle_kernel_basis,
-                     oracle_lattice_intersect, oracle_reduce,
-                     oracle_solve_mod, random_unimodular,
+from helpers import (dense_howell, full_relation_factors,
+                     invariant_factors_oracle, oracle_contains,
+                     oracle_kernel_basis, oracle_lattice_intersect,
+                     oracle_reduce, oracle_solve_mod, random_unimodular,
                      scrambled_group, seeded)
 
 MODULI = (0, 2, 4, 7, 8, 9, 12, 36)
@@ -148,6 +152,75 @@ def test_entries_never_exceed_the_modulus():
     for k in range(0, 49, 7):
         col = [row[k] for row in rows]
         assert not any(backend.reduce_columns(h, pivots, col, 12))
+
+
+HOWELL_MODULI = (2, 4, 8, 9, 12, 36, 72)
+
+
+@st.composite
+def sparse_rows(draw, m, max_dim=7):
+    """Row lists of density 0-60%, entries of either sign, many of them m
+    or a multiple of m, some rows and columns forced to zero; half of them
+    the stacked [[a, R], [I, 0]] of a lattice step on a Z/m group."""
+    density = draw(st.integers(0, 60))
+    entry = st.integers(-2 * m, 2 * m) | st.sampled_from(
+        [m, -m, 2 * m, -3 * m])
+
+    def block(nr, nc):
+        data = [[draw(entry) if draw(st.integers(1, 100)) <= density else 0
+                 for _ in range(nc)] for _ in range(nr)]
+        for i in draw(st.sets(st.integers(0, max(nr - 1, 0)), max_size=2)):
+            if i < nr:
+                data[i] = [0] * nc
+        for j in draw(st.sets(st.integers(0, max(nc - 1, 0)), max_size=2)):
+            for row in data:
+                if j < nc:
+                    row[j] = 0
+        return data
+
+    nr, nc = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    a = block(nr, nc)
+    if not draw(st.booleans()):
+        return a
+    rel = block(nr, draw(st.integers(0, max_dim)))
+    k = len(rel[0]) if rel else 0
+    return [ra + rr for ra, rr in zip(a, rel)] + \
+        [[int(i == j) for j in range(nc)] + [0] * k for i in range(nc)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(HOWELL_MODULI), st.data())
+def test_howell_matches_the_dense_loop(m, data):
+    rows = data.draw(sparse_rows(m))
+    copy = [list(row) for row in rows]
+    assert backend.col_echelon(rows, m) == dense_howell(rows, m)
+    assert rows == copy
+
+
+def test_reduce_columns_skips_only_zero_pivot_rows():
+    # pivot-row entries that are 0, negative, or nonzero multiples of m (of
+    # the pivot over Z), so a skip taken on anything but 0 would leave an
+    # entry outside [0, pivot); over Z the oracle reduces against a mixed
+    # basis of the same lattice, so it runs another echelon
+    rng = seeded(20261020)
+    for m in (0,) + HOWELL_MODULI:
+        for _ in range(40):
+            nr, nc = rng.randint(1, 6), rng.randint(0, 6)
+            rows = [[rng.randint(-2 * m - 3, 2 * m + 3)
+                     if rng.random() < 0.3 else 0 for _ in range(nc)]
+                    for _ in range(nr)]
+            h, pivots = backend.col_echelon(rows, m)
+            basis = rows if m else (IntMatrix(rows, cols=nc)
+                                    @ random_unimodular(rng, nc)).to_lists()
+            for _ in range(5):
+                v = [rng.randint(-40, 40) for _ in range(nr)]
+                for r, c in pivots:
+                    step = m or h[r][c]
+                    v[r] = rng.choice([0, 0, -rng.randint(1, 3 * step),
+                                       rng.choice([-3, -1, 1, 2]) * step])
+                residue = backend.reduce_columns(h, pivots, v, m)
+                assert tuple(residue) == oracle_reduce(basis, m, v)
+                assert all(0 <= residue[r] < h[r][c] for r, c in pivots)
 
 
 @settings(max_examples=60, deadline=None)
