@@ -24,8 +24,8 @@ every yes/no question (zero, well defined, contained, trivial) in
 `FpGroup._kills` and `is_trivial`; the Smith form only describes a group:
 its invariant factors, free rank, cyclic coordinates and `describe`.  A
 group takes that form from `smith_normal_form` over its own ring, Z or
-Z/m, on its relations alone; a Z/m group whose echelon counts one element
-takes it from no elimination at all.
+Z/m, on its relations alone; a Z/m group whose echelon, already built,
+counts one element takes it from no elimination at all.
 Maps are solved in column batches by `_solve`.
 
 Over Z/m a group presented by a Howell basis keeps that basis as its
@@ -108,7 +108,9 @@ class FpGroup:
         """CyclicForm of this group; cached, and pure so the cache is safe."""
         if self._cyclic is None:
             n, m = self.ambient_rank, self.modulus
-            if m and self.is_trivial():
+            # an echelon already built (seeded or asked for) may count one
+            # element, and then no Smith form is needed; none is built here
+            if m and self._echelon is not None and self.is_trivial():
                 diag = (1,) * n
                 u, uinv = IntMatrix.zeros(0, n), IntMatrix.zeros(n, 0)
             else:
@@ -249,7 +251,10 @@ class Morphism:
     """A group morphism given by an integer matrix on ambient coordinates.
 
     The raw constructor does not verify well-definedness; make_morphism is
-    the checked entry point for matrices from outside.  A morphism must not
+    the checked entry point for matrices from outside.  A caller that has
+    proved the answer passes it as `well_defined`: `identity` passes True,
+    and so does `_induced_map`, whose product is well defined because it
+    checks both factor maps first (functoriality).  A morphism must not
     be changed after construction: `kernel_image` memoises its kernel and
     image on it and hands the same two subgroups to every caller, and
     `is_well_defined` memoises its answer in `_well_defined`, so a
@@ -259,7 +264,7 @@ class Morphism:
     __slots__ = ("source", "target", "matrix", "_kernel_image",
                  "_well_defined")
 
-    def __init__(self, source, target, matrix):
+    def __init__(self, source, target, matrix, well_defined=None):
         if matrix.rows != target.ambient_rank or \
                 matrix.cols != source.ambient_rank:
             raise ValueError("matrix shape %dx%d does not map rank %d to %d"
@@ -269,11 +274,11 @@ class Morphism:
         self.target = target
         self.matrix = matrix
         self._kernel_image = None
-        self._well_defined = None
+        self._well_defined = well_defined
 
     @classmethod
     def identity(cls, group):
-        return cls(group, group, IntMatrix.identity(group.ambient_rank))
+        return cls(group, group, IntMatrix.identity(group.ambient_rank), True)
 
     @classmethod
     def zero(cls, source, target):
@@ -713,25 +718,48 @@ class HomGroup(_PairGroup):
 hom_group = HomGroup
 
 
-def _induced_map(src, dst, left, right):
+def _induced_map(src, dst, left, right, factors):
     """The morphism src.group -> dst.group of a map of pair groups.
 
-    Generator (i, j) of scale s goes to s * right[j2][j] * left[i2][i] / s2
-    at each target pair (i2, j2) of scale s2, where left and right are the
-    maps on the two factors in cyclic coordinates, each indexed as
-    [target summand][source summand].  A remainder means a factor map
-    does not respect the relations.
+    left[i][i2] is the entry, in cyclic coordinates, of the first factor
+    map between summand i of src's first factor and summand i2 of dst's,
+    and right[j][j2] the same for the second factor.  Generator (i, j) of
+    scale s goes to s * right[j][j2] * left[i][i2] / s2 at each target
+    pair (i2, j2) of scale s2.  Only the nonzero entries of left[i] and
+    right[j] are visited, so a Kronecker product costs its nonzero
+    entries, and each entry is reduced mod a positive modulus as it is
+    written.  A remainder means a factor map does not respect the
+    relations.
+
+    The product is well defined when both factor maps are
+    (functoriality).  So the two maps in `factors` answer their memoised
+    `is_well_defined` at factor size, an ill-defined one raises
+    IllDefined, and the product is built with the answer True instead of
+    being checked again at grid size.
     """
+    if not all(f.is_well_defined() for f in factors):
+        raise IllDefined("morphism does not respect the relations")
+    m = dst.group.modulus
+    index = {pair: (k, s2)
+             for k, (pair, s2) in enumerate(zip(dst._pairs, dst._scales))}
+    lefts = [[(i2, e) for i2, e in enumerate(col) if e] for col in left]
+    rights = [[(j2, e) for j2, e in enumerate(col) if e] for col in right]
     cols = []
     for (i, j), s in zip(src._pairs, src._scales):
-        col = []
-        for (i2, j2), s2 in zip(dst._pairs, dst._scales):
-            q, r = divmod(s * right[j2][j] * left[i2][i], s2)
-            if r:
-                raise IllDefined("morphism does not respect the relations")
-            col.append(q)
+        col = [0] * len(index)
+        for i2, a in lefts[i]:
+            for j2, b in rights[j]:
+                hit = index.get((i2, j2))
+                if hit is not None:
+                    k, s2 = hit
+                    q, r = divmod(s * b * a, s2)
+                    if r:
+                        raise IllDefined(
+                            "morphism does not respect the relations")
+                    col[k] = q % m if m else q
         cols.append(col)
-    return morphism_from_images(src.group, dst.group, cols)
+    return Morphism(src.group, dst.group,
+                    IntMatrix.from_columns(cols, rows=len(index)), True)
 
 
 def induced_hom_map(src_hom, dst_hom, precompose=None, postcompose=None):
@@ -739,6 +767,7 @@ def induced_hom_map(src_hom, dst_hom, precompose=None, postcompose=None):
 
     precompose: dst_hom.source -> src_hom.source (None for identity);
     postcompose: src_hom.target -> dst_hom.target (None for identity).
+    IllDefined when either is not well defined.
     """
     if precompose is None:
         precompose = Morphism.identity(src_hom.source)
@@ -751,8 +780,10 @@ def induced_hom_map(src_hom, dst_hom, precompose=None, postcompose=None):
             postcompose.target != dst_hom.target:
         raise ParentMismatch("postcomposition map endpoints do not match")
     # precomposition runs against the source summands: read it transposed
-    return _induced_map(src_hom, dst_hom, _cyclic_matrix(precompose).columns(),
-                        _cyclic_matrix(postcompose).to_lists())
+    return _induced_map(src_hom, dst_hom,
+                        _cyclic_matrix(precompose).to_lists(),
+                        _cyclic_matrix(postcompose).columns(),
+                        (precompose, postcompose))
 
 
 class TensorGroup(_PairGroup):
@@ -782,13 +813,14 @@ tensor_group = TensorGroup
 
 
 def induced_tensor_map(src_tensor, dst_tensor, f, g):
-    """f (x) g between tensor groups: pure(x, y) |-> pure(f(x), g(y))."""
+    """f (x) g between tensor groups: pure(x, y) |-> pure(f(x), g(y));
+    IllDefined when f or g is not well defined."""
     if f.source != src_tensor.source or f.target != dst_tensor.source:
         raise ParentMismatch("left factor map endpoints do not match")
     if g.source != src_tensor.target or g.target != dst_tensor.target:
         raise ParentMismatch("right factor map endpoints do not match")
-    return _induced_map(src_tensor, dst_tensor, _cyclic_matrix(f).to_lists(),
-                        _cyclic_matrix(g).to_lists())
+    return _induced_map(src_tensor, dst_tensor, _cyclic_matrix(f).columns(),
+                        _cyclic_matrix(g).columns(), (f, g))
 
 
 def intersect(s1, s2):

@@ -5,7 +5,9 @@ Exit codes: 0 all requested checks pass, 1 a verification failed, 2 the
 input was unusable (bad file, bad arguments, incompatible objects).
 Machine output (--json) is stable under re-run modulo the timestamp field.
 A degree span (--degrees, --range) is at most formats.MAX_DEGREES wide, and
-a tate degree at most that in absolute value.
+a tate degree at most that in absolute value.  `bicomplex` builds no grid
+whose cells could exceed formats.MAX_GRID_RANK: the product of the two
+files' largest cell ranks is at most that.
 """
 
 import argparse
@@ -24,7 +26,7 @@ from .errors import (BadArgument, ConventionViolation, HypothesisViolated,
                      ParentMismatch, ParseError)
 from .abgroup import FpGroup
 from .complexes import homology
-from .formats import MAX_DEGREES, load_complex
+from .formats import MAX_DEGREES, MAX_GRID_RANK, load_complex
 from .suites import SUITES, run_suite
 from .tate import ROUTES, balance_report, tate_groups
 
@@ -127,9 +129,20 @@ def cmd_homology(args):
     return 0
 
 
+def _largest_rank(c):
+    return max(c.cell(n).ambient_rank for n in c.degrees())
+
+
 def cmd_bicomplex(args):
     c = load_complex(args.fileC)
     d = load_complex(args.fileD)
+    # a grid cell F(C_i, D_j) has rank at most rank C_i * rank D_j
+    rank_c, rank_d = _largest_rank(c), _largest_rank(d)
+    if rank_c * rank_d > MAX_GRID_RANK:
+        raise ParseError("%s has a cell of rank %d and %s one of rank %d: "
+                         "grid cells of rank up to %d, above the bound of %d"
+                         % (args.fileC, rank_c, args.fileD, rank_d,
+                            rank_c * rank_d, MAX_GRID_RANK))
     x = hom_bicomplex(c, d) if args.kind == "hom" else tensor_bicomplex(c, d)
     cell = _parse_cell(args.cell)
     op = args.op

@@ -283,6 +283,12 @@ def _lazy_functor(cell_fn, map_fn, c, d, sign):
     strand sum, whose two cells are one object, share one pair group, and
     d'(i, 0) is d'(i, 1).  The memo keys on object identity and keeps its
     key objects, so no id is reused while the grid lives.
+
+    No induced differential is checked at grid size: it is well defined
+    because its factor maps are (functoriality), and `abgroup._induced_map`
+    asks each factor map for its memoised `is_well_defined`, which
+    `Complex._validate` filled when it checked the factor differential.
+    An ill-defined factor map raises IllDefined there.
     """
     memo = {}
 

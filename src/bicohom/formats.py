@@ -20,7 +20,10 @@ Inputs are bounded before anything is built from them: a cell rank or
 factor count is at most MAX_RANK (256), a period or window width (hi - lo
 + 1) at most MAX_DEGREES (1024), and every integer -- modulus, degree
 bound, rank, factor, matrix entry -- at most MAX_BITS (1024) bits long.
-An integer too long for `json` to read at all is bad input too.
+An integer too long for `json` to read at all is bad input too.  A grid
+built from two files has cells of rank at most the product of the two
+files' largest cell ranks; `bicohom bicomplex` refuses a product above
+MAX_GRID_RANK (1024), the rank at which a core still takes a few seconds.
 
 Parsing succeeds exactly when the assembled complex satisfies the complex
 axioms; any violation is reported with the offending degree.  Serialization
@@ -39,6 +42,7 @@ from .snf import IntMatrix
 MAX_RANK = 256
 MAX_DEGREES = 1024
 MAX_BITS = 1024
+MAX_GRID_RANK = 1024
 
 
 def _expect_object(value, where, keys, optional=()):

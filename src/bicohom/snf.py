@@ -16,11 +16,12 @@ a@x - b in that lattice, both from [[a, R], [I, 0]], whose lattice vectors
 are the pairs (a@x + R@y + m*z; x + m*w).  solve_mod keeps its echelon on
 the IntMatrix a, so solves against one long-lived matrix build it once.
 
-The public IntMatrix constructor checks every entry and row length; the
-results this module computes from IntMatrix data or backend output
-(products, sums, stacks, submatrices, normal forms, lattice bases) skip
-that scan through IntMatrix._trusted, as do identity and zeros, and
-diagonal, which checks only its entries.
+The public IntMatrix constructor checks every entry and row length, and
+`from_columns` checks every entry and column length once, then
+transposes unchecked.  The results this module computes from IntMatrix
+data or backend output (products, sums, stacks, submatrices, normal
+forms, lattice bases) skip that scan through IntMatrix._trusted, as do
+identity and zeros, and diagonal, which checks only its entries.
 """
 
 from collections import namedtuple
@@ -80,7 +81,10 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns, rows=None):
-        columns = [tuple(col) for col in columns]
+        """The matrix with the given columns.  Each entry is checked once
+        and the ragged check runs once, on the columns; the transpose is
+        then taken as it is."""
+        columns = [tuple(map(_as_int, col)) for col in columns]
         if columns:
             nr = len(columns[0])
             if rows is not None and rows != nr:
@@ -89,8 +93,8 @@ class IntMatrix:
                 raise ValueError("ragged columns")
         else:
             nr = 0 if rows is None else _dimension(rows, "row")
-        return cls([[col[i] for col in columns] for i in range(nr)],
-                   cols=len(columns))
+        return cls._trusted(zip(*columns) if columns else [()] * nr,
+                            len(columns))
 
     @classmethod
     def diagonal(cls, entries, rows=None, cols=None):
@@ -258,12 +262,15 @@ def _stacked_echelon(top, bottom, m):
     return h, pivots, sum(1 for r, _ in pivots if r < len(top))
 
 
+def _check_relations(a, relations):
+    if relations is not None and relations.rows != a.rows:
+        raise ValueError("relations need one row per row of the matrix")
+
+
 def _preimage_echelon(a, m, relations):
     """_stacked_echelon of [[a, R], [I, 0]]."""
     top = a.to_lists()
     if relations is not None:
-        if relations.rows != a.rows:
-            raise ValueError("relations need one row per row of the matrix")
         top = [ra + rr for ra, rr in zip(top, relations.to_lists())]
     width = len(top[0]) if top else a.cols
     eye = [[0] * width for _ in range(a.cols)]
@@ -286,9 +293,14 @@ def kernel_basis(a, m=0, relations=None):
     whose pivot lies below a's rows.  For m > 0 that is the Howell basis of
     the lattice (it contains m*Z^cols): square, lower triangular, pivots
     dividing m, entries in [0, m].  For m = 0 it is a basis of the integer
-    kernel in column echelon form.
+    kernel in column echelon form.  A matrix with no rows or no columns
+    is answered by its shape: with no rows every x is in the preimage,
+    whose basis is the identity, and Z^0 has a basis of no columns.
     """
     m = _check_modulus(m)
+    _check_relations(a, relations)
+    if not (a.rows and a.cols):
+        return IntMatrix.identity(a.cols)
     return _bottom_block(*_preimage_echelon(a, m, relations), a.rows)
 
 
@@ -307,6 +319,7 @@ def solve_mod(a, b, m=0, relations=None):
     if len(b) != a.rows:
         raise ValueError("right-hand side has wrong length")
     if a._solver is None or a._solver[:2] != (m, relations):
+        _check_relations(a, relations)
         h, pivots, k = _preimage_echelon(a, m, relations)
         a._solver = (m, relations, [row[:k] for row in h], pivots[:k])
     h, pivots = a._solver[2:]
@@ -323,11 +336,16 @@ def lattice_intersect(b1, b2, m=0):
     [[b1, b2], [b1, 0]] whose pivot lies below the top block: the lattice
     vectors with top part zero are exactly (0; b1@x + m*w) with b1@x in
     span(b2) + m*Z^rows.  For m > 0 that is the Howell basis of the
-    intersection; for m = 0 a basis of it in column echelon form.
+    intersection; for m = 0 a basis of it in column echelon form.  With no
+    rows, or no columns on either side, the intersection is m*Z^rows, read
+    off the shape: its basis is m*I over Z/m and no columns over Z.
     """
     if b1.rows != b2.rows:
         raise ValueError("lattices live in different ambient ranks")
     m = _check_modulus(m)
+    if not (b1.rows and b1.cols and b2.cols):
+        return (IntMatrix.diagonal([m] * b1.rows) if m
+                else IntMatrix.zeros(b1.rows, 0))
     rows1 = b1.to_lists()
     top = [r1 + list(r2) for r1, r2 in zip(rows1, b2.to_lists())]
     bottom = [r1 + [0] * b2.cols for r1 in rows1]

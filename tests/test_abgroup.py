@@ -238,6 +238,32 @@ def test_raw_ill_defined_maps_are_refused():
         induced_hom_map(hom_group(z4, z4), hom_group(z2, z4), precompose=raw)
 
 
+def _ill_defined_factor_calls():
+    # the raw map above as the other three factors (precomposition is in
+    # the test above); their products have no remainder to betray it, so
+    # only the factor map's own is_well_defined sees the fault
+    z2 = FpGroup.from_factors(4, [2])
+    z4 = FpGroup.from_factors(4, [4])
+    raw, id4 = Morphism(z2, z4, IntMatrix([[1]])), Morphism.identity(z4)
+    return [
+        lambda: induced_hom_map(hom_group(z4, z2), hom_group(z4, z4),
+                                postcompose=raw),
+        lambda: induced_tensor_map(tensor_group(z2, z4),
+                                   tensor_group(z4, z4), raw, id4),
+        lambda: induced_tensor_map(tensor_group(z4, z2),
+                                   tensor_group(z4, z4), id4, raw),
+    ]
+
+
+@pytest.mark.parametrize("call", _ill_defined_factor_calls(),
+                         ids=["postcompose", "tensor_left", "tensor_right"])
+def test_an_ill_defined_factor_map_is_refused(call):
+    # induced maps are not checked at grid size: the factor maps are
+    with pytest.raises(IllDefined,
+                       match="^morphism does not respect the relations$"):
+        call()
+
+
 def _mismatched_parents():
     z2 = FpGroup.from_factors(4, [2])
     z4 = FpGroup.from_factors(4, [4])

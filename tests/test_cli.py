@@ -1,12 +1,13 @@
 """Command-line behavior: outputs, exit codes, reproducible reports."""
 
 import json
+from math import isqrt
 
 import pytest
 
-from bicohom import abgroup
+from bicohom import abgroup, cli
 from bicohom.cli import main, render_group_factors
-from bicohom.formats import MAX_DEGREES
+from bicohom.formats import MAX_DEGREES, MAX_GRID_RANK
 
 STRAND4 = ('{"modulus": 4, "convention": "homological",'
            ' "support": {"periodic": {"period": 1}},'
@@ -170,6 +171,52 @@ def _file(cells='{"0": {"rank": 1}}', diffs="{}",
           support='{"window": {"lo": 0, "hi": 0}}'):
     return ('{"modulus": 4, "convention": "homological", "support": %s, '
             '"cells": %s, "diffs": %s}' % (support, cells, diffs))
+
+
+class GridBuilt(Exception):
+    pass
+
+
+def test_bicomplex_grid_rank_is_bounded(tmp_path, monkeypatch, capsys):
+    # the product of the two files' largest cell ranks is checked before
+    # any grid is built; at the bound the builder is reached, one above it
+    # exits 2 naming both files and ranks
+    side = isqrt(MAX_GRID_RANK)
+    assert side * side == MAX_GRID_RANK
+    built = []
+
+    def builder(c, d):
+        built.append((c, d))
+        raise GridBuilt
+
+    monkeypatch.setattr(cli, "hom_bicomplex", builder)
+    monkeypatch.setattr(cli, "tensor_bicomplex", builder)
+    paths = {}
+    for rank, convention in ((1, "homological"), (side, "homological"),
+                             (side + 1, "homological"),
+                             (side, "cohomological")):
+        p = tmp_path / ("%s%d.json" % (convention, rank))
+        p.write_text(_file(cells='{"0": {"rank": 1}, "1": {"rank": %d}}'
+                           % rank, support='{"window": {"lo": 0, "hi": 1}}')
+                     .replace("homological", convention))
+        paths[rank, convention] = str(p)
+    op = ["--cell", "0,0", "--op", "H"]
+    with pytest.raises(GridBuilt):
+        main(["bicomplex", paths[side, "homological"],
+              paths[side, "cohomological"], "--kind", "hom"] + op)
+    with pytest.raises(GridBuilt):
+        main(["bicomplex", paths[side + 1, "homological"],
+              paths[1, "homological"], "--kind", "tensor"] + op)
+    assert len(built) == 2
+    for kind, second in (("hom", paths[side, "cohomological"]),
+                         ("tensor", paths[side, "homological"])):
+        first = paths[side + 1, "homological"]
+        assert main(["bicomplex", first, second, "--kind", kind] + op) == 2
+        assert ("%s has a cell of rank %d and %s one of rank %d: grid cells "
+                "of rank up to %d, above the bound of %d"
+                % (first, side + 1, second, side, (side + 1) * side,
+                   MAX_GRID_RANK) in capsys.readouterr().err)
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("text, fragment", [

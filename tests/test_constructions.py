@@ -282,6 +282,62 @@ def test_a_rank4_grid_core_makes_17_echelons(monkeypatch, kind):
     assert len(calls) == 17
 
 
+def functor_grid(kind, m, seed, blocks, support="periodic"):
+    """A seeded Hom or tensor grid over Z/m with the sites that hold its
+    factors' stored degrees and one more on each side."""
+    second = COHOMOLOGICAL if kind == "hom" else HOMOLOGICAL
+    c = random_exact_complex(m, seed, blocks=blocks, kind=support)
+    d = random_exact_complex(m, seed + 1, blocks=blocks, kind=support,
+                             convention=second)
+    sign = 1 if kind == "hom" else -1
+    x = (hom_bicomplex if kind == "hom" else tensor_bicomplex)(c, d)
+    return x, [(i, j) for i in around(c, sign) for j in around(d, sign)]
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+@pytest.mark.parametrize("m", [4, 8, 9, 12])
+def test_induced_differentials_pass_the_grid_size_check(m, blocks):
+    # the grid no longer checks its differentials at grid size (the factor
+    # maps are checked instead); rebuilt unproved, each must pass it
+    for kind in ("hom", "tensor"):
+        for support in ("periodic", "window"):
+            x, sites = functor_grid(kind, m, 10 * m + blocks, blocks,
+                                    support)
+            for i, j in sites:
+                for f in (x.dprime(i, j), x.dsecond(i, j)):
+                    assert Morphism(f.source, f.target,
+                                    f.matrix).is_well_defined()
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_grid_differentials_are_checked_at_factor_size(monkeypatch, kind):
+    # building every differential of a rank-64 grid runs no _kills on a
+    # grid cell inside is_well_defined: only rank-8 factor maps are checked
+    x, sites = functor_grid(kind, 12, 5, 8)
+    assert x.cell(0, 0).ambient_rank == 64
+    checking, ranks = [], []
+    check, kills = Morphism.is_well_defined, FpGroup._kills
+
+    def is_well_defined(f):
+        checking.append(f)
+        try:
+            return check(f)
+        finally:
+            checking.pop()
+
+    def counted_kills(group, columns):
+        if checking:
+            ranks.append(group.ambient_rank)
+        return kills(group, columns)
+
+    monkeypatch.setattr(Morphism, "is_well_defined", is_well_defined)
+    monkeypatch.setattr(FpGroup, "_kills", counted_kills)
+    for i, j in sites:
+        x.dprime(i, j)
+        x.dsecond(i, j)
+    assert max(ranks, default=0) <= 8
+
+
 # -------------------------------------------------------------- resolutions
 
 
