@@ -33,7 +33,8 @@ directions and for any number of columns: it solves along one axis and
 pushes along the other, checking exactness, looking up the differentials
 and reading the landing core once per step, not once per column.
 `diagonal_shift` is its one-column case; the balance walk moves a whole
-numerator matrix through it.
+numerator matrix through it.  Each checks once that what it keeps lands
+in the numerator; the grid axioms keep a walk's inner steps there.
 """
 
 from collections import namedtuple
@@ -43,7 +44,7 @@ from .abgroup import (Element, Morphism, _push, intersect, ker_mod_im,
                       subquotient, FpGroup)
 from .complexes import Periodic, Window, _check_differential
 from .errors import (ConventionViolation, HypothesisViolated,
-                     InternalChaseFailure, NotContained, OutOfWindow)
+                     InternalChaseFailure, OutOfWindow)
 
 PRIME = "prime"     # the d' direction (first index)
 SECOND = "second"   # the d'' direction (second index)
@@ -103,19 +104,21 @@ class _Grid(object):
         return got
 
     def _diff(self, i, j, axis):
+        """Checked d along `axis` out of (i, j); a memo hit fetches no cell,
+        as its endpoints were checked when it was memoised."""
         di, dj = _STEP[axis]
-        src, tgt = self.cell(i, j), self.cell(i + di, j + dj)
         key, inside = self._site(i, j)
-        if not (inside and self._site(i + di, j + dj)[1]):
-            return Morphism.zero(src, tgt)
-        memo = self._diffs[axis]
-        got = memo.get(key)
+        inside = inside and self._site(i + di, j + dj)[1]
+        got = self._diffs[axis].get(key) if inside else None
         if got is None:
+            src, tgt = self.cell(i, j), self.cell(i + di, j + dj)
+            if not inside:
+                return Morphism.zero(src, tgt)
             raw = self._diff_fns[axis](*key)
             got = raw if raw is not None else Morphism.zero(src, tgt)
             _check_differential(got, src, tgt,
                                 "d%s at %r" % (_MARKS[axis], key))
-            memo[key] = got
+            self._diffs[axis][key] = got
         return got
 
     def dprime(self, i, j):
@@ -364,8 +367,11 @@ def _chase(core, columns, direction):
     all at once: (landing core, pushed columns), one column per input.
 
     Exactness is checked, both differentials are looked up and the landing
-    core is read once per call; each column is solved on its own and every
-    pushed column is checked to lie in the landing numerator.
+    core is read once per call; each column is solved on its own.  Callers
+    check once that the columns they keep land in the numerator (`HClass`,
+    the walk's `_classes`); in between, the grid axioms (d o d = 0, the
+    commuting square) keep them there, and a column that breaks them has
+    no preimage at the next step or no class at the end.
     """
     if direction not in _SOLVE_AXIS:
         raise ValueError("direction must be '+' or '-'")
@@ -386,10 +392,7 @@ def _chase(core, columns, direction):
                 "certified-exact %s has no preimage at (%d, %d)"
                 % (_LINE[axis], i, j))
         pushed.append(push.matrix.mul_vector(y.coords))
-    landing = core_homology(x, (a + oi, b + oj))
-    if not landing.numerator._holds(pushed):
-        raise NotContained("representative is outside the numerator")
-    return landing, pushed
+    return core_homology(x, (a + oi, b + oj)), pushed
 
 
 def diagonal_shift(cls, direction):
@@ -397,7 +400,7 @@ def diagonal_shift(cls, direction):
 
     direction "+": solve d''(y) = x and return the class of d'(y) at
     (i+1, j-1); direction "-" swaps the roles and lands at (i-1, j+1).
-    The one-column case of `_chase`.
+    The one-column case of `_chase`; `HClass` checks the landing column.
     """
     landing, (col,) = _chase(cls.homology, [cls.representative.coords],
                              direction)

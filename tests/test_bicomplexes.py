@@ -10,7 +10,7 @@ Oracles, written before the implementations they check:
 
 import pytest
 
-from bicohom import abgroup, backend, bicomplexes
+from bicohom import abgroup, backend, bicomplexes, tate
 from bicohom.abgroup import (FpGroup, HClass, Homology, Morphism, Subgroup,
                              hom_group, induced_hom_map, kernel_image,
                              make_morphism)
@@ -26,9 +26,12 @@ from bicohom.complexes import (COHOMOLOGICAL, Complex, Periodic, Window,
 from bicohom.errors import (ConventionViolation, HypothesisViolated,
                             InternalChaseFailure, NotContained, OutOfWindow,
                             ParentMismatch)
-from bicohom.constructions import (hom_bicomplex, random_exact_complex,
+from bicohom.constructions import (complete_injective_resolution,
+                                   complete_projective_resolution,
+                                   hom_bicomplex, random_exact_complex,
                                    tensor_bicomplex)
 from bicohom.snf import IntMatrix
+from bicohom.tate import EXT, TOR, balance_grid
 from helpers import periodic_strand
 
 
@@ -187,6 +190,40 @@ def test_lazy_memoization():
     assert calls["cell"] == 1
     d = counted.dprime(0, 0)
     assert counted.dprime(2, 4) is d
+
+
+def test_a_memoised_differential_fetches_no_cell(monkeypatch):
+    fetched = []
+    real = bicomplexes._Grid.cell
+
+    def counting(grid, i, j):
+        fetched.append((i, j))
+        return real(grid, i, j)
+
+    monkeypatch.setattr(bicomplexes._Grid, "cell", counting)
+    x = strand_square(4, [2, 2])
+    for axis in ("dprime", "dsecond"):
+        d = getattr(x, axis)(0, 1)
+        del fetched[:]
+        # the same canonical site again: a memo hit fetches no endpoint
+        assert getattr(x, axis)(2, -1) is d
+        assert fetched == []
+    # outside the support the differential is still a zero morphism
+    z2 = FpGroup.from_factors(2, [2])
+    edge = Bicomplex.from_grid(2, {(0, 0): z2})
+    for _ in range(2):
+        for f in (edge.dprime(0, 0), edge.dsecond(-1, 0)):
+            assert f.is_zero()
+        assert edge.dprime(0, 0).source is z2
+        assert edge.dsecond(0, -1).target is z2
+    # a cell of the wrong modulus is refused on the way to its differential
+    wrong_modulus = Bicomplex(
+        4, Window(0, 1), Window(0, 0),
+        lambda i, j: FpGroup.from_factors(2, [2]),
+        lambda i, j: None, lambda i, j: None)
+    with pytest.raises(ConventionViolation,
+                       match=r"^cell \(0, 0\) has modulus 2, grid has 4$"):
+        wrong_modulus.dprime(0, 0)
 
 
 # ----------------------------------------------------- directional homology
@@ -367,16 +404,90 @@ def test_diagonal_shift_loud_without_preimage(monkeypatch, direction, line):
         "certified-exact %s has no preimage at (0, 0)" % line)
 
 
-def test_chase_refuses_a_push_outside_the_landing_numerator(monkeypatch):
+def test_diagonal_shift_refuses_a_push_outside_the_landing_numerator(
+        monkeypatch):
     # a planted "preimage" of (1,) whose d'' lands outside Z' ∩ Z'' at
-    # (-1, 1): the batched check names it as HClass would
+    # (-1, 1): `_chase` passes it on, and the landing class's HClass
+    # constructor refuses it
     x = strand_square(8, [2, 4])
     core = core_homology(x, (0, 0))
+    cls = core.class_of(
+        core.parent.element(core.numerator.matrix.columns()[0]))
     monkeypatch.setattr(bicomplexes, "preimage_element",
                         lambda f, elt: f.source.element((1,)))
     with pytest.raises(NotContained) as err:
-        bicomplexes._chase(core, core.numerator.matrix.columns(), "-")
+        diagonal_shift(cls, "-")
     assert str(err.value) == "representative is outside the numerator"
+
+
+def planted_z16_walk(monkeypatch, step, plant):
+    """The Ext balance grid of Z/2 (+) Z/4 against Z/4 over Z/16, whose
+    cores at (n, 0) and (0, n) are Z/2 (+) Z/4, with the walk's chase
+    step number `step` (from 1) passing on plant(pushed columns)."""
+    grid, _ = balance_grid(
+        EXT, complete_projective_resolution(16, FpGroup.from_factors(
+            16, [2, 4]))[0],
+        complete_injective_resolution(16, FpGroup.from_factors(16, [4]))[0])
+    assert tate._walk_is_isomorphism(grid, 2) is True
+    real, steps = tate._chase, []
+
+    def planted(core, columns, direction):
+        landing, pushed = real(core, columns, direction)
+        steps.append(direction)
+        return landing, plant(pushed) if len(steps) == step else pushed
+
+    monkeypatch.setattr(tate, "_chase", planted)
+    return grid
+
+
+def test_the_walk_refuses_a_last_push_outside_the_target_numerator(
+        monkeypatch):
+    # the second step from (2, 0) lands at (0, 2), whose numerator is
+    # generated by (4, 0) and (0, 4); a first coordinate of 1 leaves it,
+    # and the target core's `_classes` refuses it
+    grid = planted_z16_walk(monkeypatch, 2,
+                            lambda pushed: [(1,) + c[1:] for c in pushed])
+    with pytest.raises(InternalChaseFailure,
+                       match=r"^walk from \(2, 0\) to \(0, 2\): ") as err:
+        tate._walk_is_isomorphism(grid, 2)
+    assert isinstance(err.value.__cause__, NotContained)
+
+
+def test_the_walk_refuses_a_non_cycle_at_an_inner_step(monkeypatch):
+    # (1, 0) at (1, 1) is no d'-cycle: d' sends it to (2, 0).  The first
+    # step passes it on unchecked; the second step's row solve finds no
+    # preimage for it
+    grid = planted_z16_walk(monkeypatch, 1,
+                            lambda pushed: [(1, 0)] * len(pushed))
+    assert grid.dprime(1, 1).matrix.columns()[0] == (2, 0)
+    with pytest.raises(InternalChaseFailure) as err:
+        tate._walk_is_isomorphism(grid, 2)
+    assert str(err.value) == "certified-exact row has no preimage at (1, 1)"
+
+
+@pytest.mark.parametrize("m", [8, 9, 12])
+@pytest.mark.parametrize("kind", [EXT, TOR])
+def test_balance_grids_satisfy_the_grid_axioms(m, kind):
+    # the walk's inner steps stay in Z' ∩ Z'' because d o d = 0 and the
+    # mixed square commutes; check both over one period of the functor
+    # grids the balance walk uses, for modules of 2-4 cyclic summands
+    divisors = [d for d in range(2, m + 1) if m % d == 0]
+    resolve = (complete_injective_resolution if kind == EXT
+               else complete_projective_resolution)
+    moved = 0
+    for na in (2, 3, 4):
+        for nb in (2, 3, 4):
+            a = FpGroup.from_factors(m, [divisors[k % len(divisors)]
+                                         for k in range(na)])
+            b = FpGroup.from_factors(m, [divisors[(k + 1) % len(divisors)]
+                                         for k in range(nb)])
+            x, _ = balance_grid(kind, complete_projective_resolution(m, a)[0],
+                                resolve(m, b)[0])
+            x.check_axioms(0, x.support_i.period - 1,
+                           0, x.support_j.period - 1)
+            moved += not (x.dprime(0, 0).is_zero() and
+                          x.dsecond(0, 0).is_zero())
+    assert moved == 9
 
 
 def exact_grids(m):
