@@ -877,7 +877,7 @@ def invert_isomorphism(f):
     g = Morphism(f.target, f.source, back)
     if not g.is_well_defined():
         raise NotAnIsomorphism("morphism is not injective")
-    if g.compose(f) != Morphism.identity(f.source) or \
-            f.compose(g) != Morphism.identity(f.target):
+    # f.g = 1 holds already: _solve checked each residual f(x_k) - e_k
+    if g.compose(f) != Morphism.identity(f.source):
         raise NotAnIsomorphism("morphism is not an isomorphism")
     return g

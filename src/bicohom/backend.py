@@ -11,7 +11,8 @@ Conventions:
     reduced mod m when m > 0: a swap is (0, 1, 1, 0), scaling by a unit w
     is (w, 0, 0, w) on one line taken as both of the pair, and the move of
     determinant 1 that clears an entry against a pivot comes from
-    _pair_step;
+    _pair_step.  The random unimodular factors of `constructions` and
+    `suites` are built by the same moves, from the identity;
   * snf_transforms(a, m) is the one Smith loop, over Z (m = 0) and over
     Z/m alike (Storjohann's Smith form over a principal ideal ring, 2000):
     it returns (u, diag, v, uinv) with u*a*v diagonal with entries diag,
@@ -429,13 +430,23 @@ def det(a):
 def minor_gcds(a):
     """gcd of all k-by-k minors for k = 1 .. min(rows, cols).
 
-    Level k holds the k-minors of each row set (one table per row set, over
-    the column sets in combinations order), built by Laplace expansion along
-    its last row from its prefix's table when a level first asks for it.  A
-    level stops at the first row set that brings its gcd to 1, and once a
-    level is identically zero all larger levels are too.  The cofactor
-    indices of every column set are computed once per level.  As the snf
-    suite's independent route, it calls no elimination code and no det.
+    Level k visits, in combinations order, the row sets whose prefix (the
+    set less its last row) level k-1 visited, and stops at the first that
+    brings its gcd to 1.  A set's k-minors, over the column sets in
+    combinations order, are its prefix's expanded along its last row, by
+    cofactor indices computed once per level.  A level that is identically
+    zero makes all larger levels zero.  As the snf suite's independent
+    route, it calls no elimination code and no det.
+
+    Skipping cannot change a gcd.  Each level visits a shifted family:
+    lowering a row of a visited set gives an earlier set with a visited
+    prefix.  Let j < k be the last level stopped at 1.  For each prime p a
+    visited j-set S has a j-minor prime to p.  Over Z localized at p,
+    column operations (keeping each row set's ideal of minors) and row
+    operations by S (keeping the minors of sets containing S) give
+    [I, 0; 0, B], so the k-minors of the sets containing S span all
+    k-minors.  The j smallest rows of such a set lie row by row at or below
+    S, so it is visited unless level k stops at 1 first.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -443,15 +454,19 @@ def minor_gcds(a):
     # row r, then its negation: a cofactor of sign -1 reads column c + n
     signed = [row + [-e for e in row] for row in a]
     tables = {(): [1]}
-    terms = [None]
     index = {(): 0}
-
-    def table(rows):
-        minors = tables.get(rows)
-        if minors is None:
-            prefix, sr = table(rows[:-1]), signed[rows[-1]]
-            minors = tables[rows] = []
-            for tl in terms[len(rows)]:
+    out = []
+    for k in range(1, kmax + 1):
+        colsets = list(_combinations(range(n), k))
+        terms = [[(c + n * ((k - 1 + t) % 2), index[cols[:t] + cols[t + 1:]])
+                  for t, c in enumerate(cols)] for cols in colsets]
+        index = {cols: i for i, cols in enumerate(colsets)}
+        level, g = {}, 0
+        for rows in (s + (r,) for s in tables
+                     for r in range(s[-1] + 1 if s else 0, m)):
+            prefix, sr = tables[rows[:-1]], signed[rows[-1]]
+            minors = level[rows] = []
+            for tl in terms:
                 total = 0
                 for c, i in tl:
                     e = sr[c]
@@ -460,21 +475,11 @@ def minor_gcds(a):
                         if p:
                             total += e * p
                 minors.append(total)
-        return minors
-
-    out = []
-    for k in range(1, kmax + 1):
-        colsets = list(_combinations(range(n), k))
-        terms.append([[(c + n * ((k - 1 + t) % 2),
-                        index[cols[:t] + cols[t + 1:]])
-                       for t, c in enumerate(cols)] for cols in colsets])
-        index = {cols: i for i, cols in enumerate(colsets)}
-        g = 0
-        for rows in _combinations(range(m), k):
-            g = _gcd(g, *table(rows))
+            g = _gcd(g, *minors)
             if g == 1:
                 break
         out.append(g)
         if g == 0:
             return out + [0] * (kmax - k)
+        tables = level
     return out

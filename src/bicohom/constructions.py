@@ -152,27 +152,19 @@ def complete_injective_resolution(m, module):
 # -- randomized exact complexes ---------------------------------------------
 
 
-def _transvection(n, i, j, k):
-    rows = backend.identity(n)
-    rows[i][j] = k
-    return IntMatrix(rows, cols=n)
-
-
 def _unimodular_pair(rng, n):
-    """(U, U^-1) accumulated from the same eight random elementary moves."""
-    u = IntMatrix.identity(n)
-    uinv = IntMatrix.identity(n)
-    if n < 2:
-        return u, uinv
-    for _ in range(8):
+    """(U, U^-1) from eight random moves on the identity, in place: row i
+    of U gains k times row j, column j of U^-1 loses k times column i."""
+    u, uinv = backend.identity(n), backend.identity(n)
+    for _ in range(8 if n > 1 else 0):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
         k = rng.randint(-2, 2)
-        u = _transvection(n, i, j, k) @ u
-        uinv = uinv @ _transvection(n, i, j, -k)
-    return u, uinv
+        backend._rows(u, i, j, 1, k, 0, 1)
+        backend._cols(uinv, i, j, 1, 0, -k, 1)
+    return IntMatrix(u, cols=n), IntMatrix(uinv, cols=n)
 
 
 def _strand_sum(m, rng, blocks, convention):

@@ -205,12 +205,14 @@ def load_complex(path):
 
 
 def _normalized_diff(c, n):
-    """Matrix of diff(n) written in cyclic coordinates, entries reduced."""
+    """Matrix of diff(n) in cyclic coordinates, each entry reduced modulo
+    the order o of its target summand, and kept where o = 0 (Z)."""
     f = c.diff(n)
     orders = f.target.cyclic_decomposition().orders
-    target = FpGroup.from_factors(c.modulus, list(orders))
-    cols = [target.reduce(col) for col in _cyclic_matrix(f).columns()]
-    return IntMatrix.from_columns(cols, rows=len(orders))
+    mat = _cyclic_matrix(f)
+    return IntMatrix([[x % o if o else x for x in row]
+                      for row, o in zip(mat.to_lists(), orders)],
+                     cols=mat.cols)
 
 
 def serialize_complex(c):

@@ -27,8 +27,7 @@ from .bicomplexes import (core_equality_check, core_homology,
                           core_homology_alt, diagonal_shift)
 from .complexes import (COHOMOLOGICAL, Complex, cycles, homology,
                         hom_from_module, hom_into_module)
-from .constructions import (_packaged, _transvection,
-                            complete_injective_resolution,
+from .constructions import (_packaged, complete_injective_resolution,
                             complete_projective_resolution, hom_bicomplex,
                             random_exact_complex, tensor_bicomplex,
                             zprime_witness, zsecond_witness)
@@ -72,13 +71,13 @@ def _first_filled_degree(c):
 
 
 def _random_unimodular(n, rng):
-    u = IntMatrix.identity(n)
-    if n < 2:
-        return u
-    for _ in range(6):
+    """The identity after six random moves in place, each adding k times
+    column i to column j."""
+    u = backend.identity(n)
+    for _ in range(6 if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
-        u = u @ _transvection(n, i, j, rng.randint(-2, 2))
-    return u
+        backend._cols(u, i, j, 1, 0, rng.randint(-2, 2), 1)
+    return IntMatrix(u, cols=n)
 
 
 def _scrambled_group(factors, rng):

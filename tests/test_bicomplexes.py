@@ -32,7 +32,8 @@ from bicohom.constructions import (complete_injective_resolution,
                                    tensor_bicomplex)
 from bicohom.snf import IntMatrix
 from bicohom.tate import EXT, TOR, balance_grid
-from helpers import periodic_strand
+from bicohom.suites import _zero_first_diff
+from helpers import invariant_factors_oracle, periodic_strand
 
 
 def hom_grid(c, d):
@@ -635,6 +636,45 @@ def test_periodic_by_window_edges():
     assert all(axis == SECOND for _, axis, _ in report)
     assert {site for site, _, _ in report} == \
         {(0, 0), (1, 0), (0, 2), (1, 2)}
+
+
+# ------------------------------------------- H' and H'' of functor grids
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_directional_homology_of_functor_grids_has_the_closed_form(kind):
+    # the cells are free over Z/m, which is self-injective, so at (i, j) of
+    # Hom(C, D) H' = H_i(C)^(rank D^j) and H'' = H^j(D)^(rank C_i); C (x) D
+    # has the same at (-i, -j).  Half the grids have a factor broken by
+    # _zero_first_diff, which gives the formula nonzero groups to match.
+    sign, second = (1, COHOMOLOGICAL) if kind == "hom" else (-1, "homological")
+    build = hom_bicomplex if kind == "hom" else tensor_bicomplex
+    nonzero = 0
+    for case, (m, support) in enumerate(
+            (m, support) for m in (4, 8, 9, 12)
+            for support in ("periodic", "window")):
+        for broken in (None, ("first", "second")[case % 2]):
+            c = random_exact_complex(m, case, blocks=2, kind=support)
+            d = random_exact_complex(m, case + 50, blocks=2, kind=support,
+                                     convention=second)
+            if broken == "first":
+                c = _zero_first_diff(c)[0]
+            elif broken == "second":
+                d = _zero_first_diff(d)[0]
+            x = build(c, d)
+            for i in range(-2, 3):
+                for j in range(-2, 3):
+                    ci, dj = sign * i, sign * j
+                    for axis, h, rank in (
+                            (PRIME, homology(c, ci), d.cell(dj).ambient_rank),
+                            (SECOND, homology(d, dj), c.cell(ci).ambient_rank)):
+                        got = directional_homology(x, (i, j), axis)
+                        want = invariant_factors_oracle(
+                            list(h.group.invariant_factors) * rank)
+                        assert got.invariant_factors == want, \
+                            (m, support, broken, i, j, axis)
+                        nonzero += bool(want)
+    assert nonzero >= 100
 
 
 # ------------------------------------------- one kernel/image per differential

@@ -13,6 +13,7 @@ Oracles, written before the implementations they check:
     Hom(Z_1, D) = 0, so any off-by-one dies loudly.
 """
 
+import random
 import re
 
 import pytest
@@ -437,6 +438,49 @@ def test_random_exact_complex_deterministic():
     other = random_exact_complex(8, 43, blocks=3)
     assert any(a.diff(n).matrix.to_lists() != other.diff(n).matrix.to_lists()
                for n in range(2))
+
+
+def _transvection(n, i, j, k):
+    """I + k*E_ij as a matrix."""
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    rows[i][j] = k
+    return IntMatrix(rows, cols=n)
+
+
+def _unimodular_pair_by_products(rng, n):
+    """The same eight draws as _unimodular_pair, each multiplied in as a
+    transvection matrix: on the left of U, its inverse on the right of
+    U^-1."""
+    u = uinv = IntMatrix.identity(n)
+    for _ in range(8 if n > 1 else 0):
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        k = rng.randint(-2, 2)
+        u = _transvection(n, i, j, k) @ u
+        uinv = uinv @ _transvection(n, i, j, -k)
+    return u, uinv
+
+
+def test_unimodular_pair_is_the_transvection_product():
+    for n in range(6):
+        for seed in range(6):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            for _ in range(2):  # the second pair checks the draws line up
+                u, uinv = constructions._unimodular_pair(rng, n)
+                assert (u, uinv) == _unimodular_pair_by_products(oracle, n)
+                assert u @ uinv == IntMatrix.identity(n)
+            assert rng.random() == oracle.random()
+
+
+def test_unimodular_pair_multiplies_no_matrices(monkeypatch):
+    calls = []
+    real = IntMatrix.__matmul__
+    monkeypatch.setattr(IntMatrix, "__matmul__",
+                        lambda a, b: calls.append(1) or real(a, b))
+    constructions._unimodular_pair(random.Random(3), 5)
+    assert calls == []
 
 
 def test_random_exact_complex_shapes():

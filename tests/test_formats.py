@@ -4,13 +4,17 @@ import json
 
 import pytest
 
-from bicohom.abgroup import FpGroup
+from bicohom.abgroup import FpGroup, _cyclic_matrix
 from bicohom.complexes import (COHOMOLOGICAL, HOMOLOGICAL, Periodic, Window,
                                Complex, hom_into_module, homology)
 from bicohom.errors import ParseError
-from bicohom.formats import (MAX_BITS, MAX_DEGREES, MAX_RANK, load_complex,
-                             parse_complex, serialize_complex)
-from helpers import periodic_strand
+from bicohom.constructions import random_exact_complex
+from bicohom.formats import (MAX_BITS, MAX_DEGREES, MAX_RANK, _normalized_diff,
+                             load_complex, parse_complex, serialize_complex)
+from bicohom.snf import IntMatrix
+from bicohom.suites import _zero_first_diff
+from helpers import periodic_strand, random_factor_group, random_morphism, \
+    seeded
 from test_identity_digest import serialize_runs
 
 
@@ -101,6 +105,58 @@ def test_serialize_omits_zero_diffs():
             ' "cells": {"0": {"factors": [2]}}}')
     out = json.loads(serialize_complex(parse_complex(text)))
     assert out["diffs"] == {}
+
+
+def normalization_cases():
+    """Seeded complexes: over Z, two-cell windows between scrambled groups
+    with Z summands; over Z/4, 8, 9 and 12, the same with finite cyclic
+    summands, and random exact complexes, broken or not."""
+    rng = seeded(53)
+    for m in (0, 4, 8, 9, 12):
+        for _ in range(8 if m else 24):
+            src, tgt = random_factor_group(rng, m), random_factor_group(rng, m)
+            yield Complex.window(HOMOLOGICAL, m, 0, 1, [tgt, src],
+                                 {1: random_morphism(rng, src, tgt)})
+        if m:
+            for seed in range(3):
+                for kind in ("periodic", "window"):
+                    c = random_exact_complex(m, seed, kind=kind)
+                    yield c
+                    yield _zero_first_diff(c)[0]
+
+
+def test_normalized_diff_is_the_reduction_by_the_target_orders():
+    # each entry modulo its target summand's order is the residue that the
+    # relation echelon of the target's cyclic form gives, column by column
+    z_rows = 0
+    for c in normalization_cases():
+        for n in c.diff_degrees():
+            f = c.diff(n)
+            orders = f.target.cyclic_decomposition().orders
+            mat = _cyclic_matrix(f)
+            z_rows += any(any(row) for row, o in zip(mat.to_lists(), orders)
+                          if o == 0)
+            target = FpGroup.from_factors(c.modulus, list(orders))
+            want = IntMatrix.from_columns(
+                [target.reduce(col) for col in mat.columns()],
+                rows=len(orders))
+            assert _normalized_diff(c, n) == want
+    assert z_rows >= 3  # differentials with a nonzero row on a Z summand
+
+
+def test_serialize_builds_no_group(monkeypatch):
+    cases = list(normalization_cases())
+    for c in cases:  # the cells' cyclic forms are cached before counting
+        for n in c.degrees():
+            c.cell(n).cyclic_decomposition()
+    built = []
+    real = FpGroup.__init__
+    monkeypatch.setattr(FpGroup, "__init__",
+                        lambda self, *args: built.append(1) or
+                        real(self, *args))
+    for c in cases:
+        serialize_complex(c)
+    assert built == []
 
 
 def test_truncated_window_is_not_serializable():

@@ -4,8 +4,10 @@ Oracles, written before the implementations they check:
   * gcd-of-minors: the product d_1*...*d_k of the first k diagonal entries of
     a Smith form equals gcd of all k-by-k minors of the input, up to sign.
     Computed by backend.minor_gcds, a level-by-level Laplace expansion
-    over lazily built minor tables that shares no code with the reduction,
-    and checked here against the gcd of det over every k-by-k submatrix.
+    over the row sets that extend the previous level's, which shares no
+    code with the reduction; checked here against the gcd of det over
+    every k-by-k submatrix, and against the permutation expansion of every
+    minor, which calls no backend code at all.
   * substitution: any witness returned by solve_mod must satisfy the system
     exactly; insolubility is cross-checked against the Smith-form criterion
     (d_i must divide the transformed right-hand side), a second code path.
@@ -14,7 +16,7 @@ Oracles, written before the implementations they check:
 """
 
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +219,60 @@ def test_minor_gcds_match_brute_force_where_no_level_stops_early():
             assert 1 not in chain
             zero_levels += chain[-1] == 0
     assert zero_levels >= 40
+
+
+def _sign(perm):
+    """(-1)^(number of inversions) of a permutation tuple."""
+    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
+
+
+def permutation_minor_gcds(a):
+    """gcd of all k-minors, each the sum over permutations of signed
+    products of entries: no backend code, no elimination, no Laplace."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    out = []
+    for k in range(1, min(rows, cols) + 1):
+        perms = [(p, _sign(p)) for p in permutations(range(k))]
+        out.append(math.gcd(*[
+            sum(s * math.prod(a[rs[t]][cs[p[t]]] for t in range(k))
+                for p, s in perms)
+            for rs in combinations(range(rows), k)
+            for cs in combinations(range(cols), k)]))
+    return out
+
+
+def test_minor_gcds_match_the_permutation_expansion():
+    # minor_gcds visits at level k only the row sets extending the ones
+    # level k-1 visited; on the early-stop inputs row 0 has content 1, so
+    # level 1 stops there and every later level skips most row sets, while
+    # the chain still has some d_k > 1 for the skipped sets to hide
+    rng = seeded(41)
+    early_stops = 0
+    for case in range(150):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        kind = case % 3
+        if kind == 0:
+            a = [[rng.randint(-9, 9) for _ in range(cols)]
+                 for _ in range(rows)]
+        elif kind == 1:
+            inner = rng.randint(0, min(rows, cols) - 1)
+            b = [[rng.randint(-4, 4) for _ in range(inner)]
+                 for _ in range(rows)]
+            c = [[rng.randint(-4, 4) for _ in range(cols)]
+                 for _ in range(inner)]
+            a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)]
+                 if inner else [0] * cols for row in b]
+        else:
+            p = rng.choice((2, 3, 4, 6))
+            a = [[rng.choice((-1, 1)) if j == 0 else rng.randint(-3, 3)
+                  for j in range(cols)]]
+            a += [[p * rng.randint(-3, 3) for _ in range(cols)]
+                  for _ in range(rows - 1)]
+        chain = backend.minor_gcds(a)
+        assert chain == permutation_minor_gcds(a), a
+        early_stops += chain[0] == 1 and any(d > 1 for d in chain[1:])
+    assert early_stops >= 30
 
 
 def _names(code):

@@ -37,6 +37,30 @@ def test_hom_count_matches_gcd_product():
         assert _hom_count(fa, fb) == want
 
 
+def test_random_unimodular_is_the_transvection_product():
+    # the same six draws, each multiplied in on the right as I + k*E_ij
+    for n in range(6):
+        for seed in range(6):
+            rng, oracle = seeded(seed), seeded(seed)
+            want = IntMatrix.identity(n)
+            for _ in range(6 if n > 1 else 0):
+                i, j = oracle.sample(range(n), 2)
+                t = backend.identity(n)
+                t[i][j] = oracle.randint(-2, 2)
+                want = want @ IntMatrix(t, cols=n)
+            assert suites._random_unimodular(n, rng) == want
+            assert rng.random() == oracle.random()
+
+
+def test_random_unimodular_multiplies_no_matrices(monkeypatch):
+    calls = []
+    real = IntMatrix.__matmul__
+    monkeypatch.setattr(IntMatrix, "__matmul__",
+                        lambda a, b: calls.append(1) or real(a, b))
+    suites._random_unimodular(5, seeded(3))
+    assert calls == []
+
+
 def test_zero_first_diff_breaks_exactness():
     c = random_exact_complex(8, 5, blocks=2)
     assert is_exact(c) == []
