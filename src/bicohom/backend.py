@@ -255,12 +255,18 @@ def col_echelon(a, modulus=0):
     With modulus m > 0, h is instead the Howell form of the lattice
     span(columns of a) + m*Z^rows: square, lower triangular, pivots ==
     [(i, i) for every row i], each pivot dividing m (m itself on a row the
-    columns do not reach), every entry in [0, m].
+    columns do not reach), every entry in [0, m].  No rows or no columns:
+    h is read off the shape (empty, m*I, or the empty rows over Z).
     """
-    if modulus:
-        return _howell(a, modulus)
     m = len(a)
     n = len(a[0]) if m else 0
+    if not n:
+        if modulus:
+            return ([[modulus if r == c else 0 for c in range(m)]
+                     for r in range(m)], [(i, i) for i in range(m)])
+        return [[] for _ in a], []
+    if modulus:
+        return _howell(a, modulus)
     h = [list(row) for row in a]
     pivots = []
     c = 0

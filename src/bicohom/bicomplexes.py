@@ -15,9 +15,18 @@ homology group of the grid, and it is returned as one: the
 `abgroup.Homology` that `abgroup.subquotient` builds with the grid as
 owner and the bidegree as index, with `abgroup.HClass` classes.  H', H''
 and the E2 pages are the same type without a site, built by
-`abgroup.ker_mod_im` like `complexes.homology`: over Z/m it proves H' or
-H'' = 0 by counting orders, so the exactness that core_homology and
-diagonal_shift require costs no subquotient.
+`abgroup.ker_mod_im` like `complexes.homology`.
+
+The exactness that core_homology and diagonal_shift require is certified
+from a Hom or tensor grid's factors where a theorem allows it
+(`_certified`): over Z/m a free module is projective and, Z/m being
+self-injective, injective, so at (i, j) of Hom(C, D) H' = H_i(C)^(rank
+D^j) when D^j is free and H'' = H^j(D)^(rank C_i) when C_i is free; C (x)
+D has the same at (-i, -j).  Every other site -- over Z, at a non-free
+factor cell or an inexact factor, on a grid without factors -- is decided
+on the grid by `ker_mod_im`, which over Z/m counts orders, so a refusal
+names the grid's H.  `check_exact_grid` and `directional_homology` always
+read the grid: the thm21 suite holds the certificate to them.
 
 Z', B', Z'', B'' and both core denominators d'(Z'') and d''(Z') are read
 through three helpers that take the axis as a parameter, over kernels and
@@ -42,7 +51,7 @@ from collections import namedtuple
 from .abgroup import (Element, Morphism, _push, intersect, ker_mod_im,
                       kernel_image, morphism_from_images, preimage_element,
                       subquotient, FpGroup)
-from .complexes import Periodic, Window, _check_differential
+from .complexes import Periodic, Window, _check_differential, homology
 from .errors import (ConventionViolation, HypothesisViolated,
                      InternalChaseFailure, OutOfWindow)
 
@@ -80,6 +89,9 @@ class _Grid(object):
         self._cell_fn = cell_fn
         self._diff_fns = {PRIME: dprime_fn, SECOND: dsecond_fn}
         self._zero_cell = FpGroup(modulus, 0)
+        # (C, D, sign) of a Hom or tensor grid, for `_certified`; a grid
+        # built any other way keeps none
+        self._factors = None
         self._cells = {}
         self._diffs = {PRIME: {}, SECOND: {}}
         self._sites = {}
@@ -310,7 +322,31 @@ def check_exact_grid(x, i_lo, i_hi, j_lo, j_hi):
             for axis, i, j, g in _inexact(x, sites)]
 
 
+def _certified(x, axis, i, j):
+    """Whether x's factors prove H' (axis PRIME) or H'' = 0 at (i, j): over
+    Z/m, with the fixed factor cell (D_{sign j} for H', C_{sign i} for H'')
+    free, the factor homology in the other slot is zero or that cell has
+    rank 0.  The three sites the grid's H reads are looked up first, so a
+    truncated window refuses as it does on the grid."""
+    if x._factors is None or x.modulus < 2:
+        return False
+    c, d, sign = x._factors
+    di, dj = _STEP[axis]
+    for k in (0, 1, -1):
+        x._site(i + k * di, j + k * dj)
+    moving, fixed, n, k = (c, d, i, j) if axis == PRIME else (d, c, j, i)
+    cell = fixed.cell(sign * k)
+    if (c.modulus != x.modulus or d.modulus != x.modulus
+            or cell.order() != x.modulus ** cell.ambient_rank):
+        return False
+    return (cell.ambient_rank == 0
+            or homology(moving, sign * n).group.is_trivial())
+
+
 def _require_exact(x, sites, op_name):
+    """HypothesisViolated for the first site whose H is nonzero; sites the
+    factors certify are skipped, so a refusal is the grid's."""
+    sites = [s for s in sites if not _certified(x, *s)]
     for axis, i, j, g in _inexact(x, sites):
         raise HypothesisViolated(
             "%s needs H%s = 0 at (%d, %d) but found %s"

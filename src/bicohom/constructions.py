@@ -32,13 +32,17 @@ from .snf import IntMatrix
 
 
 def _functor_grid(cell_fn, map_fn, c, d, sign):
-    """The Bicomplex of the lazy grid F(C_{sign i}, D_{sign j})."""
+    """The Bicomplex of the lazy grid F(C_{sign i}, D_{sign j}); it keeps
+    (c, d, sign), whose free cells and homology certify its exactness
+    (`bicomplexes._certified`: H' = H_{sign i}(C)^(rank D_{sign j}))."""
     at, dprime, dsecond = _lazy_functor(cell_fn, map_fn, c, d, sign)
     support_i, support_j = c.support, d.support
     if sign < 0:
         support_i, support_j = support_i.reflected(), support_j.reflected()
-    return Bicomplex(_shared_modulus(c, d), support_i, support_j,
+    grid = Bicomplex(_shared_modulus(c, d), support_i, support_j,
                      lambda i, j: at(i, j).group, dprime, dsecond)
+    grid._factors = (c, d, sign)
+    return grid
 
 
 def hom_bicomplex(c, d):

@@ -11,7 +11,9 @@ and any error while building a case, propagates.
 `inject_fault=True` corrupts each instance by zeroing its first nonzero
 differential before running the same checks; the suites that verify
 exactness-dependent claims must then fail.  It exists so that a green run
-demonstrably can turn red.  Suites without a differential (snf, abgroup)
+demonstrably can turn red.  thm21 first holds the grid's factor certificate
+of exactness (`bicomplexes._certified`) to the grid's own H' and H'' around
+each spot; the certificate calls no faulted site exact.  Suites without a differential (snf, abgroup)
 reject the flag.  Faulted balance asserts that its corner (0, 0) is refused:
 P is then inexact in both parities, so H' at (0, -1), Hom(H_0(P), E^-1) or
 H_0(P) (x) Q_1, is nonzero.
@@ -23,7 +25,8 @@ from math import gcd
 
 from . import backend
 from .abgroup import Element, FpGroup, Morphism, hom_group, tensor_group
-from .bicomplexes import (core_equality_check, core_homology,
+from .bicomplexes import (_MARKS, _certified, check_exact_grid,
+                          core_equality_check, core_homology,
                           core_homology_alt, diagonal_shift)
 from .complexes import (COHOMOLOGICAL, Complex, cycles, homology,
                         hom_from_module, hom_into_module)
@@ -240,6 +243,12 @@ def suite_thm21(rng, inject_fault):
 
     def check():
         for bd in spots:
+            # the factor certificate against the grid, around the spot
+            for site, axis, _ in check_exact_grid(x, bd[0] - 1, bd[0],
+                                                  bd[1] - 1, bd[1]):
+                if _certified(x, axis, *site):
+                    return False, ("exactness certificate disagrees with the "
+                                   "grid on H%s at %s" % (_MARKS[axis], site))
             if not core_equality_check(x, bd):
                 return False, "denominators differ at %s" % (bd,)
             a = core_homology(x, bd)

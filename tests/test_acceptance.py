@@ -1,4 +1,4 @@
-"""Acceptance gate: fourteen criteria, each one pass/fail line with runtime.
+"""Acceptance gate: fifteen criteria, each one pass/fail line with runtime.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines; every
 criterion asserts both its mathematical claim and its runtime budget.
@@ -8,6 +8,7 @@ import random
 import time
 from math import gcd
 
+from bicohom import bicomplexes, complexes
 from bicohom.abgroup import FpGroup, hom_group, tensor_group
 from bicohom.bicomplexes import (I_THEN_II, II_THEN_I, core_homology,
                                  core_homology_alt, iterated_homology)
@@ -240,3 +241,32 @@ def test_criterion_14_both_ways_walk_is_linear_in_the_span(capsys):
                 assert out.rstrip().endswith("balance: all pass"), (kind,
                                                                     span)
     _criterion(14, "tate --both-ways over 1024 degrees, 4 runs", 10, run)
+
+
+def test_criterion_15_rank_256_cores_certify_exactness_at_factor_size(
+        monkeypatch):
+    # over Z/12 the rank-16 factors prove the exactness the core needs, so
+    # no H' or H'' is built on a rank-256 grid cell; the work is what is
+    # gated, and the run takes about 0.3 s
+    ranks = []
+    for module in (bicomplexes, complexes):
+        def counting(out, into, *args, real=module.ker_mod_im):
+            ranks.append(out.source.ambient_rank)
+            return real(out, into, *args)
+        monkeypatch.setattr(module, "ker_mod_im", counting)
+
+    def run():
+        c = random_exact_complex(12, 11, blocks=16)
+        grids = (
+            hom_bicomplex(c, random_exact_complex(
+                12, 22, blocks=16, convention=COHOMOLOGICAL)),
+            tensor_bicomplex(c, random_exact_complex(12, 22, blocks=16)))
+        for grid in grids:
+            assert grid.cell(0, 0).ambient_rank == 256
+            got = core_homology(grid, (0, 0)).group
+            alt = core_homology_alt(grid, (0, 0)).group
+            assert got.invariant_factors
+            assert (got.invariant_factors, got.free_rank) == \
+                (alt.invariant_factors, alt.free_rank)
+        assert ranks and max(ranks) == 16
+    _criterion(15, "rank-256 cores build no grid-size H' or H''", 1.5, run)

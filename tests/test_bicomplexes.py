@@ -6,7 +6,12 @@ Oracles, written before the implementations they check:
     orders and the two-route equality are checked against raw counting.
   * iterated homology of the 2x2 integer grid below is worked out by hand;
     the two orders genuinely disagree there, which pins the order tokens.
+  * core_homology decides exactness from a functor grid's factors where
+    it can; `check_exact_grid` on a separate copy of the grid says where
+    it must refuse, and with which text.
 """
+
+import json
 
 import pytest
 
@@ -22,7 +27,7 @@ from bicohom.bicomplexes import (Bicomplex, BoundaryData,
                                  directional_homology, from_double_complex,
                                  iterated_homology, to_double_complex)
 from bicohom.complexes import (COHOMOLOGICAL, Complex, Periodic, Window,
-                               homology)
+                               homology, is_exact)
 from bicohom.errors import (ConventionViolation, HypothesisViolated,
                             InternalChaseFailure, NotContained, OutOfWindow,
                             ParentMismatch)
@@ -30,6 +35,7 @@ from bicohom.constructions import (complete_injective_resolution,
                                    complete_projective_resolution,
                                    hom_bicomplex, random_exact_complex,
                                    tensor_bicomplex)
+from bicohom.formats import parse_complex
 from bicohom.snf import IntMatrix
 from bicohom.tate import EXT, TOR, balance_grid
 from bicohom.suites import _zero_first_diff
@@ -641,15 +647,11 @@ def test_periodic_by_window_edges():
 # ------------------------------------------- H' and H'' of functor grids
 
 
-@pytest.mark.parametrize("kind", ["hom", "tensor"])
-def test_directional_homology_of_functor_grids_has_the_closed_form(kind):
-    # the cells are free over Z/m, which is self-injective, so at (i, j) of
-    # Hom(C, D) H' = H_i(C)^(rank D^j) and H'' = H^j(D)^(rank C_i); C (x) D
-    # has the same at (-i, -j).  Half the grids have a factor broken by
-    # _zero_first_diff, which gives the formula nonzero groups to match.
-    sign, second = (1, COHOMOLOGICAL) if kind == "hom" else (-1, "homological")
+def functor_grid_cases(kind):
+    """(factors, grid) over Z/4, 8, 9 and 12, periodic and window; half
+    the grids have a factor broken by _zero_first_diff."""
+    second = COHOMOLOGICAL if kind == "hom" else "homological"
     build = hom_bicomplex if kind == "hom" else tensor_bicomplex
-    nonzero = 0
     for case, (m, support) in enumerate(
             (m, support) for m in (4, 8, 9, 12)
             for support in ("periodic", "window")):
@@ -661,20 +663,164 @@ def test_directional_homology_of_functor_grids_has_the_closed_form(kind):
                 c = _zero_first_diff(c)[0]
             elif broken == "second":
                 d = _zero_first_diff(d)[0]
-            x = build(c, d)
-            for i in range(-2, 3):
-                for j in range(-2, 3):
-                    ci, dj = sign * i, sign * j
-                    for axis, h, rank in (
-                            (PRIME, homology(c, ci), d.cell(dj).ambient_rank),
-                            (SECOND, homology(d, dj), c.cell(ci).ambient_rank)):
-                        got = directional_homology(x, (i, j), axis)
-                        want = invariant_factors_oracle(
-                            list(h.group.invariant_factors) * rank)
-                        assert got.invariant_factors == want, \
-                            (m, support, broken, i, j, axis)
-                        nonzero += bool(want)
+            yield (m, support, broken, c, d), build(c, d)
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_directional_homology_of_functor_grids_has_the_closed_form(kind):
+    # the cells are free over Z/m, which is self-injective, so at (i, j) of
+    # Hom(C, D) H' = H_i(C)^(rank D^j) and H'' = H^j(D)^(rank C_i); C (x) D
+    # has the same at (-i, -j).  Half the grids have a factor broken by
+    # _zero_first_diff, which gives the formula nonzero groups to match.
+    sign = 1 if kind == "hom" else -1
+    nonzero = 0
+    for (m, support, broken, c, d), x in functor_grid_cases(kind):
+        for i in range(-2, 3):
+            for j in range(-2, 3):
+                ci, dj = sign * i, sign * j
+                for axis, h, rank in (
+                        (PRIME, homology(c, ci), d.cell(dj).ambient_rank),
+                        (SECOND, homology(d, dj), c.cell(ci).ambient_rank)):
+                    got = directional_homology(x, (i, j), axis)
+                    want = invariant_factors_oracle(
+                        list(h.group.invariant_factors) * rank)
+                    assert got.invariant_factors == want, \
+                        (m, support, broken, i, j, axis)
+                    nonzero += bool(want)
     assert nonzero >= 100
+
+
+# ------------------------------------------ exactness certified by factors
+
+
+def grid_refusal(x, i, j):
+    """The refusal of core_homology at (i, j) as read off check_exact_grid:
+    the first of H'' at (i - 1, j) and H' at (i, j - 1) that the grid
+    finds nonzero, named as core_outcome names it; None when both
+    vanish."""
+    found = {(site, axis): text for site, axis, text
+             in check_exact_grid(x, i - 1, i, j - 1, j)}
+    for axis, site, mark in ((SECOND, (i - 1, j), "''"),
+                             (PRIME, (i, j - 1), "'")):
+        if (site, axis) in found:
+            return "HypothesisViolated", (
+                "core_homology needs H%s = 0 at (%d, %d) but found %s"
+                % ((mark,) + site + (found[site, axis],)))
+    return None
+
+
+def core_outcome(x, i, j):
+    """None, or the name and text of core_homology's refusal at (i, j)."""
+    try:
+        core_homology(x, (i, j))
+    except (HypothesisViolated, OutOfWindow) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def assert_gate_matches_grid(gate, oracle, span):
+    """core_homology on `gate` refuses exactly where check_exact_grid on
+    the separate grid `oracle` says it must, with the same text; returns
+    how many sites were refused."""
+    refused = 0
+    for i in span:
+        for j in span:
+            want = grid_refusal(oracle, i, j)
+            assert core_outcome(gate, i, j) == want, (i, j)
+            refused += want is not None
+    return refused
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_the_factor_certificate_refuses_where_the_grid_does(kind):
+    refused = 0
+    oracles = (x for _, x in functor_grid_cases(kind))
+    for (_, _, broken, _, _), x in functor_grid_cases(kind):
+        got = assert_gate_matches_grid(x, next(oracles), range(-2, 3))
+        assert broken or not got
+        refused += got
+    assert refused >= 20
+
+
+Z4_EXTENSION = json.dumps({
+    # 0 -> Z/2 -> Z/4 -> Z/2 -> 0: exact, with two cells that are not free
+    "modulus": 4, "convention": "homological",
+    "support": {"window": {"lo": 0, "hi": 2}},
+    "cells": {"0": {"factors": [2]}, "1": {"factors": [4]},
+              "2": {"factors": [2]}},
+    "diffs": {"1": [[1]], "2": [[2]]}})
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_a_non_free_factor_cell_is_decided_on_the_grid(kind):
+    # both factors are exact, so the closed form would call every site
+    # exact; but Z/2 is neither projective nor injective over Z/4, and
+    # Hom(Z/2, D) and Z/2 (x) D of an exact D with a Z/4 --2--> Z/4 strand
+    # are not exact
+    c = parse_complex(Z4_EXTENSION)
+    second = COHOMOLOGICAL if kind == "hom" else "homological"
+    d = random_exact_complex(4, 0, blocks=2, convention=second)
+    assert is_exact(c) == [] and is_exact(d) == []
+    build = hom_bicomplex if kind == "hom" else tensor_bicomplex
+    assert assert_gate_matches_grid(build(c, d), build(c, d),
+                                    range(-3, 4)) >= 4
+
+
+def z_multiplication():
+    """Z --2--> Z at degrees 1, 0: H_0 = Z/2 and H_1 = 0."""
+    z = FpGroup.free(0, 1)
+    return Complex.window("homological", 0, 0, 1, [z, z],
+                          {1: make_morphism(z, z, IntMatrix([[2]]))})
+
+
+def test_a_grid_over_the_integers_is_decided_on_the_grid():
+    # Z is not self-injective: Hom(C, Z) has H' = Ext(H_0(C), Z) = Z/2 at
+    # (1, 0), where H_1(C) = 0 would certify it
+    c = z_multiplication()
+    z = FpGroup.free(0, 1)
+    d = Complex.window(COHOMOLOGICAL, 0, 0, 0, [z])
+    x = hom_bicomplex(c, d)
+    assert homology(c, 1).group.is_trivial()
+    assert not directional_homology(x, (1, 0), PRIME).is_trivial()
+    assert assert_gate_matches_grid(hom_bicomplex(c, d), x,
+                                    range(-2, 4)) >= 1
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_a_truncated_factor_window_refuses_as_the_grid_does(kind):
+    # past a truncated window both paths raise the grid's OutOfWindow, in
+    # grid degrees, which for the tensor grid are the factor's reflected
+    c = random_exact_complex(4, 6, blocks=2, kind="window")
+    lo, hi = c.support.lo, c.support.hi
+    c = Complex.window(c.convention, 4, lo, hi,
+                       {n: c.cell(n) for n in c.degrees()},
+                       {n: c.diff(n) for n in c.diff_degrees()},
+                       zero_outside=False)
+    second = COHOMOLOGICAL if kind == "hom" else "homological"
+    d = random_exact_complex(4, 3, blocks=2, convention=second)
+    build = hom_bicomplex if kind == "hom" else tensor_bicomplex
+    outcomes = set()
+    for i in range(-hi - 2, hi + 3):
+        for j in range(-2, 3):
+            want = core_outcome(
+                from_double_complex(to_double_complex(build(c, d))), i, j)
+            assert core_outcome(build(c, d), i, j) == want, (i, j)
+            outcomes.add(want and want[0])
+    assert outcomes == {None, "OutOfWindow"}
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_a_double_complex_wrap_is_decided_on_the_grid(kind):
+    # the wrap keeps no factors, so even its exact sites go to the grid
+    refused = 0
+    oracles = (x for _, x in functor_grid_cases(kind))
+    for (_, _, broken, _, _), x in functor_grid_cases(kind):
+        wrap = from_double_complex(to_double_complex(x))
+        assert wrap._factors is None
+        got = assert_gate_matches_grid(wrap, next(oracles), range(-2, 3))
+        assert broken or not got
+        refused += got
+    assert refused >= 20
 
 
 # ------------------------------------------- one kernel/image per differential

@@ -15,18 +15,20 @@ Oracles:
   * a hand-built pair whose orders match while B is not inside Z must
     still raise `NotContained`;
   * kernel_basis call counts pin the work, so losing the counting path
-    fails here and not only in the benchmark.
+    fails here and not only in the benchmark.  A Hom grid certifies its
+    exactness from its factors and calls no ker_mod_im at all, so the
+    counting path is pinned on a `from_grid` copy of its cells.
 """
 
 import hashlib
 
 import pytest
 
-from bicohom import abgroup
+from bicohom import abgroup, bicomplexes
 from bicohom.abgroup import (FpGroup, kernel_image, ker_mod_im,
                              make_morphism, subquotient)
-from bicohom.bicomplexes import (PRIME, SECOND, _STEP, core_homology,
-                                 diagonal_shift)
+from bicohom.bicomplexes import (PRIME, SECOND, _STEP, Bicomplex,
+                                 core_homology, diagonal_shift)
 from bicohom.complexes import COHOMOLOGICAL, HOMOLOGICAL, Complex, homology
 from bicohom.constructions import (hom_bicomplex, random_exact_complex,
                                    tensor_bicomplex)
@@ -181,17 +183,48 @@ def test_matching_orders_do_not_hide_a_boundary_outside_the_cycles():
         subquotient(cell, kernel_image(out)[0], kernel_image(into)[1])
 
 
-def test_core_homology_builds_no_kernel_for_a_vanishing_site(monkeypatch):
+def rank4_hom_grid():
     c = random_exact_complex(12, 3, blocks=2)
     d = random_exact_complex(12, 4, blocks=2, convention=COHOMOLOGICAL)
-    x = hom_bicomplex(c, d)
+    return hom_bicomplex(c, d)
+
+
+def test_core_homology_builds_no_kernel_for_a_vanishing_site(monkeypatch):
+    # a from_grid copy of the Hom grid's cells and differentials keeps no
+    # factors, so its exactness is decided on the grid by ker_mod_im
+    x = rank4_hom_grid()
+    span = range(-2, 3)
+    copy = Bicomplex.from_grid(
+        12, {(i, j): x.cell(i, j) for i in span for j in span},
+        {(i, j): x.dprime(i, j) for i in span[:-1] for j in span},
+        {(i, j): x.dsecond(i, j) for i in span for j in span[:-1]})
     calls = count_calls(monkeypatch, "kernel_basis")
-    core_homology(x, (0, 0))
+    core_homology(copy, (0, 0))
     # the kernels of the grid's four distinct differentials (d' and d''
     # out of each parity, shared by the sites of that parity) and the
     # core's own subquotient; the two vanishing H' and H'' are counted,
     # not built
     assert len(calls) == 5
+
+
+def test_a_functor_grid_certifies_exactness_from_its_factors(monkeypatch):
+    x = rank4_hom_grid()
+    kernels = count_calls(monkeypatch, "kernel_basis")
+    grid_sized = []
+    real = bicomplexes.ker_mod_im
+
+    def counting(out, into, *args):
+        grid_sized.append(out.source.ambient_rank)
+        return real(out, into, *args)
+
+    monkeypatch.setattr(bicomplexes, "ker_mod_im", counting)
+    core_homology(x, (0, 0))
+    # the factors certify H'' at (-1, 0) and H' at (0, -1) from their
+    # memoised homology, so only the kernels the core reads are built: d'
+    # out of (0, 0), the one d'' of the even columns, and the core's own
+    # subquotient
+    assert len(kernels) == 3
+    assert grid_sized == []
 
 
 def test_random_exact_complex_builds_no_homology_kernel(monkeypatch):

@@ -16,7 +16,8 @@ no elimination code.  Its transition matrices are checked modulo each
 order: to_cyclic inverts from_cyclic and kills every relation column.
 
 The sparse Howell loop must return exactly what the dense loop it replaced
-returns (`helpers.dense_howell`), and `reduce_columns`, which skips pivot
+returns (`helpers.dense_howell`), an input with no rows or no columns
+must get that answer without reaching the loop, and `reduce_columns`, which skips pivot
 rows whose entry is 0, must still give the oracle's canonical residue.
 """
 
@@ -195,6 +196,23 @@ def test_howell_matches_the_dense_loop(m, data):
     copy = [list(row) for row in rows]
     assert backend.col_echelon(rows, m) == dense_howell(rows, m)
     assert rows == copy
+
+
+def test_empty_shapes_are_answered_by_their_shape(monkeypatch):
+    # no rows, or rows of no entries: the Howell form is m*I (empty for no
+    # rows), as the dense loop gives; over Z the rows come back as they are
+    # with no pivot
+    reached = []
+    real = backend._howell
+    monkeypatch.setattr(backend, "_howell",
+                        lambda a, m: reached.append(a) or real(a, m))
+    for rows in range(5):
+        a = [[] for _ in range(rows)]
+        for m in HOWELL_MODULI:
+            assert backend.col_echelon(a, m) == dense_howell(a, m)
+        assert backend.col_echelon(a, 0) == ([[] for _ in range(rows)], [])
+        assert a == [[] for _ in range(rows)]
+    assert reached == []
 
 
 def test_reduce_columns_skips_only_zero_pivot_rows():

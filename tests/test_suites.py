@@ -9,7 +9,8 @@ import pytest
 from bicohom import abgroup, backend, cli, suites
 from bicohom.abgroup import FpGroup
 from bicohom.complexes import HOMOLOGICAL, Complex, is_exact
-from bicohom.constructions import random_exact_complex
+from bicohom.constructions import (hom_bicomplex, random_exact_complex,
+                                   tensor_bicomplex)
 from bicohom.errors import HypothesisViolated
 from bicohom.snf import IntMatrix, SnfResult
 from bicohom.suites import (SUITES, _hom_count, _invariants_of_cyclics,
@@ -214,6 +215,19 @@ def refused_equality(_check):
     return core_equality_check
 
 
+def lying_factors(random_pair):
+    # the grid of a faulted copy of the first factor, which keeps the exact
+    # factors: the certificate then calls its broken sites exact
+    def _random_pair(rng, m, inject_fault):
+        kind, x, broken_at = random_pair(rng, m, inject_fault)
+        c, d, _ = x._factors
+        build = hom_bicomplex if kind == "hom" else tensor_bicomplex
+        faulted = build(_zero_first_diff(c)[0], d)
+        faulted._factors = x._factors
+        return kind, faulted, broken_at
+    return _random_pair
+
+
 def moving_shift(shift):
     # sends a zero class to the first nonzero class of its target site
     def diagonal_shift(cls, direction):
@@ -362,6 +376,9 @@ def test_snf_suite_names_its_other_planted_wrong_answers(
 DETAIL_PLANTED = [
     ("tensor", "abgroup", "tensor_group", wrong_tensor,
      r"tensor \(.*\) != \(.*\)", 11),
+    ("certificate", "thm21", "_random_pair", lying_factors,
+     r"exactness certificate disagrees with the grid on H'{1,2} "
+     r"at \(-?\d+, -?\d+\)", 11),
     ("denominators", "thm21", "core_equality_check", refused_equality,
      r"denominators differ at \(-?\d+, -?\d+\)", 11),
     ("shift_zero", "thm21", "diagonal_shift", moving_shift,
