@@ -39,8 +39,9 @@ sites one shared pair group or differential, whose kernel, image and
 well-definedness are memoised on it, so a site after the first costs
 lookups.  The diagonal shift is one chase body, `_chase`, for both
 directions and for any number of columns: it solves along one axis and
-pushes along the other, checking exactness, looking up the differentials
-and reading the landing core once per step, not once per column.
+pushes along the other, checking the solve line's exactness (the source
+core's gate passed the other site), looking up the differentials and
+reading the landing core once per step, not once per column.
 `diagonal_shift` is its one-column case; the balance walk moves a whole
 numerator matrix through it.  Each checks once that what it keeps lands
 in the numerator; the grid axioms keep a walk's inner steps there.
@@ -391,9 +392,10 @@ def core_homology_alt(x, bidegree):
     """The core invariant with d''(Z') as the denominator.
 
     A second route on core_homology's numerator; tests compare the two.
+    Reading the numerator runs core_homology's gate, so alt's refusals are
+    core_homology's, text included.
     """
     i, j = bidegree
-    _require_core_exact(x, i, j, "core_homology_alt")
     return subquotient(x.cell(i, j), core_homology(x, bidegree).numerator,
                        _pushed_cycles(x, i, j, SECOND), x, (i, j))
 
@@ -402,10 +404,12 @@ def _chase(core, columns, direction):
     """The diagonal-shift chase of coordinate columns of core's numerator,
     all at once: (landing core, pushed columns), one column per input.
 
-    Exactness is checked, both differentials are looked up and the landing
-    core is read once per call; each column is solved on its own.  Callers
-    check once that the columns they keep land in the numerator (`HClass`,
-    the walk's `_classes`); in between, the grid axioms (d o d = 0, the
+    `core` comes from `core_homology`, whose gate passed H'' at (i-1, j)
+    and H' at (i, j-1), so only the solve line's exactness is checked;
+    that check, both differential lookups and the landing core's read run
+    once per call, and each column is solved on its own.  Callers check
+    once that the columns they keep land in the numerator (`HClass`, the
+    walk's `_classes`); in between, the grid axioms (d o d = 0, the
     commuting square) keep them there, and a column that breaks them has
     no preimage at the next step or no class at the end.
     """
@@ -415,8 +419,7 @@ def _chase(core, columns, direction):
     other = _OTHER[axis]
     x, (i, j) = core.owner, core.index
     (ai, aj), (oi, oj) = _STEP[axis], _STEP[other]
-    _require_exact(x, [(axis, i, j), (axis, i - oi, j - oj)],
-                   "diagonal_shift(%s)" % direction)
+    _require_exact(x, [(axis, i, j)], "diagonal_shift(%s)" % direction)
     a, b = i - ai, j - aj  # y's site: one step back along the solve axis
     solve = getattr(x, _DIFF_NAME[axis])(a, b)
     push = getattr(x, _DIFF_NAME[other])(a, b)

@@ -39,7 +39,8 @@ from bicohom.formats import parse_complex
 from bicohom.snf import IntMatrix
 from bicohom.tate import EXT, TOR, balance_grid
 from bicohom.suites import _zero_first_diff
-from helpers import invariant_factors_oracle, periodic_strand
+from helpers import (invariant_factors_oracle, periodic_strand,
+                     truncated_window)
 
 
 def hom_grid(c, d):
@@ -790,12 +791,8 @@ def test_a_grid_over_the_integers_is_decided_on_the_grid():
 def test_a_truncated_factor_window_refuses_as_the_grid_does(kind):
     # past a truncated window both paths raise the grid's OutOfWindow, in
     # grid degrees, which for the tensor grid are the factor's reflected
-    c = random_exact_complex(4, 6, blocks=2, kind="window")
-    lo, hi = c.support.lo, c.support.hi
-    c = Complex.window(c.convention, 4, lo, hi,
-                       {n: c.cell(n) for n in c.degrees()},
-                       {n: c.diff(n) for n in c.diff_degrees()},
-                       zero_outside=False)
+    c = truncated_window(random_exact_complex(4, 6, blocks=2, kind="window"))
+    hi = c.support.hi
     second = COHOMOLOGICAL if kind == "hom" else "homological"
     d = random_exact_complex(4, 3, blocks=2, convention=second)
     build = hom_bicomplex if kind == "hom" else tensor_bicomplex
@@ -873,6 +870,45 @@ def test_grid_differentials_are_reduced_mod_m(kind):
     entries = {e for f in memoised_diffs(x)
                for row in f.matrix.to_lists() for e in row}
     assert entries and min(entries) >= 0 and max(entries) < 12
+
+
+def count_gates(monkeypatch):
+    """(op name, sites) of every _require_exact call from now on."""
+    calls, real = [], bicomplexes._require_exact
+
+    def counting(x, sites, op_name):
+        calls.append((op_name, list(sites)))
+        return real(x, sites, op_name)
+
+    monkeypatch.setattr(bicomplexes, "_require_exact", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_core_homology_alt_runs_no_gate_of_its_own(monkeypatch, kind):
+    # alt reads core_homology's numerator, whose gate covers both sites
+    x = rank4_grid(kind)
+    calls = count_gates(monkeypatch)
+    core_homology(x, (0, 0))
+    core_homology_alt(x, (0, 0))
+    assert [name for name, _ in calls] == ["core_homology"]
+    del calls[:]
+    core_homology_alt(rank4_grid(kind), (0, 0))
+    assert [name for name, _ in calls] == ["core_homology"]
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_the_chase_checks_only_the_line_it_solves_along(monkeypatch, kind):
+    # the other site, H'' at (i-1, j) or H' at (i, j-1), passed the source
+    # core's gate
+    x = rank4_grid(kind)
+    zero = core_homology(x, (0, 0)).zero_class()
+    calls = count_gates(monkeypatch)
+    for direction in "+-":
+        diagonal_shift(zero, direction)
+    assert [c for c in calls if c[0].startswith("diagonal_shift")] == [
+        ("diagonal_shift(+)", [(SECOND, 0, 0)]),
+        ("diagonal_shift(-)", [(PRIME, 0, 0)])]
 
 
 # ------------------------------------------- exactness without a Smith form

@@ -28,13 +28,15 @@ from bicohom import abgroup, bicomplexes
 from bicohom.abgroup import (FpGroup, kernel_image, ker_mod_im,
                              make_morphism, subquotient)
 from bicohom.bicomplexes import (PRIME, SECOND, _STEP, Bicomplex,
-                                 core_homology, diagonal_shift)
+                                 core_homology, core_homology_alt,
+                                 diagonal_shift)
 from bicohom.complexes import COHOMOLOGICAL, HOMOLOGICAL, Complex, homology
 from bicohom.constructions import (hom_bicomplex, random_exact_complex,
                                    tensor_bicomplex)
-from bicohom.errors import HypothesisViolated, NotContained
+from bicohom.errors import HypothesisViolated, NotContained, OutOfWindow
 from bicohom.snf import IntMatrix
 from bicohom.suites import _zero_first_diff
+from helpers import truncated_window
 
 MODULI = (4, 8, 9, 12)
 
@@ -164,6 +166,36 @@ def test_refusal_texts_on_faulted_grids_are_unchanged():
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert digest == ("19f0c89f0c6c622cf0f060a5c1a0d3a4"
                       "bf15206bca2ad62c46dff3df6dc091ff")
+
+
+def core_outcome(route, x, bidegree):
+    """(None, the invariant factors route(x, bidegree) finds), or the name
+    and text of its refusal."""
+    try:
+        return None, route(x, bidegree).group.invariant_factors
+    except (HypothesisViolated, OutOfWindow) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_core_homology_alt_refuses_as_core_homology_does():
+    # alt runs no gate of its own, so on the faulted window grids and on
+    # grids past a truncated factor window it refuses where core_homology
+    # does, with the same exception and text (alt asked first, on a cold
+    # site)
+    c = truncated_window(random_exact_complex(4, 6, blocks=2, kind="window"))
+    grids = [grids_over(m, kind)[-1] for m in MODULI
+             for kind in ("hom", "tensor")] + [
+        hom_bicomplex(c, random_exact_complex(4, 3, blocks=2,
+                                              convention=COHOMOLOGICAL)),
+        tensor_bicomplex(c, random_exact_complex(4, 3, blocks=2))]
+    seen = set()
+    for x in grids:
+        for i in range(-4, 5):
+            for j in range(-4, 5):
+                got = core_outcome(core_homology_alt, x, (i, j))
+                assert got == core_outcome(core_homology, x, (i, j)), (i, j)
+                seen.add(got[0])
+    assert seen == {None, "HypothesisViolated", "OutOfWindow"}
 
 
 def test_matching_orders_do_not_hide_a_boundary_outside_the_cycles():

@@ -6,8 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from bicohom import abgroup, backend, cli, suites
-from bicohom.abgroup import FpGroup
+from bicohom import abgroup, backend, cli, constructions, suites
+from bicohom.abgroup import (FpGroup, Morphism, induced_hom_map,
+                             kernel_image)
 from bicohom.complexes import HOMOLOGICAL, Complex, is_exact
 from bicohom.constructions import (hom_bicomplex, random_exact_complex,
                                    tensor_bicomplex)
@@ -116,6 +117,45 @@ def test_fault_injection_is_deterministically_red(name):
 def test_fault_injection_rejected_without_differentials(name):
     with pytest.raises(ValueError):
         run_suite(name, seed=1, cases=1, inject_fault=True)
+
+
+def test_prop31_composes_only_inside_its_witnesses(monkeypatch):
+    # each witness compares its two composites with the identity itself;
+    # the suite adds no comparison of its own
+    check = suites.suite_prop31(seeded(0), False)
+    depth, composes, witnesses = [0], [], []
+    real_compose, real_witness = Morphism.compose, constructions._hom_witness
+
+    def compose(f, g):
+        composes.append(depth[0])
+        return real_compose(f, g)
+
+    def witness(*args):
+        witnesses.append(args)
+        depth[0] += 1
+        try:
+            return real_witness(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Morphism, "compose", compose)
+    monkeypatch.setattr(constructions, "_hom_witness", witness)
+    assert check()[0]
+    assert len(witnesses) == 6
+    assert composes == [1] * 2 * len(witnesses)
+
+
+@pytest.mark.parametrize("name, inject_fault", [
+    ("thm33", False), ("balance", True)], ids=["thm33", "faulted_balance"])
+def test_resolutions_are_built_without_a_cycle_witness(
+        monkeypatch, name, inject_fault):
+    # both read only the complexes, so they build no Z_0 witness
+    calls = []
+    monkeypatch.setattr(constructions, "_cycle_witness",
+                        lambda *args: calls.append(args))
+    rows = run_suite(name, seed=0, cases=4, inject_fault=inject_fault)
+    assert [r["pass"] for r in rows] == [not inject_fault] * 4
+    assert calls == []
 
 
 def _planted(exc):
@@ -269,23 +309,6 @@ def wrong_alt(alt):
     return core_homology_alt
 
 
-def wrong_witness(witness):
-    def zprime_witness(c, d, bidegree):
-        f, b = witness(c, d, bidegree)
-        return f, b + b
-    return zprime_witness
-
-
-def one_sided_witness(witness):
-    # through A (+) A: the inclusion after f and b after the projection
-    # still compose to the identity on Z, but not on A (+) A
-    def zprime_witness(c, d, bidegree):
-        f, b = witness(c, d, bidegree)
-        _, (inject, _), (project, _) = abgroup.direct_sum(f.target, f.target)
-        return inject.compose(f), b.compose(project)
-    return zprime_witness
-
-
 def wrong_hom_from(hom):
     def hom_from_module(z, e):
         return hom(abgroup.direct_sum(z, z)[0], e)
@@ -325,8 +348,6 @@ PLANTED = [
     ("abgroup", "hom_group", wrong_hom, r"\|Hom\| \d+ != \d+", False),
     ("thm21", "core_homology_alt", wrong_alt,
      r"route mismatch at \(-?\d+, -?\d+\)", False),
-    ("prop31", "zprime_witness", wrong_witness,
-     r"zprime_witness not left-inverse at \(-?\d+, -?\d+\)", False),
     ("thm33", "hom_from_module", wrong_hom_from,
      r"triple \(.*\) \(.*\) \(.*\) at \(-?\d+, -?\d+\)", False),
     ("balance", "balance_report", wrong_report, r"degrees \[-2\] fail",
@@ -387,8 +408,6 @@ DETAIL_PLANTED = [
      r"round trip fails at \(-?\d+, -?\d+\)", 23),
     ("additive", "thm21", "diagonal_shift", sum_doubling_shift,
      r"shift is not additive at \(-?\d+, -?\d+\)", 23),
-    ("right_inverse", "prop31", "zprime_witness", one_sided_witness,
-     r"zprime_witness not right-inverse at \(-?\d+, -?\d+\)", 11),
     ("closed_form", "balance", "balance_report", wrong_route_report,
      r"degree -2: route \(.*\) != closed form \(.*\)", 11),
 ]
@@ -401,6 +420,42 @@ def test_each_suite_names_its_other_planted_wrong_answers(
         monkeypatch, capsys, suite, name, plant, detail, seed):
     monkeypatch.setattr(suites, name, plant(getattr(suites, name)))
     _assert_named_red(capsys, suite, detail, False, seed)
+
+
+# prop31 checks nothing beyond its witnesses, which check themselves
+# (`constructions._hom_witness`): a backward map broken inside constructions
+# must reach the row as the witness's own InternalChaseFailure.  Doubled, it
+# composes to the identity on neither side.  With Z' lost as well (the
+# kernel of an identity) and the lift zero, backward o forward is the
+# identity on the zero group but forward o backward is not, so only the
+# second composite can see it.
+def doubled_lift(src_hom, dst_hom, *maps, **named):
+    f = induced_hom_map(src_hom, dst_hom, *maps, **named)
+    return f + f if named else f
+
+
+def zero_lift(src_hom, dst_hom, *maps, **named):
+    f = induced_hom_map(src_hom, dst_hom, *maps, **named)
+    return f - f if named else f
+
+
+WITNESS_PLANTED = {
+    "two_sided": {"induced_hom_map": doubled_lift},
+    "one_sided": {"induced_hom_map": zero_lift,
+                  "kernel_image": lambda f: kernel_image(
+                      Morphism.identity(f.source))},
+}
+
+
+@pytest.mark.parametrize("plants", list(WITNESS_PLANTED.values()),
+                         ids=list(WITNESS_PLANTED))
+def test_prop31_names_a_witness_fault_planted_in_constructions(
+        monkeypatch, capsys, plants):
+    for name, plant in plants.items():
+        monkeypatch.setattr(constructions, name, plant)
+    _assert_named_red(capsys, "prop31", "InternalChaseFailure: "
+                      "zprime_witness: the composites are not the identity",
+                      False)
 
 
 def _assert_named_red(capsys, suite, detail, inject_fault, seed=11):
