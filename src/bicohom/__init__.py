@@ -13,7 +13,7 @@ from .bicomplexes import (Bicomplex, BoundaryData, DoubleComplex,
                           I_THEN_II, II_THEN_I, PRIME, SECOND,
                           boundary_subgroups, check_exact_grid,
                           core_equality_check, core_homology,
-                          core_homology_alt, diagonal_shift,
+                          core_homology_alt, core_type, diagonal_shift,
                           directional_homology, from_double_complex,
                           iterated_homology, to_double_complex)
 from .complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex, Periodic,

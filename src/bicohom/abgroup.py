@@ -448,6 +448,33 @@ def _seed(group, basis):
     return group
 
 
+def _invariants_of_cyclics(orders):
+    """Invariant factors of a direct sum of finite cyclic groups, by prime
+    bucketing only -- independent of the matrix pipeline."""
+    buckets = {}
+    for o in map(int, orders):
+        p = 2
+        while o > 1:
+            p = p if p * p <= o else o  # past sqrt(o), o is prime
+            q = gcd(o, p ** o.bit_length())  # the p-part of o
+            if q > 1:
+                buckets.setdefault(p, []).append(q)
+                o //= q
+            p += 1
+    columns = [sorted(powers, reverse=True) for powers in buckets.values()]
+    return tuple(prod(c[k] for c in columns if k < len(c))
+                 for k in reversed(range(max(map(len, columns), default=0))))
+
+
+def _chain_group(modulus, chain):
+    """(+) Z/c over a divisibility chain of orders c >= 2 dividing the
+    modulus, with the chain set as its cyclic form, not computed."""
+    group = FpGroup.from_factors(modulus, chain)
+    eye = IntMatrix.identity(len(chain))
+    group._cyclic = CyclicForm(tuple(chain), eye, eye)
+    return group
+
+
 def _push(subgroup, f):
     """Image of a subgroup under a morphism, as a subgroup of the target."""
     return _span(f.target, f.matrix @ subgroup.matrix)

@@ -30,12 +30,14 @@ read the grid: the thm21 suite holds the certificate to them.
 
 Z', B', Z'', B'' and both core denominators d'(Z'') and d''(Z') are read
 through three helpers that take the axis as a parameter, over kernels and
-images that `abgroup.kernel_image` builds once per differential.  The two
-core routes share one numerator Z' ∩ Z'' and divide it by their own
-denominator.  H', H'' and the core share one memo per grid, keyed by
-canonical site; the grid's cells and checked differentials are memoised
-the same way.  The providers of Hom and tensor grids (`complexes._lazy_functor`) hand many
-sites one shared pair group or differential, whose kernel, image and
+images that `abgroup.kernel_image` builds once per differential.  The core
+is Z' ∩ Z'' over d'(Z''); its second route, `core_homology_alt`, is
+`core_type` on a grid of exact free Z/m factors (Tate Ext or Tor of their
+boundary modules) and d''(Z') as the denominator on any other.  H', H''
+and the core share one memo per grid, keyed by canonical site; the grid's
+cells and checked differentials are memoised the same way.  The providers
+of Hom and tensor grids (`complexes._lazy_functor`) hand many sites one
+shared pair group or differential, whose kernel, image and
 well-definedness are memoised on it, so a site after the first costs
 lookups.  The diagonal shift is one chase body, `_chase`, for both
 directions and for any number of columns: it solves along one axis and
@@ -43,16 +45,19 @@ pushes along the other, checking the solve line's exactness (the source
 core's gate passed the other site), looking up the differentials and
 reading the landing core once per step, not once per column.
 `diagonal_shift` is its one-column case; the balance walk moves a whole
-numerator matrix through it.  Each checks once that what it keeps lands
-in the numerator; the grid axioms keep a walk's inner steps there.
+numerator matrix through it.  Each checks once that what it keeps lands in
+the numerator; the grid axioms keep a walk's inner steps there.
 """
 
 from collections import namedtuple
+from math import gcd
 
-from .abgroup import (Element, Morphism, _push, intersect, ker_mod_im,
-                      kernel_image, morphism_from_images, preimage_element,
-                      subquotient, FpGroup)
-from .complexes import Periodic, Window, _check_differential, homology
+from .abgroup import (Element, Morphism, _chain_group, _invariants_of_cyclics,
+                      _push, intersect, ker_mod_im, kernel_image,
+                      morphism_from_images, preimage_element, subquotient,
+                      FpGroup)
+from .complexes import (Periodic, Window, _check_differential, homology,
+                        is_exact)
 from .errors import (ConventionViolation, HypothesisViolated,
                      InternalChaseFailure, OutOfWindow)
 
@@ -77,6 +82,7 @@ _LINE = {PRIME: "row", SECOND: "column"}
 
 BoundaryData = namedtuple("BoundaryData",
                           ["zprime", "bprime", "zsecond", "bsecond"])
+CoreGroup = namedtuple("CoreGroup", ["group"])
 
 
 class _Grid(object):
@@ -388,13 +394,51 @@ def core_equality_check(x, bidegree):
     return _pushed_cycles(x, i, j, PRIME) == _pushed_cycles(x, i, j, SECOND)
 
 
-def core_homology_alt(x, bidegree):
-    """The core invariant with d''(Z') as the denominator.
+def core_type(x, bidegree):
+    """The core's invariant factors, read off a Hom or tensor grid's
+    factors; None unless m >= 2 and both factors are over Z/m, free in
+    every cell and exact over their period or zero-outside window.
 
-    A second route on core_homology's numerator; tests compare the two.
-    Reading the numerator runs core_homology's gate, so alt's refusals are
-    core_homology's, text included.
+    Such a factor is a complete resolution of its boundary module, so the
+    core is Tate Ext or Tor of B(C) and B(D): (+) Z/(gcd(a, b) gcd(m/a, b)
+    / b) over the invariant factors a of B(C) and b of B(D), merged by
+    prime-power parts.  Each B is src/ker of the differential out of degree
+    0.  The bidegree does not matter: a syzygy takes Z/a to Z/(m/a) plus a
+    projective, the formula is symmetric in a and m/a, and a projective
+    summand gives order 1.  So the answer is memoised once per grid.
     """
+    if "type" not in x._sites:
+        x._sites["type"] = _factor_type(x)
+    return x._sites["type"]
+
+
+def _factor_type(x):
+    m = x.modulus
+    if x._factors is None or m < 2:
+        return None
+    orders = []
+    for f in x._factors[:2]:
+        if (f.modulus != m or not (isinstance(f.support, Periodic)
+                                   or f.support.zero_outside) or is_exact(f)
+                or any(g.order() != m ** g.ambient_rank
+                       for g in map(f.cell, f.degrees()))):
+            return None
+        orders.append(kernel_image(f.diff(0))[0]._quotient_group()
+                      .invariant_factors)
+    return _invariants_of_cyclics(gcd(a, b) * gcd(m // a, b) // b
+                                  for a in orders[0] for b in orders[1])
+
+
+def core_homology_alt(x, bidegree):
+    """The core invariant by a second route; tests and thm21 compare it
+    with core_homology.  Where `core_type` answers, a `CoreGroup` holding
+    that answer's group alone.  Elsewhere core_homology's numerator over
+    d''(Z'); reading the numerator runs core_homology's gate, so alt's
+    refusals are core_homology's, text included.
+    """
+    chain = core_type(x, bidegree)
+    if chain is not None:
+        return CoreGroup(_chain_group(x.modulus, chain))
     i, j = bidegree
     return subquotient(x.cell(i, j), core_homology(x, bidegree).numerator,
                        _pushed_cycles(x, i, j, SECOND), x, (i, j))

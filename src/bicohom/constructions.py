@@ -243,8 +243,9 @@ def _hom_witness(hom_cell, diff, target_hom, restrict, lift, name):
     Hom(C_i, D^j), and target_hom.  forward realizes a class of Z as f and
     reads the images restrict(f) of target_hom.source's generators;
     backward projects into Z the columns of lift: target_hom -> hom_cell,
-    an induced map built by `induced_hom_map`.  The two directions are
-    built independently and verified to compose to the identity both ways.
+    an induced map built by `induced_hom_map`.  Built independently, they
+    are inverse iff backward o forward = 1 and the orders agree (between
+    infinite groups: and forward o backward = 1).
     """
     z_side = _packaged(hom_cell.group, kernel_image(diff)[0])
     fwd_cols = [target_hom.element_of(morphism_from_images(
@@ -254,8 +255,10 @@ def _hom_witness(hom_cell, diff, target_hom, restrict, lift, name):
     forward = morphism_from_images(z_side.group, target_hom.group, fwd_cols)
     backward = morphism_from_images(target_hom.group, z_side.group,
                                     z_side._classes(lift.matrix.columns()))
-    if backward.compose(forward) != Morphism.identity(forward.source) or \
-            forward.compose(backward) != Morphism.identity(forward.target):
+    n = forward.source.order()
+    if backward.compose(forward) != Morphism.identity(forward.source) or (
+            n != forward.target.order() if n is not None else
+            forward.compose(backward) != Morphism.identity(forward.target)):
         raise InternalChaseFailure(
             "%s: the composites are not the identity" % name)
     return forward, backward

@@ -153,8 +153,9 @@ def parse_complex(text):
                          % (HOMOLOGICAL, COHOMOLOGICAL))
     support = _parse_support(raw["support"])
     wanted = support.degrees()
-    if not isinstance(raw["cells"], dict):
-        raise ParseError("cells must be a JSON object")
+    for name in ("cells", "diffs"):
+        if not isinstance(raw.get(name, {}), dict):
+            raise ParseError("%s must be a JSON object" % name)
     cells = {}
     for key, spec in raw["cells"].items():
         n = _degree_key(key, "cells")

@@ -14,8 +14,8 @@ exactness-dependent claims must then fail.  It exists so that a green run
 demonstrably can turn red.  thm21 first holds the grid's factor certificate
 of exactness (`bicomplexes._certified`) to the grid's own H' and H'' around
 each spot; the certificate calls no faulted site exact.  prop31 relies on
-its witnesses' own check that their maps compose to the identity both
-ways (`constructions._hom_witness`).  Suites without a differential (snf,
+its witnesses' own check that their maps are mutually inverse
+(`constructions._hom_witness`).  Suites without a differential (snf,
 abgroup) reject the flag.  Faulted balance asserts that its corner (0, 0)
 is refused: P is then inexact in both parities, so H' at (0, -1),
 Hom(H_0(P), E^-1) or H_0(P) (x) Q_1, is nonzero.
@@ -26,7 +26,8 @@ import random
 from math import gcd
 
 from . import backend
-from .abgroup import Element, FpGroup, hom_group, tensor_group
+from .abgroup import (Element, FpGroup, _invariants_of_cyclics, hom_group,
+                      tensor_group)
 from .bicomplexes import (_MARKS, _certified, check_exact_grid,
                           core_equality_check, core_homology,
                           core_homology_alt, diagonal_shift)
@@ -91,42 +92,6 @@ def _scrambled_group(factors, rng):
     u = _random_unimodular(len(factors), rng)
     v = _random_unimodular(len(factors), rng)
     return FpGroup(0, len(factors), u @ rel @ v)
-
-
-def _prime_powers(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 1) * d
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 1) * n
-    return out
-
-
-def _invariants_of_cyclics(orders):
-    """Invariant factors of a direct sum of finite cyclic groups, by prime
-    bucketing only -- independent of the matrix pipeline."""
-    buckets = {}
-    for o in orders:
-        for p, q in _prime_powers(int(o)).items():
-            buckets.setdefault(p, []).append(q)
-    if not buckets:
-        return ()
-    width = max(len(v) for v in buckets.values())
-    for powers in buckets.values():
-        powers.sort(reverse=True)
-        powers.extend([1] * (width - len(powers)))
-    descending = []
-    for k in range(width):
-        f = 1
-        for powers in buckets.values():
-            f *= powers[k]
-        if f > 1:
-            descending.append(f)
-    return tuple(reversed(descending))
 
 
 def _hom_count(src_factors, dst_factors):

@@ -12,27 +12,31 @@ Oracles, written before the implementations they check:
 """
 
 import json
+from math import gcd
 
 import pytest
 
 from bicohom import abgroup, backend, bicomplexes, tate
 from bicohom.abgroup import (FpGroup, HClass, Homology, Morphism, Subgroup,
-                             hom_group, induced_hom_map, kernel_image,
-                             make_morphism)
+                             _invariants_of_cyclics, hom_group,
+                             induced_hom_map, kernel_image, make_morphism)
 from bicohom.bicomplexes import (Bicomplex, BoundaryData,
                                  DoubleComplex, I_THEN_II, II_THEN_I, PRIME,
                                  SECOND, boundary_subgroups, check_exact_grid,
                                  core_equality_check, core_homology,
-                                 core_homology_alt, diagonal_shift,
-                                 directional_homology, from_double_complex,
+                                 core_homology_alt, core_type,
+                                 diagonal_shift, directional_homology,
+                                 from_double_complex,
                                  iterated_homology, to_double_complex)
-from bicohom.complexes import (COHOMOLOGICAL, Complex, Periodic, Window,
-                               homology, is_exact)
+from bicohom.complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex,
+                               Periodic, Window, direct_sum, homology,
+                               is_exact)
 from bicohom.errors import (ConventionViolation, HypothesisViolated,
                             InternalChaseFailure, NotContained, OutOfWindow,
                             ParentMismatch)
 from bicohom.constructions import (complete_injective_resolution,
                                    complete_projective_resolution,
+                                   complete_resolution,
                                    hom_bicomplex, random_exact_complex,
                                    tensor_bicomplex)
 from bicohom.formats import parse_complex
@@ -820,6 +824,120 @@ def test_a_double_complex_wrap_is_decided_on_the_grid(kind):
     assert refused >= 20
 
 
+# ------------------------------------------------ the core read off factors
+
+
+def type_cases(kind):
+    """(label, grid) for Hom or tensor grids of exact free factors over
+    Z/4, 6, 8, 9, 12 and 36: seeded strand sums and disc sums, a direct sum
+    of two strand sums, and the period-1 strand Z/4 --2--> Z/4 alone and
+    summed into a strand sum."""
+    second = COHOMOLOGICAL if kind == "hom" else HOMOLOGICAL
+    build = hom_bicomplex if kind == "hom" else tensor_bicomplex
+    for m in (4, 6, 8, 9, 12, 36):
+        for seed in range(3):
+            for shape in ("periodic", "window"):
+                c = random_exact_complex(m, seed, blocks=2, kind=shape)
+                d = random_exact_complex(m, seed + 50, blocks=2, kind=shape,
+                                         convention=second)
+                yield (m, seed, shape), build(c, d)
+            c = direct_sum(random_exact_complex(m, seed + 10, blocks=2),
+                           random_exact_complex(m, seed + 20, blocks=1))
+            d = random_exact_complex(m, seed + 60, blocks=2,
+                                     convention=second)
+            yield (m, seed, "sum"), build(c, d)
+    one = periodic_strand(4, [2])
+    yield (4, None, "period 1"), build(one, periodic_strand(4, [2], second))
+    yield (4, None, "period 1 summed"), build(
+        direct_sum(one, random_exact_complex(4, 5, blocks=2)),
+        random_exact_complex(4, 6, blocks=2, convention=second))
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_core_type_is_the_grid_core(kind):
+    nonzero = 0
+    for label, x in type_cases(kind):
+        for i in range(-2, 3):
+            for j in range(-2, 3):
+                got = core_homology(x, (i, j)).group
+                assert got.free_rank == 0
+                assert core_type(x, (i, j)) == got.invariant_factors, \
+                    (label, i, j)
+                nonzero += bool(got.invariant_factors)
+    assert nonzero >= 400
+
+
+@pytest.mark.parametrize("m, a_orders, b_orders", [
+    (4, [2], [2]), (6, [2], [3]), (8, [2, 4], [4]), (9, [3], [3, 9]),
+    (12, [2, 6], [4, 6]), (12, [3, 2], [2, 6]), (36, [6, 12], [4, 18]),
+])
+def test_cores_of_resolution_grids_have_the_planted_closed_form(
+        m, a_orders, b_orders):
+    # kernel-free: Tate Ext and Tor of Z/a and Z/b over Z/m are cyclic of
+    # order gcd(a, b) gcd(m/a, b) / b in every degree, and both grids of
+    # the complete resolutions of A and B carry them in every bidegree
+    want = _invariants_of_cyclics(gcd(a, b) * gcd(m // a, b) // b
+                                  for a in a_orders for b in b_orders)
+    a = FpGroup.from_factors(m, a_orders)
+    b = FpGroup.from_factors(m, b_orders)
+    p = complete_resolution(m, a, HOMOLOGICAL)
+    for x in (hom_bicomplex(p, complete_resolution(m, b, COHOMOLOGICAL)),
+              tensor_bicomplex(p, complete_resolution(m, b, HOMOLOGICAL))):
+        for i in range(-1, 2):
+            for j in range(-1, 2):
+                assert core_type(x, (i, j)) == want
+                assert core_homology(x, (i, j)).group.invariant_factors \
+                    == want, (i, j)
+    assert want or m == 6
+
+
+def test_core_type_answers_only_grids_of_exact_free_factors():
+    c = random_exact_complex(4, 0, blocks=2)
+    d = random_exact_complex(4, 1, blocks=2, convention=COHOMOLOGICAL)
+    assert core_type(hom_bicomplex(c, d), (0, 0)) is not None
+    z = FpGroup.free(0, 1)
+    undecided = [
+        strand_square(4, [2, 2]),
+        Bicomplex.from_grid(4, {(0, 0): FpGroup.free(4, 1)}),
+        hom_bicomplex(_zero_first_diff(c)[0], d),
+        hom_bicomplex(c, _zero_first_diff(d)[0]),
+        hom_bicomplex(z_multiplication(), Complex.window(COHOMOLOGICAL, 0,
+                                                         0, 0, [z])),
+        hom_bicomplex(parse_complex(Z4_EXTENSION), d),
+        hom_bicomplex(truncated_window(random_exact_complex(
+            4, 6, blocks=2, kind="window")), d),
+        # a one-cell truncated window has no interior for is_exact to read
+        hom_bicomplex(Complex.window(HOMOLOGICAL, 4, 0, 0, [FpGroup.free(
+            4, 1)], zero_outside=False), d),
+        from_double_complex(to_double_complex(hom_bicomplex(c, d))),
+    ]
+    for x in undecided:
+        assert core_type(x, (0, 0)) is None
+        try:  # alt takes the grid route, and refuses where the grid does
+            alt = core_homology_alt(x, (1, 1))
+        except (HypothesisViolated, OutOfWindow):
+            continue
+        assert isinstance(alt, Homology)
+
+
+@pytest.mark.parametrize("kind", ["hom", "tensor"])
+def test_alt_answers_by_core_type_with_no_smith_form(monkeypatch, kind):
+    # the merged orders are a divisibility chain and become the answer's
+    # cyclic form as they are
+    for label, x in type_cases(kind):
+        core_type(x, (0, 0))
+        calls = []
+        real = abgroup.smith_normal_form
+        monkeypatch.setattr(abgroup, "smith_normal_form",
+                            lambda *args: calls.append(args) or real(*args))
+        alt = core_homology_alt(x, (0, 0)).group
+        got = alt.invariant_factors, alt.free_rank
+        monkeypatch.setattr(abgroup, "smith_normal_form", real)
+        want = core_homology(x, (0, 0)).group
+        assert got == (want.invariant_factors, want.free_rank), label
+        assert alt.order() == want.order() and calls == [], label
+
+
 # ------------------------------------------- one kernel/image per differential
 
 
@@ -886,7 +1004,9 @@ def count_gates(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["hom", "tensor"])
 def test_core_homology_alt_runs_no_gate_of_its_own(monkeypatch, kind):
-    # alt reads core_homology's numerator, whose gate covers both sites
+    # on a grid of exact free factors alt answers by core_type, which runs
+    # no gate: the factors certify every site; elsewhere alt reads
+    # core_homology's numerator, whose gate covers both sites
     x = rank4_grid(kind)
     calls = count_gates(monkeypatch)
     core_homology(x, (0, 0))
@@ -894,6 +1014,9 @@ def test_core_homology_alt_runs_no_gate_of_its_own(monkeypatch, kind):
     assert [name for name, _ in calls] == ["core_homology"]
     del calls[:]
     core_homology_alt(rank4_grid(kind), (0, 0))
+    assert calls == []
+    core_homology_alt(from_double_complex(to_double_complex(
+        rank4_grid(kind))), (0, 0))
     assert [name for name, _ in calls] == ["core_homology"]
 
 

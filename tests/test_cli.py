@@ -247,6 +247,18 @@ def test_homology_file_errors_name_their_place(tmp_path, capsys, text,
     assert fragment in err, err
 
 
+@pytest.mark.parametrize("diffs", ["true", "1", '"x"', "[]", "[[1]]",
+                                   "null"])
+def test_diffs_that_are_no_object_are_bad_input(tmp_path, capsys, diffs):
+    # each of these once reached `.items()` and left main as an
+    # AttributeError: exit 1 with a traceback
+    path = tmp_path / "bad.json"
+    path.write_text(_file(diffs=diffs))
+    assert main(["homology", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: %s: diffs must be a JSON object\n" % path, err
+
+
 def test_tate_balance_table(capsys):
     assert main(["tate", "--ring", "4", "--module", "2", "--other", "2",
                  "--kind", "ext", "--range", "-3..3", "--both-ways"]) == 0

@@ -267,7 +267,7 @@ def test_a_grid_of_a_complex_with_itself_keeps_its_axes_apart():
 
 
 @pytest.mark.parametrize("kind", ["hom", "tensor"])
-def test_a_rank4_grid_core_makes_17_echelons(monkeypatch, kind):
+def test_a_rank4_grid_core_makes_13_echelons(monkeypatch, kind):
     x = rank4_grid(kind, 3)
     calls = []
     real = backend.col_echelon
@@ -280,7 +280,7 @@ def test_a_rank4_grid_core_makes_17_echelons(monkeypatch, kind):
     for bidegree in ((0, 0), (1, 0), (0, 1), (1, 1)):
         core_homology(x, bidegree)
         core_homology_alt(x, bidegree)
-    assert len(calls) == 17
+    assert len(calls) == 13
 
 
 def functor_grid(kind, m, seed, blocks, support="periodic"):
