@@ -17,24 +17,22 @@ owner and the bidegree as index, with `abgroup.HClass` classes.  H', H''
 and the E2 pages are the same type without a site, built by
 `abgroup.ker_mod_im` like `complexes.homology`.
 
-The exactness that core_homology and diagonal_shift require is certified
-from a Hom or tensor grid's factors where a theorem allows it
-(`_certified`): over Z/m a free module is projective and, Z/m being
-self-injective, injective, so at (i, j) of Hom(C, D) H' = H_i(C)^(rank
-D^j) when D^j is free and H'' = H^j(D)^(rank C_i) when C_i is free; C (x)
-D has the same at (-i, -j).  Every other site -- over Z, at a non-free
-factor cell or an inexact factor, on a grid without factors -- is decided
-on the grid by `ker_mod_im`, which over Z/m counts orders, so a refusal
-names the grid's H.  `check_exact_grid` and `directional_homology` always
-read the grid: the thm21 suite holds the certificate to them.
+The exactness that core_homology and diagonal_shift require holds on the
+whole of a Hom or tensor grid of exact free Z/m factors, which one
+memoised predicate per grid reads off the factors (`_exact_free`).  Every
+other grid -- over Z, with a non-free factor cell or an inexact or
+truncated factor, or without factors -- is decided site by site by
+`ker_mod_im`, which over Z/m counts orders, so a refusal names the grid's
+H.  `check_exact_grid` and `directional_homology` always read the grid:
+the thm21 suite holds the predicate to them.
 
 Z', B', Z'', B'' and both core denominators d'(Z'') and d''(Z') are read
 through three helpers that take the axis as a parameter, over kernels and
 images that `abgroup.kernel_image` builds once per differential.  The core
 is Z' ∩ Z'' over d'(Z''); its second route, `core_homology_alt`, is
-`core_type` on a grid of exact free Z/m factors (Tate Ext or Tor of their
-boundary modules) and d''(Z') as the denominator on any other.  H', H''
-and the core share one memo per grid, keyed by canonical site; the grid's
+`core_type`, which answers on the grids that pass `_exact_free` (Tate Ext
+or Tor of the factors' boundary modules) and nowhere else.  H', H'' and
+the core share one memo per grid, keyed by canonical site; the grid's
 cells and checked differentials are memoised the same way.  The providers
 of Hom and tensor grids (`complexes._lazy_functor`) hand many sites one
 shared pair group or differential, whose kernel, image and
@@ -56,9 +54,8 @@ from .abgroup import (Element, Morphism, _chain_group, _invariants_of_cyclics,
                       _push, intersect, ker_mod_im, kernel_image,
                       morphism_from_images, preimage_element, subquotient,
                       FpGroup)
-from .complexes import (Periodic, Window, _check_differential, homology,
-                        is_exact)
-from .errors import (ConventionViolation, HypothesisViolated,
+from .complexes import Periodic, Window, _check_differential, is_exact
+from .errors import (BadArgument, ConventionViolation, HypothesisViolated,
                      InternalChaseFailure, OutOfWindow)
 
 PRIME = "prime"     # the d' direction (first index)
@@ -96,8 +93,8 @@ class _Grid(object):
         self._cell_fn = cell_fn
         self._diff_fns = {PRIME: dprime_fn, SECOND: dsecond_fn}
         self._zero_cell = FpGroup(modulus, 0)
-        # (C, D, sign) of a Hom or tensor grid, for `_certified`; a grid
-        # built any other way keeps none
+        # (C, D) of a Hom or tensor grid, for `_exact_free`; a grid built
+        # any other way keeps none
         self._factors = None
         self._cells = {}
         self._diffs = {PRIME: {}, SECOND: {}}
@@ -329,31 +326,33 @@ def check_exact_grid(x, i_lo, i_hi, j_lo, j_hi):
             for axis, i, j, g in _inexact(x, sites)]
 
 
-def _certified(x, axis, i, j):
-    """Whether x's factors prove H' (axis PRIME) or H'' = 0 at (i, j): over
-    Z/m, with the fixed factor cell (D_{sign j} for H', C_{sign i} for H'')
-    free, the factor homology in the other slot is zero or that cell has
-    rank 0.  The three sites the grid's H reads are looked up first, so a
-    truncated window refuses as it does on the grid."""
-    if x._factors is None or x.modulus < 2:
-        return False
-    c, d, sign = x._factors
-    di, dj = _STEP[axis]
-    for k in (0, 1, -1):
-        x._site(i + k * di, j + k * dj)
-    moving, fixed, n, k = (c, d, i, j) if axis == PRIME else (d, c, j, i)
-    cell = fixed.cell(sign * k)
-    if (c.modulus != x.modulus or d.modulus != x.modulus
-            or cell.order() != x.modulus ** cell.ambient_rank):
-        return False
-    return (cell.ambient_rank == 0
-            or homology(moving, sign * n).group.is_trivial())
+def _exact_free(x):
+    """Whether x is a Hom or tensor grid over Z/m, m >= 2, of two factors
+    over Z/m that are free in every cell, Periodic or zero outside their
+    window, and exact over that period or window; memoised per grid.
+
+    Over Z/m a free module is projective and, Z/m being self-injective,
+    injective, so H' = H_i(C)^(rank D^j) and H'' = H^j(D)^(rank C_i) at
+    (i, j) of Hom(C, D), and C (x) D has the same at (-i, -j): every H' and
+    H'' of such a grid vanishes, read at factor size.
+    """
+    if "exact free" not in x._sites:
+        m = x.modulus
+        x._sites["exact free"] = x._factors is not None and m >= 2 and all(
+            f.modulus == m
+            and (isinstance(f.support, Periodic) or f.support.zero_outside)
+            and all(g.order() == m ** g.ambient_rank
+                    for g in map(f.cell, f.degrees()))
+            and not is_exact(f) for f in x._factors)
+    return x._sites["exact free"]
 
 
 def _require_exact(x, sites, op_name):
-    """HypothesisViolated for the first site whose H is nonzero; sites the
-    factors certify are skipped, so a refusal is the grid's."""
-    sites = [s for s in sites if not _certified(x, *s)]
+    """HypothesisViolated for the first site whose H is nonzero.  A grid of
+    exact free factors (`_exact_free`) has none; any other grid is decided
+    site by site, so a refusal names the grid's H."""
+    if _exact_free(x):
+        return
     for axis, i, j, g in _inexact(x, sites):
         raise HypothesisViolated(
             "%s needs H%s = 0 at (%d, %d) but found %s"
@@ -396,8 +395,7 @@ def core_equality_check(x, bidegree):
 
 def core_type(x, bidegree):
     """The core's invariant factors, read off a Hom or tensor grid's
-    factors; None unless m >= 2 and both factors are over Z/m, free in
-    every cell and exact over their period or zero-outside window.
+    factors; None unless the grid passes `_exact_free`.
 
     Such a factor is a complete resolution of its boundary module, so the
     core is Tate Ext or Tor of B(C) and B(D): (+) Z/(gcd(a, b) gcd(m/a, b)
@@ -407,41 +405,30 @@ def core_type(x, bidegree):
     projective, the formula is symmetric in a and m/a, and a projective
     summand gives order 1.  So the answer is memoised once per grid.
     """
+    if not _exact_free(x):
+        return None
     if "type" not in x._sites:
-        x._sites["type"] = _factor_type(x)
+        m = x.modulus
+        a_orders, b_orders = [
+            kernel_image(f.diff(0))[0]._quotient_group().invariant_factors
+            for f in x._factors]
+        x._sites["type"] = _invariants_of_cyclics(
+            gcd(a, b) * gcd(m // a, b) // b
+            for a in a_orders for b in b_orders)
     return x._sites["type"]
 
 
-def _factor_type(x):
-    m = x.modulus
-    if x._factors is None or m < 2:
-        return None
-    orders = []
-    for f in x._factors[:2]:
-        if (f.modulus != m or not (isinstance(f.support, Periodic)
-                                   or f.support.zero_outside) or is_exact(f)
-                or any(g.order() != m ** g.ambient_rank
-                       for g in map(f.cell, f.degrees()))):
-            return None
-        orders.append(kernel_image(f.diff(0))[0]._quotient_group()
-                      .invariant_factors)
-    return _invariants_of_cyclics(gcd(a, b) * gcd(m // a, b) // b
-                                  for a in orders[0] for b in orders[1])
-
-
 def core_homology_alt(x, bidegree):
-    """The core invariant by a second route; tests and thm21 compare it
-    with core_homology.  Where `core_type` answers, a `CoreGroup` holding
-    that answer's group alone.  Elsewhere core_homology's numerator over
-    d''(Z'); reading the numerator runs core_homology's gate, so alt's
-    refusals are core_homology's, text included.
+    """The core invariant by a second route, read off the factors at their
+    size; tests, thm21 and the ladder check compare it with core_homology.
+    A `CoreGroup` holding `core_type`'s answer as a group; BadArgument on
+    any grid that `core_type` does not answer.
     """
     chain = core_type(x, bidegree)
-    if chain is not None:
-        return CoreGroup(_chain_group(x.modulus, chain))
-    i, j = bidegree
-    return subquotient(x.cell(i, j), core_homology(x, bidegree).numerator,
-                       _pushed_cycles(x, i, j, SECOND), x, (i, j))
+    if chain is None:
+        raise BadArgument("core_homology_alt needs a Hom or tensor grid of "
+                          "exact free Z/m factors")
+    return CoreGroup(_chain_group(x.modulus, chain))
 
 
 def _chase(core, columns, direction):

@@ -33,15 +33,15 @@ from .snf import IntMatrix
 
 def _functor_grid(cell_fn, map_fn, c, d, sign):
     """The Bicomplex of the lazy grid F(C_{sign i}, D_{sign j}); it keeps
-    (c, d, sign), whose free cells and homology certify its exactness
-    (`bicomplexes._certified`: H' = H_{sign i}(C)^(rank D_{sign j}))."""
+    (c, d), whose free cells and exactness certify the whole grid's
+    (`bicomplexes._exact_free`)."""
     at, dprime, dsecond = _lazy_functor(cell_fn, map_fn, c, d, sign)
     support_i, support_j = c.support, d.support
     if sign < 0:
         support_i, support_j = support_i.reflected(), support_j.reflected()
     grid = Bicomplex(_shared_modulus(c, d), support_i, support_j,
                      lambda i, j: at(i, j).group, dprime, dsecond)
-    grid._factors = (c, d, sign)
+    grid._factors = (c, d)
     return grid
 
 

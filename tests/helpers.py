@@ -10,6 +10,10 @@ from bicohom.abgroup import (Element, FpGroup, Morphism, hom_group,
 from bicohom.complexes import COHOMOLOGICAL, HOMOLOGICAL, Complex
 from bicohom.snf import IntMatrix, smith_normal_form
 
+# `core_homology_alt`'s refusal of a grid that `core_type` leaves undecided
+ALT_REFUSAL = ("^core_homology_alt needs a Hom or tensor grid of exact free "
+               "Z/m factors$")
+
 
 def invariant_factors_oracle(orders):
     """Merge cyclic orders into invariant factors via prime powers.

@@ -19,7 +19,8 @@ import pytest
 from bicohom import abgroup, backend, bicomplexes, tate
 from bicohom.abgroup import (FpGroup, HClass, Homology, Morphism, Subgroup,
                              _invariants_of_cyclics, hom_group,
-                             induced_hom_map, kernel_image, make_morphism)
+                             induced_hom_map, kernel_image, make_morphism,
+                             subquotient)
 from bicohom.bicomplexes import (Bicomplex, BoundaryData,
                                  DoubleComplex, I_THEN_II, II_THEN_I, PRIME,
                                  SECOND, boundary_subgroups, check_exact_grid,
@@ -31,9 +32,9 @@ from bicohom.bicomplexes import (Bicomplex, BoundaryData,
 from bicohom.complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex,
                                Periodic, Window, direct_sum, homology,
                                is_exact)
-from bicohom.errors import (ConventionViolation, HypothesisViolated,
-                            InternalChaseFailure, NotContained, OutOfWindow,
-                            ParentMismatch)
+from bicohom.errors import (BadArgument, ConventionViolation,
+                            HypothesisViolated, InternalChaseFailure,
+                            NotContained, OutOfWindow, ParentMismatch)
 from bicohom.constructions import (complete_injective_resolution,
                                    complete_projective_resolution,
                                    complete_resolution,
@@ -43,8 +44,8 @@ from bicohom.formats import parse_complex
 from bicohom.snf import IntMatrix
 from bicohom.tate import EXT, TOR, balance_grid
 from bicohom.suites import _zero_first_diff
-from helpers import (invariant_factors_oracle, periodic_strand,
-                     truncated_window)
+from helpers import (ALT_REFUSAL, invariant_factors_oracle,
+                     periodic_strand, truncated_window)
 
 
 def hom_grid(c, d):
@@ -294,11 +295,14 @@ def test_core_homology_z9_square():
 
 
 def test_core_denominator_routes_agree():
+    # the core over d'(Z'') against its numerator over d''(Z'), class by
+    # class
     for m, entries in ((4, [2, 2]), (9, [3, 3]), (8, [2, 4])):
         x = strand_square(m, entries)
         assert core_equality_check(x, (0, 0))
         main = core_homology(x, (0, 0))
-        alt = core_homology_alt(x, (0, 0))
+        alt = subquotient(x.cell(0, 0), main.numerator,
+                          bicomplexes._pushed_cycles(x, 0, 0, SECOND))
         assert main.group.invariant_factors == alt.group.invariant_factors
         assert main.denominator == alt.denominator
         num, den_prime, den_second = core_side_sets(x, 0, 0)
@@ -337,7 +341,9 @@ def test_biclass_semantics():
         a + other
     # the core invariant is the homology type of complexes, site-checked
     assert isinstance(core, Homology)
-    assert isinstance(core_homology_alt(x, (0, 0)), Homology)
+    # the second route answers only grids of exact free factors
+    with pytest.raises(BadArgument, match=ALT_REFUSAL):
+        core_homology_alt(x, (0, 0))
     assert isinstance(a, HClass)
     strand = periodic_strand(4, [0])  # zero differential: all are cycles
     flat = homology(strand, 0).class_of(strand.cell(0).element((2,)))
@@ -824,6 +830,31 @@ def test_a_double_complex_wrap_is_decided_on_the_grid(kind):
     assert refused >= 20
 
 
+def test_a_grid_with_an_inexact_factor_is_decided_on_the_grid(monkeypatch):
+    # D is exact and free, so H'' = H^j(D)^(rank C_i) vanishes everywhere;
+    # but C is faulted, so the gate reads both of its sites on the grid
+    c = random_exact_complex(4, 0, blocks=2, kind="window")
+    d = random_exact_complex(4, 1, blocks=2, convention=COHOMOLOGICAL)
+    faulted, victim = _zero_first_diff(c)
+    x = hom_bicomplex(faulted, d)
+    reads, real = [], bicomplexes.directional_homology
+    monkeypatch.setattr(bicomplexes, "directional_homology",
+                        lambda x, bd, axis: reads.append((axis, bd))
+                        or real(x, bd, axis))
+    outcomes = set()
+    for i in range(victim - 2, victim + 3):
+        for j in range(-2, 3):
+            del reads[:]
+            try:
+                bicomplexes._require_core_exact(x, i, j, "core_homology")
+            except HypothesisViolated:
+                outcomes.add("refused")
+                continue
+            assert reads == [(SECOND, (i - 1, j)), (PRIME, (i, j - 1))]
+            outcomes.add("passed")
+    assert outcomes == {"refused", "passed"}
+
+
 # ------------------------------------------------ the core read off factors
 
 
@@ -913,11 +944,8 @@ def test_core_type_answers_only_grids_of_exact_free_factors():
     ]
     for x in undecided:
         assert core_type(x, (0, 0)) is None
-        try:  # alt takes the grid route, and refuses where the grid does
-            alt = core_homology_alt(x, (1, 1))
-        except (HypothesisViolated, OutOfWindow):
-            continue
-        assert isinstance(alt, Homology)
+        with pytest.raises(BadArgument, match=ALT_REFUSAL):
+            core_homology_alt(x, (1, 1))
 
 
 @pytest.mark.parametrize("kind", ["hom", "tensor"])
@@ -1004,9 +1032,8 @@ def count_gates(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["hom", "tensor"])
 def test_core_homology_alt_runs_no_gate_of_its_own(monkeypatch, kind):
-    # on a grid of exact free factors alt answers by core_type, which runs
-    # no gate: the factors certify every site; elsewhere alt reads
-    # core_homology's numerator, whose gate covers both sites
+    # alt answers by core_type, which runs no gate: the factors certify
+    # every site; a grid without factors is refused before any site is read
     x = rank4_grid(kind)
     calls = count_gates(monkeypatch)
     core_homology(x, (0, 0))
@@ -1015,9 +1042,10 @@ def test_core_homology_alt_runs_no_gate_of_its_own(monkeypatch, kind):
     del calls[:]
     core_homology_alt(rank4_grid(kind), (0, 0))
     assert calls == []
-    core_homology_alt(from_double_complex(to_double_complex(
-        rank4_grid(kind))), (0, 0))
-    assert [name for name, _ in calls] == ["core_homology"]
+    with pytest.raises(BadArgument, match=ALT_REFUSAL):
+        core_homology_alt(from_double_complex(to_double_complex(
+            rank4_grid(kind))), (0, 0))
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["hom", "tensor"])

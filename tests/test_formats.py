@@ -1,9 +1,23 @@
-"""Complex file parsing, precise rejection messages, and round trips."""
+"""Complex file parsing, precise rejection messages, and round trips.
 
+The boundary property: a serialized seeded complex mutated anywhere (a key
+deleted or renamed, a value replaced, negated, made huge or given another
+type, at any depth) parses or raises ParseError, never anything else; a
+parsed document reaches a fixed point under one `serialize_complex`, and
+`bicohom homology` on it exits 0 or 2.
+"""
+
+import contextlib
+import functools
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bicohom import cli
 from bicohom.abgroup import FpGroup, _cyclic_matrix
 from bicohom.complexes import (COHOMOLOGICAL, HOMOLOGICAL, Periodic, Window,
                                Complex, hom_into_module, homology)
@@ -302,3 +316,103 @@ def test_load_complex_reports_path(tmp_path):
     with pytest.raises(ParseError) as err:
         load_complex(str(bad))
     assert "bad.json" in str(err.value)
+
+
+# -- the boundary property ---------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_documents():
+    """Serialized seeded exact complexes: both supports and conventions
+    over Z/4, 9 and 12."""
+    return tuple(json.loads(serialize_complex(random_exact_complex(
+        m, seed, blocks=2, kind=kind, convention=convention)))
+        for m, seed in ((4, 1), (9, 2), (12, 3))
+        for kind in ("periodic", "window")
+        for convention in (HOMOLOGICAL, COHOMOLOGICAL))
+
+
+def paths(doc, prefix=()):
+    """The path (keys and indices) of every value inside doc, at any
+    depth, the document itself first."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from paths(value, prefix + (key,))
+
+
+# integers of every size, up to past MAX_BITS; json cannot write an integer
+# past Python's digit limit, and reading one is tested above
+INTEGERS = st.one_of(st.integers(-3, 1100),
+                     st.integers(0, 1100).map(lambda k: 2 ** k),
+                     st.integers(0, 1100).map(lambda k: -2 ** k))
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), INTEGERS, st.floats(),
+              st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5)
+
+
+def retyped(value):
+    """value as another JSON type with the same content."""
+    if isinstance(value, dict):
+        return list(value.values())
+    if isinstance(value, list):
+        return {str(k): v for k, v in enumerate(value)}
+    if isinstance(value, str):
+        return [value]
+    return str(value)
+
+
+def mutated(data):
+    """A seeded document with one mutation, as JSON text."""
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(
+        seeded_documents()))))
+    path = data.draw(st.sampled_from(list(paths(doc))))
+    if not path:
+        return json.dumps(data.draw(JSON))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    value = parent[key]
+    how = data.draw(st.sampled_from(
+        ("delete", "rename", "replace", "negate", "retype")))
+    if how == "delete":
+        del parent[key]
+    elif how == "rename" and isinstance(parent, dict):
+        parent[data.draw(st.text(max_size=3) | INTEGERS.map(str))] = \
+            parent.pop(key)
+    elif how == "negate" and type(value) is int:
+        parent[key] = -value
+    elif how == "retype":
+        parent[key] = retyped(value)
+    else:
+        parent[key] = data.draw(JSON)
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_mutated_document_parses_or_raises_parse_error(data):
+    text = mutated(data)
+    try:
+        c = parse_complex(text)
+    except ParseError:
+        return
+    once = serialize_complex(c)
+    assert serialize_complex(parse_complex(once)) == once
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_the_cli_exits_0_or_2_on_a_mutated_document(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(mutated(data))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["homology", path]) in (0, 2)

@@ -28,7 +28,11 @@ constructor.
 
 `abgroup._solve` is the one place that solves against a matrix and checks
 the answers by substitution; `test_only_abgroup_solve_calls_solve_mod`
-keeps a second, unchecked solve path from coming back.
+keeps a second, unchecked solve path from coming back.  Likewise a grid's
+stored factors (`_Grid._factors`) are written only by
+`constructions._functor_grid` (and set to None in `_Grid.__init__`) and
+read only by `bicomplexes._exact_free` and `core_type`, so a second
+per-site certificate of exactness cannot come back.
 
 The benchmark's tracer (`perfbench/tracing.py`) wraps its target functions
 by attribute name wherever a module binds them.  A renamed target, or a
@@ -378,10 +382,10 @@ def test_only_snf_builds_unchecked_matrices(path):
     assert (uses != []) == (path.name == "snf.py")
 
 
-def solve_mod_uses(source):
-    """(qualified name of the innermost enclosing function or None, line)
-    of every reference to a name or attribute `solve_mod` in `source`,
-    called or not."""
+def uses(source, name):
+    """(qualified name of the innermost enclosing function or None, line,
+    whether it is written) of every reference to a name or attribute
+    `name` in `source`, called or not."""
     found = []
 
     def visit(node, owner):
@@ -391,13 +395,18 @@ def solve_mod_uses(source):
                                   ast.ClassDef)):
                 inner = child.name if owner is None else \
                     owner + "." + child.name
-            elif getattr(child, "id", getattr(child, "attr", None)) \
-                    == "solve_mod":
-                found.append((owner, child.lineno))
+            elif getattr(child, "id", getattr(child, "attr", None)) == name:
+                found.append((owner, child.lineno,
+                              not isinstance(child.ctx, ast.Load)))
             visit(child, inner)
 
     visit(ast.parse(source), None)
     return found
+
+
+def solve_mod_uses(source):
+    """(owner, line) of every reference to `solve_mod` in `source`."""
+    return [(owner, line) for owner, line, _ in uses(source, "solve_mod")]
 
 
 def test_the_solve_mod_check_sees_planted_calls():
@@ -422,6 +431,45 @@ def test_only_abgroup_solve_calls_solve_mod(path):
     owners = {owner for owner, _ in
               solve_mod_uses(path.read_text(encoding="utf-8"))}
     assert owners == ({"_solve"} if path.name == "abgroup.py" else set())
+
+
+def factors_uses(source):
+    """(owner, written?) of every reference to `_factors` in `source`."""
+    return sorted({(owner, written)
+                   for owner, _, written in uses(source, "_factors")})
+
+
+def test_the_factors_check_sees_reads_and_writes():
+    source = (
+        "class _Grid:\n"
+        "    def __init__(self):\n"
+        "        self._factors = None\n"
+        "def _certified(x, axis):\n"
+        "    c, d = x._factors\n"
+        "def _functor_grid(c, d):\n"
+        "    grid._factors = (c, d)\n"
+        "    del grid._factors\n")
+    assert factors_uses(source) == [
+        ("_Grid.__init__", True), ("_certified", False),
+        ("_functor_grid", True)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_bicomplexes_reads_and_only_constructions_writes_factors(path):
+    # a grid's factors certify its exactness in one place, `_exact_free`,
+    # and give `core_type` its answer; a third reader would be a second
+    # certificate
+    found = factors_uses(path.read_text(encoding="utf-8"))
+    writers = {owner for owner, written in found if written}
+    readers = {owner for owner, written in found if not written}
+    if path.name == "bicomplexes.py":
+        assert writers == {"_Grid.__init__"}
+        assert readers == {"_exact_free", "core_type"}
+    elif path.name == "constructions.py":
+        assert writers and not readers
+    else:
+        assert found == []
 
 
 def tracer_targets():

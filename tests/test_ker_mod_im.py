@@ -21,6 +21,7 @@ Oracles:
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -28,15 +29,16 @@ from bicohom import abgroup, bicomplexes
 from bicohom.abgroup import (FpGroup, kernel_image, ker_mod_im,
                              make_morphism, subquotient)
 from bicohom.bicomplexes import (PRIME, SECOND, _STEP, Bicomplex,
-                                 core_homology, core_homology_alt,
+                                 core_homology, core_homology_alt, core_type,
                                  diagonal_shift)
 from bicohom.complexes import COHOMOLOGICAL, HOMOLOGICAL, Complex, homology
 from bicohom.constructions import (hom_bicomplex, random_exact_complex,
                                    tensor_bicomplex)
-from bicohom.errors import HypothesisViolated, NotContained, OutOfWindow
+from bicohom.errors import (BadArgument, HypothesisViolated, NotContained,
+                            OutOfWindow)
 from bicohom.snf import IntMatrix
 from bicohom.suites import _zero_first_diff
-from helpers import truncated_window
+from helpers import ALT_REFUSAL, truncated_window
 
 MODULI = (4, 8, 9, 12)
 
@@ -177,25 +179,35 @@ def core_outcome(route, x, bidegree):
         return type(exc).__name__, str(exc)
 
 
-def test_core_homology_alt_refuses_as_core_homology_does():
-    # alt runs no gate of its own, so on the faulted window grids and on
-    # grids past a truncated factor window it refuses where core_homology
-    # does, with the same exception and text (alt asked first, on a cold
-    # site)
+def test_core_homology_alt_answers_exactly_where_core_type_does():
+    # alt is core_type's answer as a group: on the exact periodic grids it
+    # answers core_homology's invariant factors at every site, and on the
+    # faulted window grids and on grids past a truncated factor window,
+    # which core_type leaves undecided, it refuses every site with its own
+    # BadArgument, whatever core_homology does there (alt asked first, on
+    # a cold site)
     c = truncated_window(random_exact_complex(4, 6, blocks=2, kind="window"))
-    grids = [grids_over(m, kind)[-1] for m in MODULI
-             for kind in ("hom", "tensor")] + [
+    grids = [grids_over(m, kind)[k] for m in MODULI
+             for kind in ("hom", "tensor") for k in (0, -1)] + [
         hom_bicomplex(c, random_exact_complex(4, 3, blocks=2,
                                               convention=COHOMOLOGICAL)),
         tensor_bicomplex(c, random_exact_complex(4, 3, blocks=2))]
     seen = set()
     for x in grids:
+        decided = core_type(x, (0, 0)) is not None
         for i in range(-4, 5):
             for j in range(-4, 5):
-                got = core_outcome(core_homology_alt, x, (i, j))
-                assert got == core_outcome(core_homology, x, (i, j)), (i, j)
-                seen.add(got[0])
-    assert seen == {None, "HypothesisViolated", "OutOfWindow"}
+                try:
+                    got = None, core_homology_alt(
+                        x, (i, j)).group.invariant_factors
+                except BadArgument as exc:
+                    assert re.match(ALT_REFUSAL, str(exc))
+                    got = "BadArgument"
+                want = core_outcome(core_homology, x, (i, j))
+                assert got == (want if decided else "BadArgument"), (i, j)
+                seen.add((decided, want[0]))
+    assert seen == {(True, None), (False, None),
+                    (False, "HypothesisViolated"), (False, "OutOfWindow")}
 
 
 def test_matching_orders_do_not_hide_a_boundary_outside_the_cycles():
@@ -251,8 +263,8 @@ def test_a_functor_grid_certifies_exactness_from_its_factors(monkeypatch):
 
     monkeypatch.setattr(bicomplexes, "ker_mod_im", counting)
     core_homology(x, (0, 0))
-    # the factors certify H'' at (-1, 0) and H' at (0, -1) from their
-    # memoised homology, so only the kernels the core reads are built: d'
+    # the factors are exact and free, so the gate reads no site of the
+    # grid, and only the kernels the core reads are built: d'
     # out of (0, 0), the one d'' of the even columns, and the core's own
     # subquotient
     assert len(kernels) == 3

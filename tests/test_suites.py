@@ -258,10 +258,10 @@ def refused_equality(_check):
 
 def lying_factors(random_pair):
     # the grid of a faulted copy of the first factor, which keeps the exact
-    # factors: the certificate then calls its broken sites exact
+    # factors: the certificate then calls the broken grid exact
     def _random_pair(rng, m, inject_fault):
         kind, x, broken_at = random_pair(rng, m, inject_fault)
-        c, d, _ = x._factors
+        c, d = x._factors
         build = hom_bicomplex if kind == "hom" else tensor_bicomplex
         faulted = build(_zero_first_diff(c)[0], d)
         faulted._factors = x._factors
