@@ -26,7 +26,7 @@ from .constructions import (complete_injective_resolution,
                             zprime_witness, zsecond_witness)
 from .errors import (BadArgument, BicohomError, ConventionViolation,
                      HypothesisViolated, IllDefined, InternalChaseFailure,
-                     NotAModule, NotAnIsomorphism, NotContained, OutOfWindow,
+                     NotAModule, NotAnIsomorphism, NotContained,
                      ParentMismatch, ParseError)
 from .formats import load_complex, parse_complex, serialize_complex
 from .snf import (IntMatrix, SnfResult, hermite_normal_form, kernel_basis,

@@ -20,11 +20,11 @@ and the E2 pages are the same type without a site, built by
 The exactness that core_homology and diagonal_shift require holds on the
 whole of a Hom or tensor grid of exact free Z/m factors, which one
 memoised predicate per grid reads off the factors (`_exact_free`).  Every
-other grid -- over Z, with a non-free factor cell or an inexact or
-truncated factor, or without factors -- is decided site by site by
-`ker_mod_im`, which over Z/m counts orders, so a refusal names the grid's
-H.  `check_exact_grid` and `directional_homology` always read the grid:
-the thm21 suite holds the predicate to them.
+other grid -- over Z, with a non-free or inexact factor, or without
+factors -- is decided site by site by `ker_mod_im`, which over Z/m counts
+orders, so a refusal names the grid's H.  `check_exact_grid` and
+`directional_homology` always read the grid: the thm21 suite holds the
+predicate to them.
 
 Z', B', Z'', B'' and both core denominators d'(Z'') and d''(Z') are read
 through three helpers that take the axis as a parameter, over kernels and
@@ -56,7 +56,7 @@ from .abgroup import (Element, Morphism, _chain_group, _invariants_of_cyclics,
                       FpGroup)
 from .complexes import Periodic, Window, _check_differential, is_exact
 from .errors import (BadArgument, ConventionViolation, HypothesisViolated,
-                     InternalChaseFailure, OutOfWindow)
+                     InternalChaseFailure)
 
 PRIME = "prime"     # the d' direction (first index)
 SECOND = "second"   # the d'' direction (second index)
@@ -143,13 +143,6 @@ class _Grid(object):
     def dsecond(self, i, j):
         return self._diff(i, j, SECOND)
 
-    def representable(self, i, j):
-        try:
-            self._site(i, j)
-        except OutOfWindow:
-            return False
-        return True
-
     # -- axioms ------------------------------------------------------------
 
     def check_axioms(self, i_lo, i_hi, j_lo, j_hi):
@@ -159,27 +152,24 @@ class _Grid(object):
             for j in range(j_lo, j_hi + 1):
                 for axis in (PRIME, SECOND):
                     di, dj = _STEP[axis]
-                    if not self.representable(i + 2 * di, j + 2 * dj):
-                        continue
                     two = self._diff(i + di, j + dj, axis).compose(
                         self._diff(i, j, axis))
                     if not two.is_zero():
                         raise ConventionViolation(
                             "d%s o d%s is nonzero at (%d, %d)"
                             % (_MARKS[axis], _MARKS[axis], i, j))
-                if self.representable(i + 1, j + 1):
-                    a = self.dsecond(i + 1, j).compose(self.dprime(i, j))
-                    b = self.dprime(i, j + 1).compose(self.dsecond(i, j))
-                    if not self._square_holds(a, b):
-                        raise ConventionViolation(
-                            "mixed square fails at (%d, %d)" % (i, j))
+                a = self.dsecond(i + 1, j).compose(self.dprime(i, j))
+                b = self.dprime(i, j + 1).compose(self.dsecond(i, j))
+                if not self._square_holds(a, b):
+                    raise ConventionViolation(
+                        "mixed square fails at (%d, %d)" % (i, j))
 
     @classmethod
-    def from_grid(cls, modulus, cells, dprimes=None, dseconds=None,
-                  zero_outside=True):
+    def from_grid(cls, modulus, cells, dprimes=None, dseconds=None):
         """Build from explicit dicts keyed by (i, j); the keys must cover a
-        full rectangle.  Missing differentials are zero.  Axioms are checked
-        eagerly over the rectangle."""
+        full rectangle, outside which every cell is zero.  Missing
+        differentials are zero.  Axioms are checked eagerly over the
+        rectangle and the ring of zero cells around it."""
         if not cells:
             raise ValueError("need at least one cell")
         i_keys = sorted({i for i, _ in cells})
@@ -192,14 +182,11 @@ class _Grid(object):
             raise ValueError("cells must cover a full rectangle")
         dprimes = dict(dprimes or {})
         dseconds = dict(dseconds or {})
-        grid = cls(modulus,
-                   Window(i_lo, i_hi, zero_outside),
-                   Window(j_lo, j_hi, zero_outside),
+        grid = cls(modulus, Window(i_lo, i_hi), Window(j_lo, j_hi),
                    lambda i, j: cells[(i, j)],
                    lambda i, j: dprimes.get((i, j)),
                    lambda i, j: dseconds.get((i, j)))
-        pad = 1 if zero_outside else 0
-        grid.check_axioms(i_lo - pad, i_hi + pad, j_lo - pad, j_hi + pad)
+        grid.check_axioms(i_lo - 1, i_hi + 1, j_lo - 1, j_hi + 1)
         return grid
 
 
@@ -328,8 +315,8 @@ def check_exact_grid(x, i_lo, i_hi, j_lo, j_hi):
 
 def _exact_free(x):
     """Whether x is a Hom or tensor grid over Z/m, m >= 2, of two factors
-    over Z/m that are free in every cell, Periodic or zero outside their
-    window, and exact over that period or window; memoised per grid.
+    over Z/m that are free in every cell and exact over their period or
+    window; memoised per grid.
 
     Over Z/m a free module is projective and, Z/m being self-injective,
     injective, so H' = H_i(C)^(rank D^j) and H'' = H^j(D)^(rank C_i) at
@@ -340,7 +327,6 @@ def _exact_free(x):
         m = x.modulus
         x._sites["exact free"] = x._factors is not None and m >= 2 and all(
             f.modulus == m
-            and (isinstance(f.support, Periodic) or f.support.zero_outside)
             and all(g.order() == m ** g.ambient_rank
                     for g in map(f.cell, f.degrees()))
             and not is_exact(f) for f in x._factors)

@@ -7,7 +7,8 @@ Machine output (--json) is stable under re-run modulo the timestamp field.
 A degree span (--degrees, --range) is at most formats.MAX_DEGREES wide, and
 a tate degree at most that in absolute value.  `bicomplex` builds no grid
 whose cells could exceed formats.MAX_GRID_RANK: the product of the two
-files' largest cell ranks is at most that.
+files' largest cell ranks is at most that.  `tate` builds no group when
+the product of the two specs' summand counts exceeds formats.MAX_RANK.
 """
 
 import argparse
@@ -22,15 +23,15 @@ from .bicomplexes import (I_THEN_II, II_THEN_I, PRIME, SECOND,
                           directional_homology, iterated_homology)
 from .constructions import hom_bicomplex, tensor_bicomplex
 from .errors import (BadArgument, ConventionViolation, HypothesisViolated,
-                     IllDefined, NotAModule, NotContained, OutOfWindow,
-                     ParentMismatch, ParseError)
+                     IllDefined, NotAModule, NotContained, ParentMismatch,
+                     ParseError)
 from .abgroup import FpGroup
 from .complexes import homology
-from .formats import MAX_DEGREES, MAX_GRID_RANK, load_complex
+from .formats import MAX_DEGREES, MAX_GRID_RANK, MAX_RANK, load_complex
 from .suites import SUITES, run_suite
 from .tate import ROUTES, balance_report, tate_groups
 
-_INPUT_ERRORS = (ParseError, NotAModule, OutOfWindow, ConventionViolation,
+_INPUT_ERRORS = (ParseError, NotAModule, ConventionViolation,
                  HypothesisViolated, NotContained, ParentMismatch,
                  IllDefined, BadArgument)
 
@@ -166,6 +167,14 @@ def cmd_bicomplex(args):
 
 
 def cmd_tate(args):
+    # the routes' Hom and tensor cells have rank up to the product of the
+    # two summand counts, so it is bounded before either group is built
+    counts = [spec.count(",") + 1 for spec in (args.module, args.other)]
+    if counts[0] * counts[1] > MAX_RANK:
+        raise ParseError("--module has %d summands and --other %d: their "
+                         "product %d is above the bound of %d"
+                         % (counts[0], counts[1], counts[0] * counts[1],
+                            MAX_RANK))
     module = _parse_module(args.ring, args.module)
     other = _parse_module(args.ring, args.other)
     degrees = _parse_range(args.range, "--range")

@@ -1,10 +1,9 @@
 """Z-graded complexes of finitely presented groups.
 
 A complex carries either a homological differential (degree -1) or a
-cohomological one (degree +1).  Support is a finite window -- optionally
-declared genuinely zero outside -- or exactly periodic, which represents
-the 2-periodic complete resolutions downstream with no truncation error.
-Queries that would need an unknown cell outside a window fail loudly.
+cohomological one (degree +1).  Support is a finite window, outside which
+every cell is zero, or exactly periodic, which represents the 2-periodic
+complete resolutions downstream with no truncation error.
 Every degree lookup, here, in the grids and in the file format, goes
 through the support's `canonical(n)`.  One lazy builder,
 `_lazy_functor`, applies Hom or tensor to two complexes; both grids and,
@@ -26,7 +25,7 @@ from .abgroup import (FpGroup, Homology, Morphism, _shared_modulus,
                       hom_group, induced_hom_map, induced_tensor_map,
                       ker_mod_im, kernel_image, tensor_group)
 from .abgroup import direct_sum as group_direct_sum
-from .errors import BadArgument, ConventionViolation, OutOfWindow
+from .errors import BadArgument, ConventionViolation
 
 HOMOLOGICAL = "homological"
 COHOMOLOGICAL = "cohomological"
@@ -38,29 +37,22 @@ def degree_step(convention):
 
 
 class Window:
-    """Support lo..hi inclusive; zero_outside means the complex is known to
-    vanish beyond the window rather than merely being truncated there."""
+    """Support lo..hi inclusive; every cell outside it is zero."""
 
-    __slots__ = ("lo", "hi", "zero_outside")
+    __slots__ = ("lo", "hi")
 
-    def __init__(self, lo, hi, zero_outside=True):
+    def __init__(self, lo, hi):
         if lo > hi:
             raise ValueError("empty window")
         self.lo = lo
         self.hi = hi
-        self.zero_outside = bool(zero_outside)
 
     def __contains__(self, n):
         return self.lo <= n <= self.hi
 
     def canonical(self, n):
-        """(canonical index, inside?); OutOfWindow when truncated there."""
-        if self.lo <= n <= self.hi:
-            return n, True
-        if self.zero_outside:
-            return n, False
-        raise OutOfWindow("degree %d is outside the window %d..%d"
-                          % (n, self.lo, self.hi))
+        """(canonical index, inside?)."""
+        return n, self.lo <= n <= self.hi
 
     def degrees(self):
         """The canonical indices, each once."""
@@ -68,16 +60,14 @@ class Window:
 
     def reflected(self):
         """The support of n -> -n."""
-        return Window(-self.hi, -self.lo, self.zero_outside)
+        return Window(-self.hi, -self.lo)
 
     def __eq__(self, other):
         return (isinstance(other, Window) and self.lo == other.lo
-                and self.hi == other.hi
-                and self.zero_outside == other.zero_outside)
+                and self.hi == other.hi)
 
     def __repr__(self):
-        tail = "" if self.zero_outside else ", truncated"
-        return "Window(%d..%d%s)" % (self.lo, self.hi, tail)
+        return "Window(%d..%d)" % (self.lo, self.hi)
 
 
 class Periodic:
@@ -137,14 +127,12 @@ class Complex:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def window(cls, convention, modulus, lo, hi, cells, diffs=None,
-               zero_outside=True):
+    def window(cls, convention, modulus, lo, hi, cells, diffs=None):
         """cells: dict degree -> FpGroup covering lo..hi (or a list in that
         order); diffs: dict degree -> Morphism, missing entries are zero."""
         if not isinstance(cells, dict):
             cells = {lo + k: g for k, g in enumerate(cells)}
-        return cls(convention, modulus, Window(lo, hi, zero_outside),
-                   cells, diffs or {})
+        return cls(convention, modulus, Window(lo, hi), cells, diffs or {})
 
     @classmethod
     def periodic(cls, convention, modulus, period, cells, diffs=None):
@@ -170,15 +158,14 @@ class Complex:
         allowed = set(self.diff_degrees())
         diffs = {}
         for n, f in self._diffs.items():
-            key = s.canonical(n)[0] if n in s else n
+            key = s.canonical(n)[0]
             if key in diffs:
                 raise ConventionViolation(
                     "differential at degree %d is given twice" % key)
             diffs[key] = f
         self._diffs = diffs
         if not set(self._diffs) <= allowed:
-            raise ConventionViolation("differential at an unrepresentable "
-                                      "degree")
+            raise ConventionViolation("a differential leaves the window")
         for n in allowed:
             _check_differential(self.diff(n), self.cell(n),
                                 self.cell(n + self.step),
@@ -242,19 +229,12 @@ def homology(c, n):
 def is_exact(c, lo=None, hi=None):
     """Degrees in lo..hi where homology is nonzero; empty report = exact.
 
-    Defaults: one period for Periodic support; the full window when the
-    complex is zero outside; otherwise the interior degrees, the only ones
-    whose homology is determined by the stored cells.
+    The default range is the support's degrees: one period, or the whole
+    window, outside which the complex is zero and so exact.
     """
-    s = c.support
-    if isinstance(s, Periodic):
-        d_lo, d_hi = 0, s.period - 1
-    elif s.zero_outside:
-        d_lo, d_hi = s.lo, s.hi
-    else:
-        d_lo, d_hi = s.lo + 1, s.hi - 1
-    lo = d_lo if lo is None else lo
-    hi = d_hi if hi is None else hi
+    degrees = c.degrees()
+    lo = degrees[0] if lo is None else lo
+    hi = degrees[-1] if hi is None else hi
     if lo > hi:
         raise BadArgument("empty degree range %d..%d" % (lo, hi))
     report = []
@@ -397,10 +377,7 @@ def direct_sum(c1, c2):
         p1, p2 = s1.period, s2.period
         support = Periodic(p1 * p2 // gcd(p1, p2))
     else:
-        if not (s1.zero_outside and s2.zero_outside) and s1 != s2:
-            raise ValueError("truncated windows must match exactly")
-        support = Window(min(s1.lo, s2.lo), max(s1.hi, s2.hi),
-                         s1.zero_outside and s2.zero_outside)
+        support = Window(min(s1.lo, s2.lo), max(s1.hi, s2.hi))
     sums = {n: group_direct_sum(c1.cell(n), c2.cell(n))
             for n in support.degrees()}
     cells = {n: total for n, (total, _, _) in sums.items()}

@@ -17,10 +17,6 @@ class ParentMismatch(BicohomError):
     """Two subgroups (or elements) live in different ambient groups."""
 
 
-class OutOfWindow(BicohomError):
-    """A degree outside a finite window was queried without a zero default."""
-
-
 class ConventionViolation(BicohomError):
     """Input grid fails its declared sign/commutation axioms."""
 

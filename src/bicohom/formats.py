@@ -221,9 +221,6 @@ def serialize_complex(c):
     s = c.support
     if isinstance(s, Periodic):
         support = {"periodic": {"period": s.period}}
-    elif not s.zero_outside:
-        # the format has no field for truncation, so refuse to drop it
-        raise ValueError("truncated windows are not serializable")
     else:
         support = {"window": {"lo": s.lo, "hi": s.hi}}
     forms = {n: c.cell(n).cyclic_decomposition() for n in c.degrees()}

@@ -87,15 +87,6 @@ def disc_complex(modulus, factors, top, convention="homological"):
     return Complex.window(convention, modulus, lo, hi, cells, diffs)
 
 
-def truncated_window(c):
-    """The window complex c with zero_outside=False: a degree past its
-    window raises OutOfWindow instead of reading as zero."""
-    return Complex.window(c.convention, c.modulus, c.support.lo, c.support.hi,
-                          {n: c.cell(n) for n in c.degrees()},
-                          {n: c.diff(n) for n in c.diff_degrees()},
-                          zero_outside=False)
-
-
 def random_matrix(rng, rows, cols, bound=9):
     return IntMatrix([[rng.randint(-bound, bound) for _ in range(cols)]
                       for _ in range(rows)], cols=cols)

@@ -34,7 +34,7 @@ from bicohom.complexes import (COHOMOLOGICAL, HOMOLOGICAL, Complex,
                                is_exact)
 from bicohom.errors import (BadArgument, ConventionViolation,
                             HypothesisViolated, InternalChaseFailure,
-                            NotContained, OutOfWindow, ParentMismatch)
+                            NotContained, ParentMismatch)
 from bicohom.constructions import (complete_injective_resolution,
                                    complete_projective_resolution,
                                    complete_resolution,
@@ -44,8 +44,7 @@ from bicohom.formats import parse_complex
 from bicohom.snf import IntMatrix
 from bicohom.tate import EXT, TOR, balance_grid
 from bicohom.suites import _zero_first_diff
-from helpers import (ALT_REFUSAL, invariant_factors_oracle,
-                     periodic_strand, truncated_window)
+from helpers import ALT_REFUSAL, invariant_factors_oracle, periodic_strand
 
 
 def hom_grid(c, d):
@@ -175,16 +174,13 @@ def test_provider_output_is_validated():
         wrong_modulus.cell(0, 0)
 
 
-def test_support_extension_and_truncation():
+def test_support_extension():
     z2 = FpGroup.from_factors(2, [2])
-    open_grid = Bicomplex.from_grid(2, {(0, 0): z2})
-    assert open_grid.cell(5, -3).is_trivial()
-    assert open_grid.dprime(0, 0).is_zero()
-    closed = Bicomplex.from_grid(2, {(0, 0): z2}, zero_outside=False)
-    with pytest.raises(OutOfWindow):
-        closed.cell(1, 0)
-    with pytest.raises(OutOfWindow):
-        core_homology(closed, (0, 0))  # needs the (i-1, j) neighborhood
+    grid = Bicomplex.from_grid(2, {(0, 0): z2})
+    assert grid.cell(5, -3).is_trivial()
+    assert grid.dprime(0, 0).is_zero()
+    # the core reads the zero cells at (-1, 0) and (0, -1)
+    assert core_homology(grid, (0, 0)).group.invariant_factors == (2,)
 
 
 def test_lazy_memoization():
@@ -724,7 +720,7 @@ def core_outcome(x, i, j):
     """None, or the name and text of core_homology's refusal at (i, j)."""
     try:
         core_homology(x, (i, j))
-    except (HypothesisViolated, OutOfWindow) as exc:
+    except HypothesisViolated as exc:
         return type(exc).__name__, str(exc)
     return None
 
@@ -795,25 +791,6 @@ def test_a_grid_over_the_integers_is_decided_on_the_grid():
     assert not directional_homology(x, (1, 0), PRIME).is_trivial()
     assert assert_gate_matches_grid(hom_bicomplex(c, d), x,
                                     range(-2, 4)) >= 1
-
-
-@pytest.mark.parametrize("kind", ["hom", "tensor"])
-def test_a_truncated_factor_window_refuses_as_the_grid_does(kind):
-    # past a truncated window both paths raise the grid's OutOfWindow, in
-    # grid degrees, which for the tensor grid are the factor's reflected
-    c = truncated_window(random_exact_complex(4, 6, blocks=2, kind="window"))
-    hi = c.support.hi
-    second = COHOMOLOGICAL if kind == "hom" else "homological"
-    d = random_exact_complex(4, 3, blocks=2, convention=second)
-    build = hom_bicomplex if kind == "hom" else tensor_bicomplex
-    outcomes = set()
-    for i in range(-hi - 2, hi + 3):
-        for j in range(-2, 3):
-            want = core_outcome(
-                from_double_complex(to_double_complex(build(c, d))), i, j)
-            assert core_outcome(build(c, d), i, j) == want, (i, j)
-            outcomes.add(want and want[0])
-    assert outcomes == {None, "OutOfWindow"}
 
 
 @pytest.mark.parametrize("kind", ["hom", "tensor"])
@@ -935,11 +912,6 @@ def test_core_type_answers_only_grids_of_exact_free_factors():
         hom_bicomplex(z_multiplication(), Complex.window(COHOMOLOGICAL, 0,
                                                          0, 0, [z])),
         hom_bicomplex(parse_complex(Z4_EXTENSION), d),
-        hom_bicomplex(truncated_window(random_exact_complex(
-            4, 6, blocks=2, kind="window")), d),
-        # a one-cell truncated window has no interior for is_exact to read
-        hom_bicomplex(Complex.window(HOMOLOGICAL, 4, 0, 0, [FpGroup.free(
-            4, 1)], zero_outside=False), d),
         from_double_complex(to_double_complex(hom_bicomplex(c, d))),
     ]
     for x in undecided:

@@ -7,7 +7,7 @@ import pytest
 
 from bicohom import abgroup, cli
 from bicohom.cli import main, render_group_factors
-from bicohom.formats import MAX_DEGREES, MAX_GRID_RANK
+from bicohom.formats import MAX_DEGREES, MAX_GRID_RANK, MAX_RANK
 
 STRAND4 = ('{"modulus": 4, "convention": "homological",'
            ' "support": {"periodic": {"period": 1}},'
@@ -287,6 +287,41 @@ def test_tate_single_route(capsys):
                  "--kind", "ext", "--range", "0..2"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out == ["n=+0: Z/3", "n=+1: Z/3", "n=+2: Z/3"]
+
+
+def test_tate_summand_counts_are_bounded(monkeypatch, capsys):
+    # the product of the two specs' summand counts is checked before any
+    # group is built; at the bound the builder is reached, above it the
+    # command exits 2 naming both counts
+    side = isqrt(MAX_RANK)
+    assert side * side == MAX_RANK
+    built = []
+
+    class Stub:
+        @staticmethod
+        def from_factors(ring, factors):
+            built.append(len(factors))
+            raise GridBuilt
+
+    monkeypatch.setattr(cli, "FpGroup", Stub)
+
+    def tate(first, second):
+        return main(["tate", "--ring", "4", "--module", ",".join(
+            ["2"] * first), "--other", ",".join(["2"] * second), "--kind",
+            "ext", "--range", "0..1", "--both-ways"])
+
+    for first, second in ((side, side), (MAX_RANK, 1), (1, MAX_RANK)):
+        with pytest.raises(GridBuilt):
+            tate(first, second)
+    assert built == [side, MAX_RANK, 1]
+    for first, second in ((side, side + 1), (MAX_RANK + 1, 1),
+                          (1, MAX_RANK + 1), (3000, 1)):
+        assert tate(first, second) == 2
+        assert ("--module has %d summands and --other %d: their product %d "
+                "is above the bound of %d" % (first, second, first * second,
+                                              MAX_RANK)
+                in capsys.readouterr().err)
+    assert built == [side, MAX_RANK, 1]
 
 
 def test_tate_input_errors(capsys):

@@ -17,7 +17,7 @@ from bicohom.complexes import (Complex, Periodic, Window, boundaries,
                                module_tensor_with, reindex,
                                tensor_with_module)
 from bicohom.errors import (BadArgument, ConventionViolation, NotContained,
-                            OutOfWindow, ParentMismatch)
+                            ParentMismatch)
 from bicohom.snf import IntMatrix
 from helpers import (disc_complex, invariant_factors_oracle, periodic_strand,
                      seeded)
@@ -46,7 +46,7 @@ def test_construction_validation():
         # missing cell coverage
         Complex("homological", 0, Window(0, 1), {0: z}, {})
     with pytest.raises(ConventionViolation):
-        # differential outside the representable range
+        # a differential that leaves the window
         Complex.window("homological", 0, 0, 1, [z, z], {0: ident})
     z4 = FpGroup.from_factors(4, [4])
     with pytest.raises(ConventionViolation,
@@ -74,20 +74,12 @@ def test_construction_validation():
 
 def test_window_access_rules():
     c = disc_complex(0, [0], 1)  # 0 -> Z -> Z -> 0 with identity
-    assert c.cell(7).is_trivial()  # zero outside, declared
+    assert c.cell(7).is_trivial()  # zero outside the window
     assert c.diff(7).is_zero()
-    truncated = Complex.window("homological", 4, 0, 1,
-                               [FpGroup.free(4, 1), FpGroup.free(4, 1)],
-                               {1: make_morphism(FpGroup.free(4, 1),
-                                                 FpGroup.free(4, 1),
-                                                 IntMatrix([[2]]))},
-                               zero_outside=False)
-    with pytest.raises(OutOfWindow):
-        truncated.cell(2)
-    with pytest.raises(OutOfWindow):
-        cycles(truncated, 0)  # outgoing differential leaves the window
-    # interior queries are fine
-    assert cycles(truncated, 1) is not None
+    # the differential out of the bottom degree lands in a zero cell, so
+    # every element there is a cycle
+    assert c.diff(0).is_zero() and c.diff(0).target.is_trivial()
+    assert cycles(c, 0) == Subgroup.full(c.cell(0))
 
 
 def test_periodic_access_wraps():
@@ -107,11 +99,8 @@ def test_support_canonicaliser_contract():
     assert w.canonical(5) == (5, False)  # zero outside: reported outside
     assert list(w.degrees()) == [-1, 0, 1, 2]
     assert w.reflected() == Window(-2, 1)
-    t = Window(0, 1, zero_outside=False)
-    assert t.canonical(1) == (1, True)
-    with pytest.raises(OutOfWindow):
-        t.canonical(2)
-    assert t.reflected() == Window(-1, 0, zero_outside=False)
+    assert w.canonical(-2) == (-2, False)
+    assert repr(w) == "Window(-1..2)"
 
 
 def test_periodic_differentials_sharing_a_degree_are_refused():
@@ -262,7 +251,7 @@ def test_hom_into_module_degenerate():
     disc = disc_complex(0, [0], 3)
     hd = hom_into_module(disc, FpGroup(0, 1))
     assert is_exact(hd) == []
-    assert hd.support == Window(2, 3, True)
+    assert hd.support == Window(2, 3)
 
 
 def test_hom_from_module_examples():
@@ -415,43 +404,14 @@ def test_direct_sum_rejects_mismatches():
         direct_sum(a, co)
 
 
-def truncated_zero_maps(lo, hi):
-    """Z/4 at every degree of lo..hi with zero maps, truncated there."""
-    z4 = FpGroup.from_factors(4, [4])
-    return Complex.window("homological", 4, lo, hi, [z4] * (hi - lo + 1),
-                          zero_outside=False)
-
-
-def test_truncated_window_is_exact_only_inside():
-    t = truncated_zero_maps(0, 2)
-    # the edge degrees need cells beyond the window, so the default
-    # report covers degree 1 alone
-    assert is_exact(t) == [(1, "Z/4")]
-    with pytest.raises(OutOfWindow):
-        is_exact(t, 0, 0)
-
-
 @pytest.mark.parametrize("hi", [0, 1])
 def test_is_exact_refuses_an_empty_range(hi):
-    # a truncated window of one or two degrees has no interior degree, so
-    # the default range is empty; it must not read as exact
-    t = truncated_zero_maps(0, hi)
+    # a backward range is empty; it must not read as exact
+    z4 = FpGroup.from_factors(4, [4])
+    t = Complex.window("homological", 4, 0, hi, [z4] * (hi + 1))
+    assert is_exact(t) == [(n, "Z/4") for n in range(hi + 1)]
     with pytest.raises(BadArgument,
-                       match=r"^empty degree range 1\.\.%d$" % (hi - 1)):
-        is_exact(t)
+                       match=r"^empty degree range %d\.\.%d$" % (hi + 1, hi)):
+        is_exact(t, hi + 1, hi)
     with pytest.raises(BadArgument, match=r"^empty degree range 2\.\.1$"):
         is_exact(periodic_strand(4, [2]), 2, 1)
-
-
-def test_direct_sum_of_truncated_windows():
-    t = truncated_zero_maps(0, 2)
-    total = direct_sum(t, t)
-    assert total.support == Window(0, 2, zero_outside=False)
-    assert is_exact(total) == [(1, "Z/4 (+) Z/4")]
-    for other in (truncated_zero_maps(0, 1),
-                  disc_complex(4, [4], 0)):
-        for pair in ((t, other), (other, t)):
-            with pytest.raises(ValueError,
-                               match="^truncated windows must match "
-                                     "exactly$"):
-                direct_sum(*pair)

@@ -173,13 +173,6 @@ def test_serialize_builds_no_group(monkeypatch):
     assert built == []
 
 
-def test_truncated_window_is_not_serializable():
-    c = Complex.window(HOMOLOGICAL, 4, 0, 0, [FpGroup.from_factors(4, [2])],
-                       zero_outside=False)
-    with pytest.raises(ValueError):
-        serialize_complex(c)
-
-
 def _expect(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_complex(text)

@@ -10,7 +10,10 @@ behavioural test, so the checks below catch them.  `__init__.py` is left
 out of the import check because its imports are the re-exports.  Likewise
 a function or method of the package that no code in `src/`, `tests/` or
 `perfbench/` reads is dead weight: a method is read when some attribute
-access names it, a function when some name or attribute does.
+access names it, a function when some name or attribute does.  So is an
+error class of `bicohom.errors` that no `raise` in the package names:
+callers would catch, and the command line would list, a failure that
+cannot happen.
 
 `abgroup.kernel_image` memoises a morphism's kernel and image on the
 `Morphism` object, which is only sound while no morphism is changed after
@@ -50,6 +53,7 @@ import types
 import pytest
 
 import bicohom
+from bicohom import errors
 
 PACKAGE = pathlib.Path(bicohom.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -240,6 +244,42 @@ def test_every_function_and_method_is_read():
                for folder in ("src", "tests", "perfbench")
                for p in sorted((REPO / folder).rglob("*.py"))]
     assert unread_definitions(sources, readers) == []
+
+
+def unraised_errors(classes, sources):
+    """The names in `classes` that no `raise` in `sources`, a list of
+    texts, names: as `raise Name`, `raise Name(...)` or the same through
+    a module attribute."""
+    raised = set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return sorted(set(classes) - raised)
+
+
+def test_the_raise_check_sees_unraised_errors():
+    source = ("def f():\n    raise A('x')\n"
+              "def g():\n    raise errors.B\n"
+              "def h():\n"
+              "    try:\n        f()\n"
+              "    except C:\n        raise\n"
+              "failure = D('built, never raised')\n")
+    assert unraised_errors(["A", "B", "C", "D"], [source]) == ["C", "D"]
+
+
+def test_every_error_class_is_raised():
+    classes = [name for name, value in vars(errors).items()
+               if isinstance(value, type)
+               and issubclass(value, errors.BicohomError)
+               and value is not errors.BicohomError]
+    assert len(classes) > 0
+    sources = [p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))]
+    assert unraised_errors(classes, sources) == []
 
 
 # the attributes of a Morphism, which its two memos rely on, and the one

@@ -124,7 +124,7 @@ def test_kernel_basis_example():
     # {x : 2x == 0 mod 4} = 2Z
     basis = kernel_basis(IntMatrix([[2]]), 4)
     got = {basis[(0, j)] for j in range(basis.cols)}
-    # 2 must be representable, 1 must not
+    # 2 lies in the span, 1 does not
     assert solve_mod(basis, [2], 0) is not None
     assert solve_mod(basis, [1], 0) is None
     assert got == {2}
